@@ -3,8 +3,7 @@
 Exit codes: 0 on success, 2 on malformed input or configuration, 3 when
 every bin is unestimable (a region with fewer than two test samples in
 each of them).  All randomness flows from ``--seed``; rerunning a
-command with identical inputs yields byte-identical outputs regardless
-of ``GROUPLOSS_THREADS``.
+command with identical inputs yields byte-identical outputs.
 """
 
 import argparse

@@ -8,6 +8,7 @@ share the parent's feature matrix; they never copy it.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ class LabeledDataset:
             raise ValueError("features (n, d), scores (n, K), labels (n,) required")
         if features.shape[0] != n:
             raise ValueError("row count mismatch between features and scores")
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite")
+        if not np.isfinite(scores).all():
+            raise ValueError("scores must be finite")
         if n and np.any(np.abs(scores.sum(axis=1) - 1.0) > SCORE_ROW_ATOL):
             bad = int(np.argmax(np.abs(scores.sum(axis=1) - 1.0) > SCORE_ROW_ATOL))
             raise ValueError(f"score row {bad} does not sum to 1")
@@ -165,11 +170,16 @@ def stratified_split(bv: BinaryView, n_bins: int, seed: int) -> SplitIndex:
 
 def _parse_float(text: str, line_no: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise InputFormatError(
             f"line {line_no}: column {column!r} is not a number: {text!r}"
         ) from None
+    if not math.isfinite(value):
+        raise InputFormatError(
+            f"line {line_no}: column {column!r} is not finite: {text!r}"
+        )
+    return value
 
 
 def read_dataset_csv(path) -> LabeledDataset:
@@ -181,8 +191,9 @@ def read_dataset_csv(path) -> LabeledDataset:
     * binary shortcut: ``label, score[, feature_*]`` where ``score`` is
       the positive-class probability.
 
-    Any extra columns are ignored.  Malformed rows raise
-    :class:`InputFormatError` with the line number.
+    Any extra columns are ignored.  Malformed rows, including NaN or
+    infinite scores and features, raise :class:`InputFormatError` with
+    the line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .binning import BinnedView, within_bin_score_variance
 from .calibration import CalibrationCurve
@@ -271,8 +271,8 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05):
     """Exact binomial confidence interval via Beta quantiles."""
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
-    lo = 0.0 if k == 0 else float(_beta.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 

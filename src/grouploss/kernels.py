@@ -1,72 +1,18 @@
-"""Hot numeric inner loops: numba ``@njit`` kernels with numpy fallbacks.
-
-Each kernel exists in two numerically equivalent flavours (up to
-floating-point summation order): a loop implementation compiled with
-numba, and a vectorized pure-numpy one used when the numpy backend is
-selected (see :mod:`grouploss._backend`).  ``benchmarks/bench_kernels.py``
-compares the two.
-"""
+"""Hot numeric inner loops: calibration-curve fit, tree split scan and
+isotonic pooling, each as one plain numpy/Python implementation."""
 
 import numpy as np
-
-from ._backend import USE_NUMBA, maybe_njit
 
 # Relative guard below which a local linear system is treated as degenerate
 # and the weighted mean is returned instead.
 _DEGENERATE_REL = 1e-10
 
 
-def _lowess_grid_loop(s, y, grid, k):
-    # s ascending, y aligned, grid ascending; local linear fit at each grid
-    # point over the k nearest neighbours with tricube weights.
-    n = s.shape[0]
-    out = np.empty(grid.shape[0])
-    lo = 0
-    for gi in range(grid.shape[0]):
-        g = grid[gi]
-        while lo + k < n and (s[lo + k] - g) < (g - s[lo]):
-            lo += 1
-        left = g - s[lo]
-        right = s[lo + k - 1] - g
-        bw = left if left > right else right
-        if bw <= 0.0:
-            acc = 0.0
-            for i in range(lo, lo + k):
-                acc += y[i]
-            out[gi] = acc / k
-            continue
-        sw = 0.0
-        swx = 0.0
-        swy = 0.0
-        swx2 = 0.0
-        swxy = 0.0
-        for i in range(lo, lo + k):
-            x = s[i] - g
-            d = abs(x) / bw
-            w = (1.0 - d * d * d)
-            w = w * w * w
-            if w < 0.0:
-                w = 0.0
-            sw += w
-            swx += w * x
-            swy += w * y[i]
-            swx2 += w * x * x
-            swxy += w * x * y[i]
-        if sw <= 0.0:
-            acc = 0.0
-            for i in range(lo, lo + k):
-                acc += y[i]
-            out[gi] = acc / k
-            continue
-        denom = sw * swx2 - swx * swx
-        if denom > _DEGENERATE_REL * sw * swx2:
-            out[gi] = (swx2 * swy - swx * swxy) / denom
-        else:
-            out[gi] = swy / sw
-    return out
+def lowess_grid(s, y, grid, k):
+    """Local linear tricube fit at each grid point over its k nearest scores.
 
-
-def _lowess_grid_numpy(s, y, grid, k):
+    ``s`` is ascending with ``y`` aligned; ``grid`` is ascending.
+    """
     n = s.shape[0]
     out = np.empty(grid.shape[0])
     lo = 0
@@ -101,46 +47,13 @@ def _lowess_grid_numpy(s, y, grid, k):
     return out
 
 
-def _best_split_loop(X, y, min_leaf):
-    # Greedy axis-aligned split minimizing squared loss.  Returns
-    # (feature, threshold, gain); feature == -1 when no split exists.
-    # Gain ties keep the lowest feature index, then the lowest threshold.
-    n, d = X.shape
-    best_gain = 0.0
-    best_feat = -1
-    best_thresh = 0.0
-    if n < 2 * min_leaf:
-        return best_feat, best_thresh, best_gain
-    total = 0.0
-    for i in range(n):
-        total += y[i]
-    parent = total * total / n
-    for f in range(d):
-        col = X[:, f].copy()
-        order = np.argsort(col)
-        run = 0.0
-        for i in range(n - 1):
-            run += y[order[i]]
-            nl = i + 1
-            if nl < min_leaf:
-                continue
-            nr = n - nl
-            if nr < min_leaf:
-                break
-            lv = col[order[i]]
-            rv = col[order[i + 1]]
-            if lv == rv:
-                continue
-            rsum = total - run
-            gain = run * run / nl + rsum * rsum / nr - parent
-            if gain > best_gain:
-                best_gain = gain
-                best_feat = f
-                best_thresh = 0.5 * (lv + rv)
-    return best_feat, best_thresh, best_gain
+def best_split(X, y, min_leaf):
+    """Greedy axis-aligned split minimizing squared loss.
 
-
-def _best_split_numpy(X, y, min_leaf):
+    Returns ``(feature, threshold, gain)``; feature is -1 when no split
+    exists.  Gain ties keep the lowest feature index, then the lowest
+    threshold.
+    """
     n, d = X.shape
     best_gain = 0.0
     best_feat = -1
@@ -169,8 +82,8 @@ def _best_split_numpy(X, y, min_leaf):
     return best_feat, best_thresh, best_gain
 
 
-def _pav_loop(values, weights):
-    # Pool-adjacent-violators: weighted isotonic means in index order.
+def pav(values, weights):
+    """Pool-adjacent-violators: weighted isotonic means in index order."""
     n = values.shape[0]
     lv = np.empty(n)
     lw = np.empty(n)
@@ -195,12 +108,3 @@ def _pav_loop(values, weights):
         start = lend[j] + 1
     return out
 
-
-if USE_NUMBA:
-    lowess_grid = maybe_njit(_lowess_grid_loop)
-    best_split = maybe_njit(_best_split_loop)
-else:
-    lowess_grid = _lowess_grid_numpy
-    best_split = _best_split_numpy
-
-pav = maybe_njit(_pav_loop)

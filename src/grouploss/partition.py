@@ -8,13 +8,11 @@ stump, and seeded Lloyd k-means.
 """
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from ._backend import thread_count
 from .binning import BinnedView
 from .data import SplitIndex
 
@@ -287,13 +285,7 @@ def fit_partition(
         rng = np.random.default_rng([seed, b])
         return _fit_bin(strategy, features[rows], labels[rows], region_ratio, rng)
 
-    bins = range(bview.n_bins)
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            assigners = tuple(pool.map(fit_one, bins))
-    else:
-        assigners = tuple(fit_one(b) for b in bins)
+    assigners = tuple(fit_one(b) for b in range(bview.n_bins))
     return PartitionModel(strategy, region_ratio, bview.n_bins, assigners)
 
 

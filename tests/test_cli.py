@@ -60,6 +60,30 @@ class TestEstimate:
         assert main(["estimate", str(bad)]) == EXIT_INPUT
         assert "line 3" in capsys.readouterr().err
 
+    def test_nan_score_exits_2_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "label,score_0,score_1,feature_0\n"
+            "1,0.3,0.7,0.5\n"
+            "0,0.6,0.4,1.5\n"
+            "1,nan,0.5,2.5\n"
+        )
+        assert main(["estimate", str(bad)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "line 4" in err and "score_0" in err
+
+    def test_nan_feature_exits_2_with_line(self, tmp_path, capsys):
+        csv = tmp_path / "data.csv"
+        _two_region_csv(csv, n=200)
+        lines = csv.read_text().split("\n")
+        fields = lines[5].split(",")
+        fields[-1] = "nan"
+        lines[5] = ",".join(fields)
+        csv.write_text("\n".join(lines))
+        assert main(["estimate", str(csv)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "line 6" in err and "feature_0" in err
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "data.csv"
         _two_region_csv(csv, n=200)

@@ -36,6 +36,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="out of range"):
             LabeledDataset(np.zeros((1, 1)), np.array([[0.5, 0.5]]), np.array([2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="features must be finite"):
+            LabeledDataset(np.array([[bad]]), np.array([[0.5, 0.5]]), np.array([0]))
+        with pytest.raises(ValueError, match="scores must be finite"):
+            LabeledDataset(np.zeros((1, 1)), np.array([[bad, 0.5]]), np.array([0]))
+
     def test_one_hot(self):
         ds = _toy_dataset()
         oh = ds.one_hot()
@@ -158,6 +165,13 @@ class TestCsvIO:
         path = tmp_path / "bad2.csv"
         path.write_text("label,score\n1,1.5\n")
         with pytest.raises(InputFormatError, match="line 2"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line(self, tmp_path, text):
+        path = tmp_path / "bad4.csv"
+        path.write_text(f"label,score,feature_0\n1,0.5,0.0\n0,0.5,{text}\n")
+        with pytest.raises(InputFormatError, match="line 3: column 'feature_0' is not finite"):
             read_dataset_csv(path)
 
     def test_missing_label_column(self, tmp_path):

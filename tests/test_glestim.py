@@ -290,6 +290,15 @@ class TestClopperPearson:
         widths = [np.diff(clopper_pearson(n // 2, n))[0] for n in (10, 100, 1000)]
         assert widths[0] > widths[1] > widths[2]
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_matches_beta_ppf_exactly(self, alpha):
+        for n in (1, 2, 3, 7, 20, 59, 1000, 20000):
+            for k in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+                lo, hi = clopper_pearson(k, n, alpha)
+                want_lo = 0.0 if k == 0 else float(beta_dist.ppf(alpha / 2, k, n - k + 1))
+                want_hi = 1.0 if k == n else float(beta_dist.ppf(1 - alpha / 2, k + 1, n - k))
+                assert (lo, hi) == (want_lo, want_hi)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             clopper_pearson(5, 4)

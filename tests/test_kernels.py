@@ -1,41 +1,149 @@
-"""The numba loop kernels and their numpy fallbacks must agree."""
+"""The vectorized kernels must agree with plain scalar reference loops."""
 
 import numpy as np
 import pytest
 
 from grouploss import kernels
-from grouploss._backend import backend_name
 
 
-def test_backend_is_reported():
-    assert backend_name() in ("numba", "numpy")
+def _lowess_grid_reference(s, y, grid, k):
+    # s ascending, y aligned, grid ascending; local linear fit at each grid
+    # point over the k nearest neighbours with tricube weights.
+    n = s.shape[0]
+    out = np.empty(grid.shape[0])
+    lo = 0
+    for gi in range(grid.shape[0]):
+        g = grid[gi]
+        while lo + k < n and (s[lo + k] - g) < (g - s[lo]):
+            lo += 1
+        left = g - s[lo]
+        right = s[lo + k - 1] - g
+        bw = left if left > right else right
+        if bw <= 0.0:
+            acc = 0.0
+            for i in range(lo, lo + k):
+                acc += y[i]
+            out[gi] = acc / k
+            continue
+        sw = 0.0
+        swx = 0.0
+        swy = 0.0
+        swx2 = 0.0
+        swxy = 0.0
+        for i in range(lo, lo + k):
+            x = s[i] - g
+            d = abs(x) / bw
+            w = (1.0 - d * d * d)
+            w = w * w * w
+            if w < 0.0:
+                w = 0.0
+            sw += w
+            swx += w * x
+            swy += w * y[i]
+            swx2 += w * x * x
+            swxy += w * x * y[i]
+        if sw <= 0.0:
+            acc = 0.0
+            for i in range(lo, lo + k):
+                acc += y[i]
+            out[gi] = acc / k
+            continue
+        denom = sw * swx2 - swx * swx
+        if denom > kernels._DEGENERATE_REL * sw * swx2:
+            out[gi] = (swx2 * swy - swx * swxy) / denom
+        else:
+            out[gi] = swy / sw
+    return out
+
+
+def _best_split_reference(X, y, min_leaf):
+    # Scalar scan of every threshold of every feature; a strictly larger
+    # gain is required to replace the incumbent, so ties keep the lowest
+    # feature, then the lowest threshold.
+    n, d = X.shape
+    best_gain = 0.0
+    best_feat = -1
+    best_thresh = 0.0
+    if n < 2 * min_leaf:
+        return best_feat, best_thresh, best_gain
+    total = 0.0
+    for i in range(n):
+        total += y[i]
+    parent = total * total / n
+    for f in range(d):
+        col = X[:, f].copy()
+        order = np.argsort(col)
+        run = 0.0
+        for i in range(n - 1):
+            run += y[order[i]]
+            nl = i + 1
+            if nl < min_leaf:
+                continue
+            nr = n - nl
+            if nr < min_leaf:
+                break
+            lv = col[order[i]]
+            rv = col[order[i + 1]]
+            if lv == rv:
+                continue
+            rsum = total - run
+            gain = run * run / nl + rsum * rsum / nr - parent
+            if gain > best_gain:
+                best_gain = gain
+                best_feat = f
+                best_thresh = 0.5 * (lv + rv)
+    return best_feat, best_thresh, best_gain
+
+
+def _assert_split_matches_reference(X, y, min_leaf):
+    fa, ta, ga = _best_split_reference(X, y, min_leaf)
+    fb, tb, gb = kernels.best_split(X, y, min_leaf)
+    assert fa == fb
+    if fa >= 0:
+        assert ta == tb
+        assert abs(ga - gb) < 1e-10
+    return fb, tb
 
 
 def test_lowess_paths_agree():
     rng = np.random.default_rng(0)
     s = np.sort(rng.uniform(size=500))
-    y = (rng.uniform(size=500) < s).astype(float)
-    grid = np.linspace(0, 1, 64)
-    a = kernels._lowess_grid_loop(s, y, grid, 150)
-    b = kernels._lowess_grid_numpy(s, y, grid, 150)
-    np.testing.assert_allclose(a, b, atol=1e-12)
-    dispatched = kernels.lowess_grid(s, y, grid, 150)
-    np.testing.assert_allclose(dispatched, b, atol=1e-12)
+    tied = np.sort(rng.integers(0, 5, size=500) / 4.0)
+    for scores in (s, tied):
+        y = (rng.uniform(size=500) < scores).astype(float)
+        grid = np.linspace(0, 1, 64)
+        expected = _lowess_grid_reference(scores, y, grid, 150)
+        np.testing.assert_allclose(
+            kernels.lowess_grid(scores, y, grid, 150), expected, atol=1e-12
+        )
 
 
 def test_best_split_paths_agree():
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        n = int(rng.integers(6, 60))
-        d = int(rng.integers(1, 4))
-        X = rng.normal(size=(n, d))
-        y = rng.integers(0, 2, n).astype(float)
-        fa, ta, ga = kernels._best_split_loop(X, y, 2)
-        fb, tb, gb = kernels._best_split_numpy(X, y, 2)
-        assert fa == fb
-        if fa >= 0:
-            assert ta == tb
-            assert abs(ga - gb) < 1e-10
+    for distinct in (None, 4):
+        for _ in range(20):
+            n = int(rng.integers(6, 60))
+            d = int(rng.integers(1, 4))
+            if distinct is None:
+                X = rng.normal(size=(n, d))
+            else:  # duplicated feature values
+                X = rng.integers(0, distinct, size=(n, d)).astype(float)
+            y = rng.integers(0, 2, n).astype(float)
+            _assert_split_matches_reference(X, y, 2)
+
+    # Gain ties keep the lowest feature, then the lowest threshold; the
+    # nesting of trees under the leaf cap depends on this rule.
+    X = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])[:, None]
+    y = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+    assert _assert_split_matches_reference(X, y, 1) == (0, 1.5)
+    X = np.array([0.0, 1.0, 2.0, 3.0])[:, None]
+    y = np.array([1.0, 0.0, 0.0, 1.0])  # 0.5 and 2.5 gain the same
+    assert _assert_split_matches_reference(X, y, 1) == (0, 0.5)
+    x = rng.permutation(np.arange(12, dtype=float))
+    y = (x >= 7).astype(float)
+    for twin in (x, -x):  # both features gain the same
+        assert _assert_split_matches_reference(np.column_stack([x, twin]), y, 2) == (0, 6.5)
+        assert kernels.best_split(np.column_stack([twin, x]), y, 2)[0] == 0
 
 
 def test_best_split_respects_min_leaf():
