@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryView
+from .data import BinaryView, bin_index_of
+from .scoring import ScoringRule, binary_negative_entropy
 
 
 @dataclass(frozen=True)
@@ -34,14 +35,6 @@ class BinnedView:
 
     def occupied(self) -> np.ndarray:
         return np.flatnonzero(self.counts > 0)
-
-
-def bin_index_of(scores: np.ndarray, n_bins: int) -> np.ndarray:
-    """Equal-width bin index per score (last bin closed at 1.0)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
-        raise ValueError("scores must lie in [0, 1]")
-    return np.minimum((scores * n_bins).astype(np.int64), n_bins - 1)
 
 
 def make_bins(bv: BinaryView, n_bins: int, rows=None) -> BinnedView:
@@ -97,3 +90,20 @@ def within_bin_score_variance(bview: BinnedView):
         return per_bin, 0.0
     total = float(np.dot(bview.counts / n, per_bin))
     return per_bin, total
+
+
+def jensen_gap_by_bin(rule: ScoringRule, bin_of: np.ndarray, values: np.ndarray,
+                      n_bins: int):
+    """Per-bin Jensen gap ``mean h(v) - h(mean v)`` of the rule's ``h``.
+
+    ``values`` are positive-class probabilities aligned with ``bin_of``.
+    Returns ``(counts, gaps)`` over all ``n_bins`` bins; empty bins have
+    NaN gaps.
+    """
+    counts = np.bincount(bin_of, minlength=n_bins)
+    sums = np.bincount(bin_of, weights=values, minlength=n_bins)
+    h_sums = np.bincount(bin_of, weights=binary_negative_entropy(rule, values),
+                         minlength=n_bins)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gaps = h_sums / counts - binary_negative_entropy(rule, sums / counts)
+    return counts, gaps

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .binning import BinnedView
-from .scoring import ScoringRule
+from .scoring import ScoringRule, binary_divergence
 
 MAX_SUPPORT_POINTS = 1024
 
@@ -111,17 +111,7 @@ def calibration_loss_binned(bview: BinnedView, rule: ScoringRule) -> float:
     if occupied.size == 0:
         return 0.0
     w = bview.counts[occupied] / bview.n
-    s = bview.mean_score[occupied]
-    c = bview.pos_fraction[occupied]
-    if rule.kind == "brier":
-        per_bin = (s - c) ** 2
-        if rule.binary_convention == "vector":
-            per_bin = 2.0 * per_bin
-    else:
-        per_bin = np.zeros_like(s)
-        for arm_c, arm_s in ((c, s), (1.0 - c, 1.0 - s)):
-            pos = arm_c > 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = np.where(pos, arm_c * np.log(np.where(pos, arm_c, 1.0) / arm_s), 0.0)
-            per_bin = per_bin + term
+    per_bin = binary_divergence(
+        rule, bview.mean_score[occupied], bview.pos_fraction[occupied]
+    )
     return float(np.dot(w, per_bin))

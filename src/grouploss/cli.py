@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -95,17 +95,7 @@ class RunConfig:
         return BRIER_SCALAR if self.rule == "brier" else LOG_LOSS
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "n_bins": self.n_bins,
-            "region_ratio": self.region_ratio,
-            "partition": self.partition,
-            "recalibrate": self.recalibrate,
-            "reduction": self.reduction,
-            "seed": self.seed,
-            "bandwidth_fraction": self.bandwidth_fraction,
-            "split_fraction": self.split_fraction,
-        }
+        return asdict(self)
 
 
 def reduce_dataset(ds: LabeledDataset, reduction: str) -> BinaryView:
@@ -194,6 +184,13 @@ def _load_simulator(path):
         return simulator_from_spec(json.load(fh))
 
 
+def _require_positive(args, *names):
+    for name in names:
+        if getattr(args, name) < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be >= 1, got {getattr(args, name)}")
+
+
 def _sample(sim, n, seed):
     if isinstance(sim, LinkSimulator1D):
         return sample_link_1d(sim, n, seed)
@@ -202,6 +199,7 @@ def _sample(sim, n, seed):
 
 def cmd_simulate(args) -> int:
     try:
+        _require_positive(args, "n", "oracle_n")
         sim = _load_simulator(args.spec)
         ds, q_true = _sample(sim, args.n, args.seed)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
@@ -234,6 +232,7 @@ def _derived_seed(base: int, *key) -> int:
 
 def cmd_sweep(args) -> int:
     try:
+        _require_positive(args, "n", "repeats", "oracle_n")
         sim = _load_simulator(args.spec)
         values = [int(v) for v in args.values.split(",") if v]
         if not values:
@@ -246,6 +245,8 @@ def cmd_sweep(args) -> int:
             seed=args.seed,
             bandwidth_fraction=args.bandwidth,
         )
+        key = "n_bins" if args.axis == "bins" else "region_ratio"
+        cfgs = [replace(base, **{key: value}) for value in values]
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -257,17 +258,17 @@ def cmd_sweep(args) -> int:
         "gl_true,gl_true_se,repeats_used,unestimable"
     )
     lines = [header]
-    for vi, value in enumerate(values):
-        if args.axis == "bins":
-            cfg = replace(base, n_bins=value)
-        else:
-            cfg = replace(base, region_ratio=value)
+    for vi, (value, cfg) in enumerate(zip(values, cfgs)):
         lb, plugin, explained, induced = [], [], [], []
         dropped_any = False
         for r in range(args.repeats):
             seed_r = _derived_seed(args.seed, vi, r)
             ds, _ = _sample(sim, args.n, seed_r)
-            report = run_pipeline(ds, replace(cfg, seed=seed_r))
+            try:
+                report = run_pipeline(ds, replace(cfg, seed=seed_r))
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_INPUT
             # a repeat is degraded once regions too small to estimate hold a
             # visible share of the test mass (the ratio-below-2 regime)
             if report.unestimable_bins or report.dropped_test_fraction > 0.03:

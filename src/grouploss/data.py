@@ -20,6 +20,14 @@ class InputFormatError(ValueError):
     """Malformed tabular input; message carries the offending line number."""
 
 
+class DatasetRowError(ValueError):
+    """A row breaks the dataset contract; ``row`` is its 0-based index."""
+
+    def __init__(self, row: int, problem: str):
+        super().__init__(f"row {row}: {problem}")
+        self.row, self.problem = row, problem
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Rows of (feature vector, score vector on the simplex, class label)."""
@@ -44,11 +52,17 @@ class LabeledDataset:
             raise ValueError("features must be finite")
         if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
-        if n and np.any(np.abs(scores.sum(axis=1) - 1.0) > SCORE_ROW_ATOL):
-            bad = int(np.argmax(np.abs(scores.sum(axis=1) - 1.0) > SCORE_ROW_ATOL))
-            raise ValueError(f"score row {bad} does not sum to 1")
-        if n and (labels.min() < 0 or labels.max() >= scores.shape[1]):
-            raise ValueError("labels out of range")
+        row_sums = scores.sum(axis=1)
+        off_simplex = np.abs(row_sums - 1.0) > SCORE_ROW_ATOL
+        if off_simplex.any():
+            bad = int(np.argmax(off_simplex))
+            raise DatasetRowError(bad, f"scores do not sum to 1 (sum {row_sums[bad]:.6g})")
+        bad_label = (labels < 0) | (labels >= scores.shape[1])
+        if bad_label.any():
+            bad = int(np.argmax(bad_label))
+            raise DatasetRowError(
+                bad, f"label {labels[bad]} out of range for {scores.shape[1]} classes"
+            )
 
     @property
     def n(self) -> int:
@@ -142,6 +156,14 @@ def classwise_slice(ds: LabeledDataset, k: int) -> BinaryView:
     return BinaryView(ds.features, score, label, f"classwise:{k}")
 
 
+def bin_index_of(scores: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-width bin index per score (last bin closed at 1.0)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+        raise ValueError("scores must lie in [0, 1]")
+    return np.minimum((scores * n_bins).astype(np.int64), n_bins - 1)
+
+
 def stratified_split(bv: BinaryView, n_bins: int, seed: int) -> SplitIndex:
     """50-50 split preserving the score distribution.
 
@@ -154,7 +176,7 @@ def stratified_split(bv: BinaryView, n_bins: int, seed: int) -> SplitIndex:
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     rng = np.random.default_rng(seed)
-    bins = np.minimum((bv.score * n_bins).astype(np.int64), n_bins - 1)
+    bins = bin_index_of(bv.score, n_bins)
     train, test = [], []
     for b in range(n_bins):
         rows = np.flatnonzero(bins == b)
@@ -182,6 +204,20 @@ def _parse_float(text: str, line_no: int, column: str) -> float:
     return value
 
 
+def _indexed_columns(names, prefix: str) -> list:
+    """Columns ``<prefix><i>`` sorted by their integer index ``i``."""
+
+    def index(name):
+        try:
+            return int(name[len(prefix):])
+        except ValueError:
+            raise InputFormatError(
+                f"line 1: column {name!r} needs an integer index after {prefix!r}"
+            ) from None
+
+    return sorted((name for name in names if name.startswith(prefix)), key=index)
+
+
 def read_dataset_csv(path) -> LabeledDataset:
     """Load a dataset from CSV.
 
@@ -205,10 +241,7 @@ def read_dataset_csv(path) -> LabeledDataset:
         col = {name: i for i, name in enumerate(header)}
         if "label" not in col:
             raise InputFormatError("line 1: missing required column 'label'")
-        score_cols = sorted(
-            (name for name in col if name.startswith("score_")),
-            key=lambda name: int(name.split("_", 1)[1]),
-        )
+        score_cols = _indexed_columns(col, "score_")
         binary = not score_cols and "score" in col
         if not score_cols and not binary:
             raise InputFormatError("line 1: no score columns found")
@@ -218,13 +251,11 @@ def read_dataset_csv(path) -> LabeledDataset:
                 raise InputFormatError(
                     f"line 1: score columns must be contiguous score_0..score_{{K-1}}, got {score_cols}"
                 )
-        feature_cols = sorted(
-            (name for name in col if name.startswith("feature_")),
-            key=lambda name: int(name.split("_", 1)[1]),
-        )
-        labels, scores, features = [], [], []
+        feature_cols = _indexed_columns(col, "feature_")
+        labels, scores, features, blank_lines = [], [], [], []
         for line_no, row in enumerate(reader, start=2):
             if not row:
+                blank_lines.append(line_no)
                 continue
             if len(row) != len(header):
                 raise InputFormatError(
@@ -259,8 +290,11 @@ def read_dataset_csv(path) -> LabeledDataset:
     feats = np.array(features, dtype=np.float64).reshape(n, len(feature_cols))
     try:
         return LabeledDataset(feats, np.array(scores), np.array(labels))
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from None
+    except DatasetRowError as exc:
+        line = exc.row + 2
+        for blank in blank_lines:  # each skipped line before the row shifts it
+            line += blank <= line
+        raise InputFormatError(f"line {line}: {exc.problem}") from None
 
 
 def write_dataset_csv(path, ds: LabeledDataset, q_true=None) -> None:

@@ -15,12 +15,12 @@ All estimator identities are exact arithmetic:
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 from scipy.special import betaincinv
 
-from .binning import BinnedView, within_bin_score_variance
+from .binning import BinnedView, jensen_gap_by_bin, within_bin_score_variance
 from .calibration import CalibrationCurve
 from .data import SplitIndex
 from .scoring import ScoringRule, binary_negative_entropy
@@ -93,9 +93,6 @@ def region_stats(
     )
 
 
-_entropy_scalar = binary_negative_entropy
-
-
 @dataclass(frozen=True)
 class GLExplainedResult:
     """Plugin, bias and debiased explained components, per bin and total.
@@ -159,8 +156,8 @@ def gl_explained_debiased(stats: RegionStats, rule: ScoringRule) -> GLExplainedR
             per_region = np.dot(p, mu * (1.0 - mu) / (counts - 1))
             bias[i] = factor * float(per_region - c * (1.0 - c) / (n_s - 1))
         else:
-            h = _entropy_scalar(rule, mu)
-            plugin[i] = float(np.dot(p, h)) - float(_entropy_scalar(rule, np.array(c)))
+            h = binary_negative_entropy(rule, mu)
+            plugin[i] = float(np.dot(p, h)) - float(binary_negative_entropy(rule, np.array(c)))
     debiased = brier
     explained = plugin - bias
     mask = estimable
@@ -207,15 +204,9 @@ def gl_induced_estimate(
     c_vals = curve(np.asarray(scores, dtype=np.float64)[rows])
     if rule.kind == "logloss":
         c_vals = np.clip(c_vals, LOGLOSS_CURVE_CLAMP, 1.0 - LOGLOSS_CURVE_CLAMP)
-    sel = bview.bin_of[rows]
-    counts = np.bincount(sel, minlength=bview.n_bins)
-    sums = np.bincount(sel, weights=c_vals, minlength=bview.n_bins)
-    h_sums = np.bincount(sel, weights=_entropy_scalar(rule, c_vals), minlength=bview.n_bins)
+    counts, gaps = jensen_gap_by_bin(rule, bview.bin_of[rows], c_vals, bview.n_bins)
     occ = counts > 0
-    mean_c = sums[occ] / counts[occ]
-    mean_h = h_sums[occ] / counts[occ]
-    gaps = mean_h - _entropy_scalar(rule, mean_c)
-    return float(np.dot(counts[occ] / counts.sum(), gaps))
+    return float(np.dot(counts[occ] / counts.sum(), gaps[occ]))
 
 
 def gl_lower_bound(explained: float, induced: float) -> float:
@@ -242,7 +233,7 @@ class BinningBounds:
 
 
 def binning_bounds(bview: BinnedView, rule: ScoringRule) -> BinningBounds:
-    if not (rule.kind == "brier" and rule.binary_convention == "scalar"):
+    if not rule.is_scalar:
         raise ValueError("binning bounds are defined for the scalar Brier rule")
     occ = bview.occupied()
     n = bview.n
@@ -326,55 +317,7 @@ class GroupingReport:
     metadata: dict
 
     def to_json_dict(self) -> dict:
-        out = {
-            "config": dict(self.config),
-            "n_rows": self.n_rows,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "cl_binned": _json_float(self.cl_binned),
-            "cl_infinite": self.cl_infinite,
-            "gl_plugin": _json_float(self.gl_plugin),
-            "gl_bias": _json_float(self.gl_bias),
-            "gl_explained": _json_float(self.gl_explained),
-            "gl_induced": _json_float(self.gl_induced),
-            "gl_lower_bound": _json_float(self.gl_lower_bound),
-            "gl_explained_clipped": _json_float(self.gl_explained_clipped),
-            "gl_lower_bound_clipped": _json_float(self.gl_lower_bound_clipped),
-            "debiased": self.debiased,
-            "unestimable_bins": list(self.unestimable_bins),
-            "low_confidence_bins": list(self.low_confidence_bins),
-            "estimable_test_fraction": _json_float(self.estimable_test_fraction),
-            "dropped_test_fraction": _json_float(self.dropped_test_fraction),
-            "bounds": None if self.bounds is None else {
-                k: _json_float(v) for k, v in asdict(self.bounds).items()
-            },
-            "mse_lower_bound": _json_float(self.mse_lower_bound),
-            "metadata": dict(self.metadata),
-            "bins": [
-                {
-                    "bin_index": b.bin_index,
-                    "s_lo": _json_float(b.s_lo),
-                    "s_hi": _json_float(b.s_hi),
-                    "s_mean": _json_float(b.s_mean),
-                    "c_hat": _json_float(b.c_hat),
-                    "n_bin": b.n_bin,
-                    "estimable": b.estimable,
-                    "regions": [
-                        {
-                            "region_index": r.region_index,
-                            "mu_hat": _json_float(r.mu_hat),
-                            "n_region": r.n_region,
-                            "cp_lo": _json_float(r.cp_lo),
-                            "cp_hi": _json_float(r.cp_hi),
-                            "grayed": r.grayed,
-                        }
-                        for r in b.regions
-                    ],
-                }
-                for b in self.bins
-            ],
-        }
-        return out
+        return _jsonable(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -393,11 +336,17 @@ class GroupingReport:
         return "\n".join(lines) + "\n"
 
 
-def _json_float(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _jsonable(x):
+    """JSON-ready copy: dataclasses become dicts, non-finite floats ``None``."""
+    if is_dataclass(x):
+        return {f.name: _jsonable(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, float):
+        return float(x) if math.isfinite(x) else None
+    return x
 
 
 def build_report(

@@ -193,6 +193,29 @@ def binary_negative_entropy(rule: ScoringRule, p) -> np.ndarray:
     return out
 
 
+def binary_divergence(rule: ScoringRule, s, c) -> np.ndarray:
+    """Divergence ``d(s, c)`` on positive-class probabilities, elementwise.
+
+    Honours the rule's binary convention like
+    :func:`binary_negative_entropy`.  Under log-loss a forecast on the
+    boundary opposite positive reference mass yields ``inf``.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    if rule.kind == "brier":
+        out = (s - c) ** 2
+        if rule.binary_convention == "vector":
+            out = 2.0 * out
+        return out
+    out = np.zeros_like(s)
+    for arm_c, arm_s in ((c, s), (1.0 - c, 1.0 - s)):
+        pos = arm_c > 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            term = np.where(pos, arm_c * np.log(np.where(pos, arm_c, 1.0) / arm_s), 0.0)
+        out = out + term
+    return out
+
+
 def _entropy_rows(rule: ScoringRule, rows: np.ndarray) -> np.ndarray:
     """h applied to each row of an (m, K) array (vector conventions)."""
     if rule.kind == "brier":

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LabeledDataset
-from .scoring import ScoringRule, binary_negative_entropy
+from .binning import jensen_gap_by_bin
+from .data import LabeledDataset, bin_index_of
+from .scoring import ScoringRule, binary_divergence
 
 DEFAULT_BLOCK_SIZE = 1 << 20
 
@@ -69,6 +70,15 @@ def _blocks(n, seed, block_size):
         idx += 1
 
 
+def _sample_sq(sim, n, seed, block_size):
+    parts_s, parts_q = [], []
+    for size, rng in _blocks(n, seed, block_size):
+        _, s, q = sim._draw(size, rng)
+        parts_s.append(s)
+        parts_q.append(q)
+    return np.concatenate(parts_s), np.concatenate(parts_q)
+
+
 @dataclass(frozen=True)
 class LinkSimulator1D:
     """1-D calibrated classifier with an arbitrary score/posterior link.
@@ -103,14 +113,14 @@ class LinkSimulator1D:
             q = np.where(s >= 0.5, np.maximum(q, 0.5), np.minimum(q, 0.5))
         return s, np.clip(q, 0.0, 1.0)
 
+    def _draw(self, size, rng):
+        """One block: features (size, 1), emitted scores, posteriors."""
+        x = rng.standard_normal(size)
+        s, q = self._score_posterior(x)
+        return x[:, None], s, q
+
     def sample_sq(self, n, seed, block_size=DEFAULT_BLOCK_SIZE):
-        parts_s, parts_q = [], []
-        for size, rng in _blocks(n, seed, block_size):
-            x = rng.standard_normal(size)
-            s, q = self._score_posterior(x)
-            parts_s.append(s)
-            parts_q.append(q)
-        return np.concatenate(parts_s), np.concatenate(parts_q)
+        return _sample_sq(self, n, seed, block_size)
 
 
 @dataclass(frozen=True)
@@ -189,14 +199,14 @@ class RealisticSimulator:
         scale = np.sqrt(np.asarray(self.sigma_eigenvalues, dtype=np.float64))
         return (z * scale) @ self._basis().T
 
+    def _draw(self, size, rng):
+        """One block: features (size, d), emitted scores, posteriors."""
+        x = self._sample_x(size, rng)
+        s, q = self._score_posterior(x)
+        return x, self._emit(s), q
+
     def sample_sq(self, n, seed, block_size=DEFAULT_BLOCK_SIZE):
-        parts_s, parts_q = [], []
-        for size, rng in _blocks(n, seed, block_size):
-            x = self._sample_x(size, rng)
-            s, q = self._score_posterior(x)
-            parts_s.append(self._emit(s))
-            parts_q.append(q)
-        return np.concatenate(parts_s), np.concatenate(parts_q)
+        return _sample_sq(self, n, seed, block_size)
 
 
 def default_realistic(accuracy_preserving: bool = False, distortion=None) -> RealisticSimulator:
@@ -206,17 +216,17 @@ def default_realistic(accuracy_preserving: bool = False, distortion=None) -> Rea
     )
 
 
-def sample_realistic(sim: RealisticSimulator, n: int, seed: int,
-                     block_size: int = DEFAULT_BLOCK_SIZE):
-    """Draw a labelled binary dataset plus the oracle posterior per row."""
+def sample_realistic(sim, n: int, seed: int, block_size: int = DEFAULT_BLOCK_SIZE):
+    """Draw a labelled binary dataset plus the oracle posterior per row.
+
+    Serves both simulators: labels are drawn after each block's ``_draw``.
+    """
     feats, scores, labels, qs = [], [], [], []
     for size, rng in _blocks(n, seed, block_size):
-        x = sim._sample_x(size, rng)
-        s, q = sim._score_posterior(x)
-        y = (rng.uniform(size=size) < q).astype(np.int64)
+        x, s, q = sim._draw(size, rng)
         feats.append(x)
-        scores.append(sim._emit(s))
-        labels.append(y)
+        scores.append(s)
+        labels.append((rng.uniform(size=size) < q).astype(np.int64))
         qs.append(q)
     s = np.concatenate(scores)
     ds = LabeledDataset(
@@ -228,20 +238,7 @@ def sample_realistic(sim: RealisticSimulator, n: int, seed: int,
 def sample_link_1d(sim: LinkSimulator1D, n: int, seed: int,
                    block_size: int = DEFAULT_BLOCK_SIZE):
     """Draw from the 1-D construction; features are the raw x values."""
-    feats, scores, labels, qs = [], [], [], []
-    for size, rng in _blocks(n, seed, block_size):
-        x = rng.standard_normal(size)
-        s, q = sim._score_posterior(x)
-        y = (rng.uniform(size=size) < q).astype(np.int64)
-        feats.append(x[:, None])
-        scores.append(s)
-        labels.append(y)
-        qs.append(q)
-    s = np.concatenate(scores)
-    ds = LabeledDataset(
-        np.vstack(feats), np.column_stack([1.0 - s, s]), np.concatenate(labels)
-    )
-    return ds, np.concatenate(qs)
+    return sample_realistic(sim, n, seed, block_size)
 
 
 @dataclass(frozen=True)
@@ -254,39 +251,25 @@ class MonteCarloEstimate:
 
 
 def _stratified_gl(s, q, rule, n_strata):
-    sel = np.minimum((s * n_strata).astype(np.int64), n_strata - 1)
-    counts = np.bincount(sel, minlength=n_strata)
+    counts, gaps = jensen_gap_by_bin(rule, bin_index_of(s, n_strata), q, n_strata)
     keep = counts >= 2
     if not keep.any():
         return 0.0
-    h_sums = np.bincount(sel, weights=binary_negative_entropy(rule, q), minlength=n_strata)
-    q_sums = np.bincount(sel, weights=q, minlength=n_strata)
     kept = counts[keep]
-    mean_q = q_sums[keep] / kept
-    gaps = h_sums[keep] / kept - binary_negative_entropy(rule, mean_q)
     # Bessel-style rescale: removes the O(1/count) downward bias of the
     # plug-in Jensen gap (exact for Brier, first-order for log-loss), so
     # the estimate is stable under stratum refinement
-    gaps = gaps * (kept / (kept - 1.0))
+    gaps = gaps[keep] * (kept / (kept - 1.0))
     return float(np.dot(kept / kept.sum(), gaps))
 
 
 def _stratified_cl(s, q, rule, n_strata):
-    sel = np.minimum((s * n_strata).astype(np.int64), n_strata - 1)
+    sel = bin_index_of(s, n_strata)
     counts = np.bincount(sel, minlength=n_strata)
     keep = counts >= 1
     s_mean = np.bincount(sel, weights=s, minlength=n_strata)[keep] / counts[keep]
     q_mean = np.bincount(sel, weights=q, minlength=n_strata)[keep] / counts[keep]
-    if rule.kind == "brier":
-        per = (s_mean - q_mean) ** 2
-        if rule.binary_convention == "vector":
-            per = 2.0 * per
-    else:
-        per = np.zeros_like(s_mean)
-        for arm_c, arm_s in ((q_mean, s_mean), (1.0 - q_mean, 1.0 - s_mean)):
-            mask = arm_c > 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                per += np.where(mask, arm_c * np.log(np.where(mask, arm_c, 1.0) / arm_s), 0.0)
+    per = binary_divergence(rule, s_mean, q_mean)
     return float(np.dot(counts[keep] / counts[keep].sum(), per))
 
 

@@ -313,6 +313,29 @@ class TestSweep:
             main(["sweep", str(spec), "--axis", "banana", "--values", "1"])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--axis", "bins", "--values", "0"], "bins must be >= 1"),
+        (["sweep", "--axis", "region_ratio", "--values", "10", "--n", "5",
+          "--repeats", "1", "--oracle-n", "1000"], "at least 10 points"),
+        (["sweep", "--axis", "bins", "--values", "5", "--repeats", "0"], "--repeats"),
+        (["sweep", "--axis", "bins", "--values", "5", "--oracle-n", "0"], "--oracle-n"),
+        (["simulate", "--oracle-n", "0"], "--oracle-n"),
+        (["simulate", "--n", "-5"], "--n"),
+    ],
+    ids=["sweep-bins-0", "sweep-n-5", "sweep-repeats-0", "sweep-oracle-n-0",
+         "simulate-oracle-n-0", "simulate-n-negative"],
+)
+def test_bad_numbers_exit_2(tmp_path, capsys, argv, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "realistic"}))
+    assert main([argv[0], str(spec), *argv[1:]]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -174,6 +174,24 @@ class TestCsvIO:
         with pytest.raises(InputFormatError, match="line 3: column 'feature_0' is not finite"):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("label,score_x,score_1\n1,0.5,0.5\n",
+             "line 1: column 'score_x' needs an integer index"),
+            ("label,score,feature_0\n1,0.5,0.1\n\n2,0.5,0.2\n",
+             "line 4: label 2 out of range"),
+            ("label,score_0,score_1\n1,0.5,0.5\n\n\n0,0.5,0.6\n",
+             "line 5: scores do not sum to 1"),
+        ],
+        ids=["bad-header-index", "label-out-of-range", "off-simplex-row"],
+    )
+    def test_rejected_row_reports_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad5.csv"
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match=message):
+            read_dataset_csv(path)
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "bad3.csv"
         path.write_text("score\n0.5\n")
