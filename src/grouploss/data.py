@@ -252,10 +252,16 @@ def read_dataset_csv(path) -> LabeledDataset:
                     f"line 1: score columns must be contiguous score_0..score_{{K-1}}, got {score_cols}"
                 )
         feature_cols = _indexed_columns(col, "feature_")
-        labels, scores, features, blank_lines = [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
+        # Errors name a record's first physical line: a quoted field may
+        # span lines, so a record starts on the line after the last ended.
+        header_end = line_end = reader.line_num
+        labels, scores, features, skipped_lines = [], [], [], []
+        for row in reader:
+            line_no, line_end = line_end + 1, reader.line_num
+            if line_end > line_no:
+                skipped_lines.extend(range(line_no + 1, line_end + 1))
             if not row:
-                blank_lines.append(line_no)
+                skipped_lines.append(line_no)
                 continue
             if len(row) != len(header):
                 raise InputFormatError(
@@ -291,9 +297,9 @@ def read_dataset_csv(path) -> LabeledDataset:
     try:
         return LabeledDataset(feats, np.array(scores), np.array(labels))
     except DatasetRowError as exc:
-        line = exc.row + 2
-        for blank in blank_lines:  # each skipped line before the row shifts it
-            line += blank <= line
+        line = header_end + 1 + exc.row
+        for skipped in skipped_lines:  # each line starting no record shifts it
+            line += skipped <= line
         raise InputFormatError(f"line {line}: {exc.problem}") from None
 
 

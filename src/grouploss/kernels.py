@@ -47,39 +47,37 @@ def lowess_grid(s, y, grid, k):
     return out
 
 
-def best_split(X, y, min_leaf):
-    """Greedy axis-aligned split minimizing squared loss.
+def best_split(X, y, min_leaf, order=None):
+    """Greedy axis-aligned split minimizing squared loss, for 0/1 labels ``y``.
 
-    Returns ``(feature, threshold, gain)``; feature is -1 when no split
-    exists.  Gain ties keep the lowest feature index, then the lowest
-    threshold.
+    ``order`` is each feature's ascending row order of ``X``, shape
+    ``(d, n)``; it is computed when not given.  All features are scanned
+    in one 2-D pass.  Returns ``(feature, threshold, gain)``; feature is
+    -1 when no split with positive gain exists.  Gain ties keep the
+    lowest feature index, then the lowest threshold.  ``min_leaf`` must
+    be at least 1.
     """
     n, d = X.shape
-    best_gain = 0.0
-    best_feat = -1
-    best_thresh = 0.0
-    if n < 2 * min_leaf:
-        return best_feat, best_thresh, best_gain
+    if d == 0 or n < 2 * min_leaf:
+        return -1, 0.0, 0.0
+    if order is None:
+        order = np.argsort(X, axis=0, kind="stable").T
+    xs = X.T[np.arange(d)[:, None], order]
+    # Labels are 0/1, so every prefix sum at a boundary between distinct
+    # values is an exact integer, whatever the order within tied values.
+    cum = np.cumsum(y[order], axis=1)[:, :-1]
     total = float(y.sum())
-    parent = total * total / n
     left_n = np.arange(1, n)
-    for f in range(d):
-        order = np.argsort(X[:, f])
-        xs = X[order, f]
-        cum = np.cumsum(y[order])[:-1]
-        valid = (left_n >= min_leaf) & (n - left_n >= min_leaf) & (xs[1:] != xs[:-1])
-        if not valid.any():
-            continue
-        right = total - cum
-        gains = np.where(
-            valid, cum * cum / left_n + right * right / (n - left_n) - parent, -np.inf
-        )
-        i = int(np.argmax(gains))
-        if gains[i] > best_gain:
-            best_gain = float(gains[i])
-            best_feat = f
-            best_thresh = 0.5 * float(xs[i] + xs[i + 1])
-    return best_feat, best_thresh, best_gain
+    right = total - cum
+    gains = cum * cum / left_n + right * right / (n - left_n) - total * total / n
+    gains[xs[:, 1:] == xs[:, :-1]] = -np.inf
+    gains[:, :min_leaf - 1] = -np.inf
+    gains[:, n - min_leaf:] = -np.inf
+    # row-major argmax: lowest feature first, then lowest threshold
+    f, i = divmod(int(np.argmax(gains)), n - 1)
+    if not gains[f, i] > 0.0:
+        return -1, 0.0, 0.0
+    return f, 0.5 * float(xs[f, i] + xs[f, i + 1]), float(gains[f, i])
 
 
 def pav(values, weights):

@@ -112,10 +112,11 @@ class PartitionModel:
 
 
 class _Node:
-    __slots__ = ("rows", "feature", "threshold", "left", "right")
+    __slots__ = ("rows", "order", "feature", "threshold", "left", "right")
 
-    def __init__(self, rows):
+    def __init__(self, rows, order=None):
         self.rows = rows
+        self.order = order
         self.feature = -1
         self.threshold = 0.0
         self.left = -1
@@ -125,14 +126,19 @@ class _Node:
 def _grow_tree(X: np.ndarray, y: np.ndarray, max_leaves: int):
     """Best-first CART growth: always take the largest-gain candidate.
 
-    Deterministic tie handling: the split scan keeps the lowest feature
-    and threshold, the heap breaks equal gains by node creation order.
-    Leaf caps therefore nest, so growing a larger tree only refines a
-    smaller one.
+    Each feature's rows are sorted once, at the root.  A node keeps its
+    rows and their per-feature ascending order ``(d, n_node)`` as local
+    indices; a split filters the parent's order by side, which keeps it
+    sorted, and renumbers it to the child's rows.  Deterministic tie
+    handling: the split scan keeps the lowest feature and threshold, the
+    heap breaks equal gains by node creation order.  Leaf caps therefore
+    nest, so growing a larger tree only refines a smaller one.
     """
+    d = X.shape[1]
     nodes = [_Node(np.arange(X.shape[0], dtype=np.int64))]
     if max_leaves > 1:
-        feat, thresh, gain = kernels.best_split(X, y, MIN_SAMPLES_LEAF)
+        nodes[0].order = np.argsort(X, axis=0, kind="stable").T
+        feat, thresh, gain = kernels.best_split(X, y, MIN_SAMPLES_LEAF, nodes[0].order)
         candidates = []
         if feat >= 0 and gain > MIN_SPLIT_GAIN:
             heapq.heappush(candidates, (-gain, 0, 0, feat, thresh))
@@ -140,20 +146,23 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, max_leaves: int):
         while n_leaves < max_leaves and candidates:
             _, _, node_id, feat, thresh = heapq.heappop(candidates)
             node = nodes[node_id]
-            mask = X[node.rows, feat] <= thresh
-            left = _Node(node.rows[mask])
-            right = _Node(node.rows[~mask])
             node.feature = feat
             node.threshold = thresh
             node.left = len(nodes)
-            nodes.append(left)
-            node.right = len(nodes)
-            nodes.append(right)
-            node.rows = None
+            node.right = node.left + 1
+            goes_left = X[node.rows, feat] <= thresh
+            for side in (goes_left, ~goes_left):
+                # boolean indexing keeps each feature's sorted order
+                rank = np.cumsum(side) - 1
+                order = rank[node.order[side[node.order]]].reshape(d, -1)
+                nodes.append(_Node(node.rows[side], order))
+            node.rows = node.order = None
             n_leaves += 1
             for child_id in (node.left, node.right):
                 child = nodes[child_id]
-                f, t, g = kernels.best_split(X[child.rows], y[child.rows], MIN_SAMPLES_LEAF)
+                f, t, g = kernels.best_split(
+                    X[child.rows], y[child.rows], MIN_SAMPLES_LEAF, child.order
+                )
                 if f >= 0 and g > MIN_SPLIT_GAIN:
                     heapq.heappush(candidates, (-g, child_id, child_id, f, t))
     feature = np.array([n.feature for n in nodes], dtype=np.int64)

@@ -183,8 +183,14 @@ class TestCsvIO:
              "line 4: label 2 out of range"),
             ("label,score_0,score_1\n1,0.5,0.5\n\n\n0,0.5,0.6\n",
              "line 5: scores do not sum to 1"),
+            # a quoted field holding a newline: later records start a line lower
+            ('label,score,feature_0,note\n1,0.5,0.1,"a\nb"\n0,0.4,nan,c\n',
+             "line 4: column 'feature_0' is not finite"),
+            ('label,score,feature_0,note\n1,0.5,0.1,"a\n\nb"\n\n2,0.5,0.2,c\n',
+             "line 6: label 2 out of range"),
         ],
-        ids=["bad-header-index", "label-out-of-range", "off-simplex-row"],
+        ids=["bad-header-index", "label-out-of-range", "off-simplex-row",
+             "after-multiline-record", "label-after-multiline-record"],
     )
     def test_rejected_row_reports_its_line(self, tmp_path, text, message):
         path = tmp_path / "bad5.csv"

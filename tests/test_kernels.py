@@ -156,6 +156,58 @@ def test_best_split_respects_min_leaf():
     assert f == 0 and 1.0 < t < 3.0 and g > 0
 
 
+def test_best_split_given_order_matches_computed():
+    rng = np.random.default_rng(4)
+    for distinct in (None, 3):
+        for _ in range(20):
+            n = int(rng.integers(2, 50))
+            d = int(rng.integers(1, 6))
+            if distinct is None:
+                X = rng.normal(size=(n, d))
+            else:
+                X = rng.integers(0, distinct, size=(n, d)).astype(float)
+            y = rng.integers(0, 2, n).astype(float)
+            expected = kernels.best_split(X, y, 2)
+            stable = np.argsort(X, axis=0, kind="stable").T
+            assert kernels.best_split(X, y, 2, stable) == expected
+            # any ascending order will do: tied rows in reverse
+            reverse = np.array([np.lexsort((-np.arange(n), X[:, f])) for f in range(d)])
+            assert kernels.best_split(X, y, 2, reverse) == expected
+
+
+@pytest.mark.parametrize(
+    "n, min_leaf", [(2, 1), (7, 1), (4, 2), (6, 3), (8, 4), (9, 4), (10, 4), (11, 5), (9, 5)]
+)
+def test_best_split_min_leaf_bounds(n, min_leaf):
+    rng = np.random.default_rng(10 * n + min_leaf)
+    for distinct in (None, 3):
+        for _ in range(30):
+            d = int(rng.integers(1, 4))
+            if distinct is None:
+                X = rng.normal(size=(n, d))
+            else:
+                X = rng.integers(0, distinct, size=(n, d)).astype(float)
+            y = rng.integers(0, 2, n).astype(float)
+            f, t = _assert_split_matches_reference(X, y, min_leaf)
+            if f >= 0:
+                n_left = int(np.count_nonzero(X[:, f] <= t))
+                assert min_leaf <= n_left <= n - min_leaf
+    if n == 2 * min_leaf:  # only the middle boundary is allowed
+        X = np.arange(n, dtype=float)[:, None]
+        y = (np.arange(n) < max(min_leaf - 1, 1)).astype(float)  # best cut lies lower
+        assert _assert_split_matches_reference(X, y, min_leaf) == (0, min_leaf - 0.5)
+
+
+def test_best_split_without_gain_returns_no_split():
+    rng = np.random.default_rng(5)
+    y = np.array([0.0, 1.0] * 5)
+    assert kernels.best_split(np.full((10, 3), 2.0), y, 1) == (-1, 0.0, 0.0)
+    X = rng.normal(size=(10, 3))
+    for constant in (np.zeros(10), np.ones(10)):  # every gain is exactly 0
+        assert kernels.best_split(X, constant, 1) == (-1, 0.0, 0.0)
+    assert kernels.best_split(X, y, 6) == (-1, 0.0, 0.0)
+
+
 def test_pav_monotone_and_mean_preserving():
     rng = np.random.default_rng(2)
     v = rng.uniform(size=200)

@@ -1,11 +1,15 @@
 """Level-set partitioning: trees, balanced stumps, k-means."""
 
+import heapq
+
 import numpy as np
 import pytest
 
 from grouploss.binning import make_bins
 from grouploss.data import BinaryView, SplitIndex
 from grouploss.partition import (
+    MIN_SAMPLES_LEAF,
+    MIN_SPLIT_GAIN,
     BalancedStump,
     KMeans,
     SingleRegion,
@@ -15,6 +19,77 @@ from grouploss.partition import (
     fit_partition,
     parse_strategy,
 )
+
+
+def _best_split_reference(X, y, min_leaf):
+    # One argsort and one scan per feature; a later feature replaces the
+    # incumbent only with a strictly larger gain.
+    n, d = X.shape
+    best_gain = 0.0
+    best_feat = -1
+    best_thresh = 0.0
+    if n < 2 * min_leaf:
+        return best_feat, best_thresh, best_gain
+    total = float(y.sum())
+    parent = total * total / n
+    left_n = np.arange(1, n)
+    for f in range(d):
+        order = np.argsort(X[:, f])
+        xs = X[order, f]
+        cum = np.cumsum(y[order])[:-1]
+        valid = (left_n >= min_leaf) & (n - left_n >= min_leaf) & (xs[1:] != xs[:-1])
+        if not valid.any():
+            continue
+        right = total - cum
+        gains = np.where(
+            valid, cum * cum / left_n + right * right / (n - left_n) - parent, -np.inf
+        )
+        i = int(np.argmax(gains))
+        if gains[i] > best_gain:
+            best_gain = float(gains[i])
+            best_feat = f
+            best_thresh = 0.5 * float(xs[i] + xs[i + 1])
+    return best_feat, best_thresh, best_gain
+
+
+def _grow_tree_reference(X, y, max_leaves):
+    # Best-first growth that scans every node from its own rows; returns
+    # (feature, threshold, left, right, leaf_region, n_regions).
+    rows = [np.arange(X.shape[0])]
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    if max_leaves > 1:
+        feat, thresh, gain = _best_split_reference(X, y, MIN_SAMPLES_LEAF)
+        candidates = []
+        if feat >= 0 and gain > MIN_SPLIT_GAIN:
+            heapq.heappush(candidates, (-gain, 0, 0, feat, thresh))
+        n_leaves = 1
+        while n_leaves < max_leaves and candidates:
+            _, _, node, feat, thresh = heapq.heappop(candidates)
+            mask = X[rows[node], feat] <= thresh
+            feature[node], threshold[node] = feat, thresh
+            left[node], right[node] = len(rows), len(rows) + 1
+            for child_rows in (rows[node][mask], rows[node][~mask]):
+                rows.append(child_rows)
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+            n_leaves += 1
+            for child in (left[node], right[node]):
+                f, t, g = _best_split_reference(X[rows[child]], y[rows[child]], MIN_SAMPLES_LEAF)
+                if f >= 0 and g > MIN_SPLIT_GAIN:
+                    heapq.heappush(candidates, (-g, child, child, f, t))
+    leaf_region = [-1] * len(rows)
+    stack, next_region = [0], 0
+    while stack:
+        node = stack.pop()
+        if feature[node] < 0:
+            leaf_region[node] = next_region
+            next_region += 1
+        else:
+            stack.append(right[node])
+            stack.append(left[node])
+    return feature, threshold, left, right, leaf_region, next_region
 
 
 def _single_bin_setup(features, labels, n_train=None):
@@ -116,6 +191,31 @@ class TestTree:
                     best_sse, best = sse, (f, t)
         assert best[0] == root_feat
         assert root_thresh == pytest.approx(best[1], abs=1e-12)
+
+
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["continuous", "duplicated"])
+    def test_matches_per_node_sort_reference(self, duplicated):
+        rng = np.random.default_rng(24 + duplicated)
+        for d in range(1, 9):
+            for _ in range(3):
+                n = int(rng.integers(20, 160))
+                if duplicated:
+                    X = rng.integers(0, 4, size=(n, d)).astype(float)
+                else:
+                    X = rng.normal(size=(n, d))
+                q = 1 / (1 + np.exp(-2 * X[:, 0] + X[:, -1]))
+                y = (rng.uniform(size=n) < q).astype(float)
+                for cap in (1, 2, 5, n):
+                    tree = _grow_tree(X, y, cap)
+                    feature, threshold, left, right, leaf_region, n_regions = (
+                        _grow_tree_reference(X, y, cap)
+                    )
+                    np.testing.assert_array_equal(tree.feature, feature)
+                    np.testing.assert_array_equal(tree.threshold, threshold)
+                    np.testing.assert_array_equal(tree.left, left)
+                    np.testing.assert_array_equal(tree.right, right)
+                    np.testing.assert_array_equal(tree.leaf_region, leaf_region)
+                    assert tree.n_regions == n_regions
 
 
 class TestBalancedStump:

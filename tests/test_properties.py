@@ -1,4 +1,5 @@
-"""Property tests for the kernels the estimator and the oracle share."""
+"""Property tests for the kernels the estimator and the oracle share, and
+for invariants of the partition and the region table."""
 
 import math
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouploss.binning import jensen_gap_by_bin
-from grouploss.glestim import RegionStats, gl_explained_debiased
+from grouploss.binning import jensen_gap_by_bin, make_bins
+from grouploss.data import BinaryView, SplitIndex
+from grouploss.glestim import RegionStats, gl_explained_debiased, region_stats
+from grouploss.partition import _grow_tree
 from grouploss.scoring import (
     BRIER,
     BRIER_SCALAR,
@@ -110,3 +113,57 @@ def test_explained_is_plugin_minus_bias(rule, stats):
     else:
         # totals are separate weighted sums, so they agree to rounding only
         assert glx.explained == pytest.approx(glx.plugin - glx.bias, rel=0, abs=1e-14)
+
+
+@st.composite
+def tree_inputs(draw):
+    """Features (continuous or with ties) and 0/1 labels of one bin."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        values = st.floats(-1e3, 1e3, allow_subnormal=False)
+    else:
+        values = st.integers(0, 3).map(float)
+    X = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    return X, y
+
+
+@settings(deadline=None)
+@given(data=tree_inputs(), cap=st.integers(1, 12))
+def test_leaf_caps_nest(data, cap):
+    X, y = data
+    coarse = _grow_tree(X, y, cap).assign(X)
+    fine = _grow_tree(X, y, cap + 1).assign(X)
+    for region in np.unique(fine):
+        assert np.unique(coarse[fine == region]).size == 1
+
+
+@st.composite
+def binned_regions(draw):
+    """Scores, labels, region ids and a test subset of some rows."""
+    n = draw(st.integers(1, 60))
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    scores = column(probs)
+    labels = column(st.integers(0, 1))
+    assignments = column(st.integers(0, 5))
+    is_test = column(st.booleans())
+    return draw(st.integers(1, 8)), scores, labels, assignments, is_test
+
+
+@settings(deadline=None)
+@given(data=binned_regions())
+def test_region_means_reproduce_bin_fraction(data):
+    n_bins, scores, labels, assignments, is_test = data
+    bv = BinaryView(np.zeros((scores.size, 1)), scores, labels)
+    split = SplitIndex(np.flatnonzero(~is_test), np.flatnonzero(is_test), n_bins)
+    stats = region_stats(assignments, make_bins(bv, n_bins), labels, split)
+    assert stats.n_test == split.test_rows.size
+    for i in range(stats.bins.size):
+        counts = stats.region_counts[i]
+        assert counts.sum() == stats.bin_counts[i]
+        weighted = float(np.dot(counts, stats.region_means(i))) / stats.bin_counts[i]
+        assert weighted == pytest.approx(stats.bin_pos_fraction[i], rel=0, abs=1e-12)
