@@ -8,9 +8,10 @@ The pipeline lower-bounds the grouping loss of a binary classifier by
 * ``induced``: the extra grouping loss created by binning, estimated as
   the within-bin spread of a continuous calibration-curve estimate.
 
-All estimator identities are exact arithmetic:
-``lower_bound = explained - induced`` and
-``explained = plugin - bias``.
+``lower_bound = explained - induced`` is exact arithmetic, and so is
+``explained = plugin - bias`` per bin.  The totals ``plugin``, ``bias``
+and ``explained`` are three separate weighted sums over the bins, so
+they satisfy ``explained = plugin - bias`` only to rounding (~1e-17).
 """
 
 import json
@@ -31,24 +32,27 @@ LOGLOSS_CURVE_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class RegionStats:
-    """Per-bin region counts and mean labels over test rows only.
+    """Test-row counts and positives per (bin, region), as one flat table.
 
-    Regions with zero test rows are dropped.  ``bins`` lists the bin
-    indices that received at least one test row; all other arrays align
-    with it.  The weighted mean of ``region_means`` reproduces
-    ``bin_pos_fraction`` per bin.
+    Rows are sorted by (bin, region id); bin ``bins[i]`` owns rows
+    ``offsets[i]:offsets[i + 1]`` and regions with no test row are absent.
+    ``bins`` lists the bins with a test row; ``bin_counts`` and
+    ``bin_pos_fraction`` align with it, and the latter is the
+    count-weighted mean of the bin's ``region_means``.
     """
 
     n_bins: int
     bins: np.ndarray
     bin_counts: np.ndarray
     bin_pos_fraction: np.ndarray
-    region_ids: tuple
-    region_counts: tuple
-    region_pos: tuple
+    offsets: np.ndarray
+    region_ids: np.ndarray
+    region_counts: np.ndarray
+    region_pos: np.ndarray
 
-    def region_means(self, i: int) -> np.ndarray:
-        return self.region_pos[i] / self.region_counts[i]
+    @property
+    def region_means(self) -> np.ndarray:
+        return self.region_pos / self.region_counts
 
     @property
     def n_test(self) -> int:
@@ -61,35 +65,24 @@ def region_stats(
     labels: np.ndarray,
     split: SplitIndex,
 ) -> RegionStats:
-    """Count test rows and positives per (bin, region)."""
+    """Count test rows and positives per (bin, region) in one pass."""
     rows = split.test_rows
-    b = bview.bin_of[rows]
+    b = bview.bin_of[rows].astype(np.int64)
     a = np.asarray(assignments, dtype=np.int64)[rows]
     y = np.asarray(labels, dtype=np.int64)[rows]
-    bins, region_ids, region_counts, region_pos = [], [], [], []
-    bin_counts, bin_pos = [], []
-    for bin_idx in np.unique(b):
-        sel = b == bin_idx
-        n_s = int(np.count_nonzero(sel))
-        regions = a[sel]
-        ys = y[sel]
-        counts = np.bincount(regions)
-        pos = np.bincount(regions, weights=ys)
-        keep = counts > 0
-        bins.append(int(bin_idx))
-        bin_counts.append(n_s)
-        bin_pos.append(float(ys.sum()) / n_s)
-        region_ids.append(np.flatnonzero(keep).astype(np.int64))
-        region_counts.append(counts[keep].astype(np.int64))
-        region_pos.append(pos[keep])
+    width = int(a.max()) + 1 if a.size else 1
+    keys, row_of, counts = np.unique(b * width + a, return_inverse=True, return_counts=True)
+    bins, starts = np.unique(keys // width, return_index=True)
+    bin_counts = np.bincount(b, minlength=bview.n_bins)[bins]
     return RegionStats(
         n_bins=bview.n_bins,
-        bins=np.array(bins, dtype=np.int64),
-        bin_counts=np.array(bin_counts, dtype=np.int64),
-        bin_pos_fraction=np.array(bin_pos),
-        region_ids=tuple(region_ids),
-        region_counts=tuple(region_counts),
-        region_pos=tuple(region_pos),
+        bins=bins,
+        bin_counts=bin_counts,
+        bin_pos_fraction=np.bincount(b, weights=y, minlength=bview.n_bins)[bins] / bin_counts,
+        offsets=np.append(starts, keys.size),
+        region_ids=keys % width,
+        region_counts=counts,
+        region_pos=np.bincount(row_of, weights=y, minlength=keys.size),
     )
 
 
@@ -133,31 +126,35 @@ def gl_explained_debiased(stats: RegionStats, rule: ScoringRule) -> GLExplainedR
     ``debiased=False``.
     """
     n_entries = stats.bins.shape[0]
-    plugin = np.zeros(n_entries)
-    bias = np.zeros(n_entries)
-    used = np.zeros(n_entries, dtype=np.int64)
-    estimable = np.zeros(n_entries, dtype=bool)
+    plugin = np.full(n_entries, math.nan)
+    bias = np.full(n_entries, math.nan)
     brier = rule.kind == "brier"
     factor = 2.0 if rule.binary_convention == "vector" else 1.0
-    for i in range(n_entries):
-        keep = stats.region_counts[i] >= MIN_REGION_TEST_ROWS
-        counts = stats.region_counts[i][keep]
-        mu = stats.region_means(i)[keep]
-        n_s = int(counts.sum())
-        used[i] = n_s
-        estimable[i] = n_s >= 2 and counts.size >= 1
-        if not estimable[i]:
-            plugin[i] = bias[i] = math.nan
-            continue
-        c = float(np.dot(counts, mu)) / n_s
-        p = counts / n_s
+    keep = stats.region_counts >= MIN_REGION_TEST_ROWS
+    counts = stats.region_counts[keep]
+    mu = stats.region_means[keep]
+    # bin i's kept regions are rows at[i]:at[i + 1] of counts and mu
+    at = np.cumsum(np.append(0, keep))[stats.offsets]
+    used = np.diff(np.cumsum(np.append(0, counts))[at])
+    # kept regions hold two rows or more, so used >= 2 also means one is left
+    estimable = used >= 2
+    p = counts / np.repeat(used, np.diff(at))
+    if brier:
+        bessel = mu * (1.0 - mu) / (counts - 1)
+    else:
+        h = binary_negative_entropy(rule, mu)
+    # one dot per bin: segment sums by reduceat/bincount round differently
+    for i in np.flatnonzero(estimable):
+        j = slice(at[i], at[i + 1])
+        n_s = int(used[i])
+        c = float(np.dot(counts[j], mu[j])) / n_s
         if brier:
-            plugin[i] = factor * float(np.dot(p, (mu - c) ** 2))
-            per_region = np.dot(p, mu * (1.0 - mu) / (counts - 1))
-            bias[i] = factor * float(per_region - c * (1.0 - c) / (n_s - 1))
+            plugin[i] = factor * float(np.dot(p[j], (mu[j] - c) ** 2))
+            bias[i] = factor * float(np.dot(p[j], bessel[j]) - c * (1.0 - c) / (n_s - 1))
         else:
-            h = binary_negative_entropy(rule, mu)
-            plugin[i] = float(np.dot(p, h)) - float(binary_negative_entropy(rule, np.array(c)))
+            h_c = float(binary_negative_entropy(rule, np.array(c)))
+            plugin[i] = float(np.dot(p[j], h[j])) - h_c
+            bias[i] = 0.0
     debiased = brier
     explained = plugin - bias
     mask = estimable
@@ -258,13 +255,17 @@ def binning_bounds(bview: BinnedView, rule: ScoringRule) -> BinningBounds:
     )
 
 
-def clopper_pearson(k: int, n: int, alpha: float = 0.05):
-    """Exact binomial confidence interval via Beta quantiles."""
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k}, n={n}")
-    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
-    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
-    return lo, hi
+def clopper_pearson(k, n, alpha: float = 0.05):
+    """Exact binomial confidence interval via Beta quantiles, elementwise.
+
+    Scalars give a pair of floats, arrays a pair of arrays."""
+    k, n = np.broadcast_arrays(k, n)
+    bad = (n < 1) | (k < 0) | (k > n)
+    if bad.any():
+        raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k[bad][0]}, n={n[bad][0]}")
+    lo = np.where(k == 0, 0.0, betaincinv(k, n - k + 1, alpha / 2.0))
+    hi = np.where(k == n, 1.0, betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
+    return lo[()], hi[()]
 
 
 @dataclass(frozen=True)
@@ -369,43 +370,37 @@ def build_report(
     bin's test-side positive fraction.
     """
     lb = gl_lower_bound(glx.explained, induced)
-    bin_records = []
-    low_conf = []
-    for i, bin_idx in enumerate(stats.bins):
-        c_hat = float(stats.bin_pos_fraction[i])
-        counts = stats.region_counts[i]
-        pos = stats.region_pos[i]
-        mu = stats.region_means(i)
-        if counts.min() < LOW_CONFIDENCE_REGION_COUNT:
-            low_conf.append(int(bin_idx))
-        regions = []
-        for j in range(counts.shape[0]):
-            lo, hi = clopper_pearson(int(round(pos[j])), int(counts[j]), alpha)
-            regions.append(
-                RegionRecord(
-                    region_index=int(stats.region_ids[i][j]),
-                    mu_hat=float(mu[j]),
-                    n_region=int(counts[j]),
-                    cp_lo=lo,
-                    cp_hi=hi,
-                    grayed=bool(lo <= c_hat <= hi),
-                )
-            )
-        bin_records.append(
-            BinRecord(
-                bin_index=int(bin_idx),
-                s_lo=float(bview_eval.edges[bin_idx]),
-                s_hi=float(bview_eval.edges[bin_idx + 1]),
-                s_mean=float(bview_eval.mean_score[bin_idx]),
-                c_hat=c_hat,
-                n_bin=int(stats.bin_counts[i]),
-                estimable=bool(glx.estimable[i]),
-                regions=tuple(regions),
-            )
+    offsets = stats.offsets.tolist()
+    sizes = np.diff(stats.offsets)
+    c_hat = np.repeat(stats.bin_pos_fraction, sizes)
+    counts = stats.region_counts
+    lo, hi = clopper_pearson(np.rint(stats.region_pos).astype(np.int64), counts, alpha)
+    regions = [
+        RegionRecord(*row)
+        for row in zip(
+            stats.region_ids.tolist(),
+            stats.region_means.tolist(),
+            counts.tolist(),
+            lo.tolist(),
+            hi.tolist(),
+            ((lo <= c_hat) & (c_hat <= hi)).tolist(),
         )
-    unestimable = tuple(
-        int(b) for b, ok in zip(stats.bins, glx.estimable) if not ok
-    )
+    ]
+    bin_records = [
+        BinRecord(*row)
+        for row in zip(
+            stats.bins.tolist(),
+            bview_eval.edges[stats.bins].tolist(),
+            bview_eval.edges[stats.bins + 1].tolist(),
+            bview_eval.mean_score[stats.bins].tolist(),
+            stats.bin_pos_fraction.tolist(),
+            stats.bin_counts.tolist(),
+            glx.estimable.tolist(),
+            [tuple(regions[a:b]) for a, b in zip(offsets, offsets[1:])],
+        )
+    ]
+    low_conf = np.unique(np.repeat(stats.bins, sizes)[counts < LOW_CONFIDENCE_REGION_COUNT])
+    unestimable = tuple(stats.bins[~glx.estimable].tolist())
     mse_lb = None
     if bounds is not None and math.isfinite(cl) and math.isfinite(glx.explained):
         mse_lb = cl + glx.explained - bounds.upper
@@ -426,7 +421,7 @@ def build_report(
         gl_lower_bound_clipped=max(lb, 0.0) if math.isfinite(lb) else math.nan,
         debiased=glx.debiased,
         unestimable_bins=unestimable,
-        low_confidence_bins=tuple(low_conf),
+        low_confidence_bins=tuple(low_conf.tolist()),
         estimable_test_fraction=(glx.n_used / n_test) if n_test else 0.0,
         dropped_test_fraction=glx.dropped_fraction,
         bounds=bounds,

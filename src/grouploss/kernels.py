@@ -77,7 +77,17 @@ def best_split(X, y, min_leaf, order=None):
     f, i = divmod(int(np.argmax(gains)), n - 1)
     if not gains[f, i] > 0.0:
         return -1, 0.0, 0.0
-    return f, 0.5 * float(xs[f, i] + xs[f, i + 1]), float(gains[f, i])
+    return f, split_threshold(float(xs[f, i]), float(xs[f, i + 1])), float(gains[f, i])
+
+
+def split_threshold(lo, hi):
+    """Threshold between adjacent distinct values ``lo < hi``.
+
+    The midpoint, unless it rounds up to ``hi`` (as for neighbouring
+    doubles): then ``lo``, so ``x <= threshold`` still separates them.
+    """
+    mid = 0.5 * (lo + hi)
+    return mid if mid < hi else lo
 
 
 def pav(values, weights):

@@ -203,7 +203,7 @@ def _fit_stump(X: np.ndarray, y: np.ndarray):
             rsum = total - lsum
             gain = lsum * lsum / l + rsum * rsum / (n - l)
             if best is None or gain > best[0]:
-                best = (gain, f, 0.5 * (xs[l - 1] + xs[l]))
+                best = (gain, f, kernels.split_threshold(float(xs[l - 1]), float(xs[l])))
     if best is None:
         return SingleRegion()
     _, f, thresh = best

@@ -1,11 +1,16 @@
 """Estimator arithmetic: region stats, debiasing, induced term, bounds."""
 
+import json
+import pathlib
+
+import jsonschema
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
 from grouploss.binning import make_bins
-from grouploss.calibration import CalibrationCurve
+from grouploss.calibration import CalibrationCurve, calibration_loss_binned
+from grouploss.cli import RunConfig
 from grouploss.data import BinaryView, SplitIndex
 from grouploss.glestim import (
     binning_bounds,
@@ -31,15 +36,20 @@ def _stats(scores, labels, regions, n_bins=1, test_rows=None):
     return region_stats(np.asarray(regions), bview, labels, split), bview
 
 
+def _bin_rows(stats, i):
+    """Table rows of the i-th occupied bin."""
+    return slice(stats.offsets[i], stats.offsets[i + 1])
+
+
 class TestRegionStats:
     def test_mixed_regions(self):
         stats, _ = _stats([0.5] * 4, [1, 0, 1, 0], [0, 0, 1, 1])
-        np.testing.assert_allclose(stats.region_means(0), [0.5, 0.5])
+        np.testing.assert_allclose(stats.region_means[_bin_rows(stats, 0)], [0.5, 0.5])
         assert stats.bin_pos_fraction[0] == 0.5
 
     def test_pure_regions(self):
         stats, _ = _stats([0.5] * 4, [1, 1, 0, 0], [0, 0, 1, 1])
-        np.testing.assert_allclose(stats.region_means(0), [1.0, 0.0])
+        np.testing.assert_allclose(stats.region_means[_bin_rows(stats, 0)], [1.0, 0.0])
         assert stats.bin_pos_fraction[0] == 0.5
 
     def test_test_rows_only(self):
@@ -47,7 +57,7 @@ class TestRegionStats:
             [0.5] * 6, [1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1], test_rows=np.array([0, 3])
         )
         assert stats.bin_counts[0] == 2
-        np.testing.assert_allclose(stats.region_means(0), [1.0, 0.0])
+        np.testing.assert_allclose(stats.region_means[_bin_rows(stats, 0)], [1.0, 0.0])
 
     def test_weighted_mean_identity(self):
         rng = np.random.default_rng(0)
@@ -58,14 +68,66 @@ class TestRegionStats:
             regions = rng.integers(0, 4, n)
             stats, _ = _stats(scores, labels, regions, n_bins=5)
             for i in range(stats.bins.size):
-                w = stats.region_counts[i] / stats.bin_counts[i]
-                assert np.dot(w, stats.region_means(i)) == pytest.approx(
+                rows = _bin_rows(stats, i)
+                w = stats.region_counts[rows] / stats.bin_counts[i]
+                assert np.dot(w, stats.region_means[rows]) == pytest.approx(
                     stats.bin_pos_fraction[i], abs=1e-12
                 )
 
     def test_empty_regions_dropped(self):
         stats, _ = _stats([0.5] * 4, [1, 0, 1, 0], [0, 0, 5, 5])
-        np.testing.assert_array_equal(stats.region_ids[0], [0, 5])
+        np.testing.assert_array_equal(stats.region_ids[_bin_rows(stats, 0)], [0, 5])
+
+    def test_table_layout(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            n = int(rng.integers(1, 200))
+            regions = rng.integers(0, 7, n)
+            test_rows = np.flatnonzero(rng.uniform(size=n) < 0.6)
+            stats, bview = _stats(
+                rng.uniform(size=n), rng.integers(0, 2, n), regions, n_bins=6,
+                test_rows=test_rows,
+            )
+            # offsets partition the table rows, one nonempty run per bin
+            offsets = stats.offsets
+            assert offsets[0] == 0 and offsets[-1] == stats.region_ids.size
+            assert offsets.size == stats.bins.size + 1
+            assert (np.diff(offsets) > 0).all()
+            # keys (bin, region id) strictly increase down the table
+            region_bin = np.repeat(stats.bins, np.diff(offsets))
+            keys = region_bin * 7 + stats.region_ids
+            assert (np.diff(keys) > 0).all()
+            # exactly the (bin, region) pairs that hold test rows, with their counts
+            seen = bview.bin_of[test_rows] * 7 + regions[test_rows]
+            want_keys, want_counts = np.unique(seen, return_counts=True)
+            np.testing.assert_array_equal(keys, want_keys)
+            np.testing.assert_array_equal(stats.region_counts, want_counts)
+
+    def test_no_test_rows_gives_empty_table_and_valid_report(self):
+        n = 20
+        scores = np.linspace(0.0, 1.0, n)
+        labels = np.arange(n) % 2
+        stats, bview = _stats(
+            scores, labels, np.arange(n) % 3, n_bins=4, test_rows=np.array([], dtype=np.int64)
+        )
+        assert stats.bins.size == stats.region_ids.size == stats.n_test == 0
+        np.testing.assert_array_equal(stats.offsets, [0])
+        glx = gl_explained_debiased(stats, BRIER_SCALAR)
+        assert glx.n_used == 0 and np.isnan(glx.explained)
+        bview_test = make_bins(
+            BinaryView(np.zeros((n, 1)), scores, labels), 4, rows=np.array([], dtype=np.int64)
+        )
+        report = build_report(
+            RunConfig().to_dict(), BRIER_SCALAR, stats, glx, 0.0,
+            calibration_loss_binned(bview_test, BRIER_SCALAR), bview_test,
+            binning_bounds(bview_test, BRIER_SCALAR), n_rows=n, n_train=n,
+        )
+        assert report.bins == () and report.n_test == 0
+        schema = json.loads(
+            (pathlib.Path(__file__).resolve().parents[1] / "docs" / "report_schema.json")
+            .read_text()
+        )
+        jsonschema.validate(json.loads(report.to_json()), schema)
 
 
 class TestGlExplainedDebiased:
@@ -304,6 +366,24 @@ class TestClopperPearson:
             clopper_pearson(5, 4)
         with pytest.raises(ValueError):
             clopper_pearson(0, 0)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1])
+    def test_array_call_matches_scalar_calls(self, alpha):
+        n = np.concatenate([np.full(m + 1, m) for m in range(1, 80)])
+        k = np.concatenate([np.arange(m + 1) for m in range(1, 80)])
+        lo, hi = clopper_pearson(k, n, alpha)
+        pairs = [clopper_pearson(int(a), int(b), alpha) for a, b in zip(k, n)]
+        assert lo.tobytes() == np.array([p[0] for p in pairs]).tobytes()
+        assert hi.tobytes() == np.array([p[1] for p in pairs]).tobytes()
+
+    @pytest.mark.parametrize(
+        "k, n",
+        [([0, 3, 5], [4, 4, 4]), ([1, -1], [2, 2]), ([1, 0, 2], [3, 0, 5])],
+        ids=["k-above-n", "negative-k", "zero-n"],
+    )
+    def test_array_validation(self, k, n):
+        with pytest.raises(ValueError, match="need 0 <= k <= n"):
+            clopper_pearson(np.array(k), np.array(n))
 
 
 class TestBuildReport:

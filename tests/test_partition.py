@@ -14,6 +14,7 @@ from grouploss.partition import (
     KMeans,
     SingleRegion,
     Tree,
+    _fit_stump,
     _grow_tree,
     assign_regions,
     fit_partition,
@@ -278,6 +279,27 @@ class TestBalancedStump:
         bv, bview, split = _single_bin_setup(X, y, n_train=10)
         model = fit_partition(bview, bv.features, bv.label, split, BalancedStump(), 30, seed=14)
         assert isinstance(model.assigners[0], SingleRegion)
+
+
+# neighbouring doubles, whose midpoint rounds up to the larger one
+_A, _B = 1 + 2**-52, 1 + 2**-51
+
+
+@pytest.mark.parametrize(
+    "fit, x, y",
+    [
+        (lambda X, y: _grow_tree(X, y, 2), [_A, _A, _B, _B, _B], [0, 0, 1, 1, 1]),
+        (_fit_stump, [_A, _A, _B, _B], [0, 0, 1, 1]),
+    ],
+    ids=["tree", "stump"],
+)
+def test_split_between_neighbouring_doubles(fit, x, y):
+    X = np.array(x)[:, None]
+    model = fit(X, np.array(y, dtype=float))
+    counts = np.bincount(model.assign(X), minlength=model.n_regions)
+    assert model.n_regions == 2
+    assert (counts > 0).all()
+    assert counts.min() >= MIN_SAMPLES_LEAF
 
 
 class TestKMeans:

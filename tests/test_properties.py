@@ -1,7 +1,9 @@
-"""Property tests for the kernels the estimator and the oracle share, and
-for invariants of the partition and the region table."""
+"""Property tests for the kernels the estimator and the oracle share, for
+invariants of the partition and the region table, and for CSV round trips."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouploss.binning import jensen_gap_by_bin, make_bins
-from grouploss.data import BinaryView, SplitIndex
+from grouploss.data import (
+    BinaryView,
+    LabeledDataset,
+    SplitIndex,
+    read_dataset_csv,
+    write_dataset_csv,
+)
 from grouploss.glestim import RegionStats, gl_explained_debiased, region_stats
 from grouploss.partition import _grow_tree
 from grouploss.scoring import (
@@ -92,9 +100,10 @@ def region_tables(draw):
         bins=np.arange(n_entries, dtype=np.int64),
         bin_counts=bin_counts,
         bin_pos_fraction=np.array([p.sum() for p in pos]) / bin_counts,
-        region_ids=tuple(ids),
-        region_counts=tuple(counts),
-        region_pos=tuple(pos),
+        offsets=np.concatenate(([0], np.cumsum([c.size for c in counts]))),
+        region_ids=np.concatenate(ids),
+        region_counts=np.concatenate(counts),
+        region_pos=np.concatenate(pos),
     )
 
 
@@ -163,7 +172,40 @@ def test_region_means_reproduce_bin_fraction(data):
     stats = region_stats(assignments, make_bins(bv, n_bins), labels, split)
     assert stats.n_test == split.test_rows.size
     for i in range(stats.bins.size):
-        counts = stats.region_counts[i]
+        rows = slice(stats.offsets[i], stats.offsets[i + 1])
+        counts = stats.region_counts[rows]
         assert counts.sum() == stats.bin_counts[i]
-        weighted = float(np.dot(counts, stats.region_means(i))) / stats.bin_counts[i]
+        weighted = float(np.dot(counts, stats.region_means[rows])) / stats.bin_counts[i]
         assert weighted == pytest.approx(stats.bin_pos_fraction[i], rel=0, abs=1e-12)
+
+
+@st.composite
+def csv_datasets(draw):
+    """A labelled dataset with 1..4 features and 2..4 classes, maybe q_true."""
+    n = draw(st.integers(1, 20))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    features = np.array(draw(st.lists(finite, min_size=n * d, max_size=n * d))).reshape(n, d)
+    weights = np.array(
+        draw(st.lists(st.floats(1e-3, 1.0), min_size=n * k, max_size=n * k))
+    ).reshape(n, k)
+    scores = weights / weights.sum(axis=1, keepdims=True)
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    q_true = None
+    if draw(st.booleans()):
+        q_true = np.array(draw(st.lists(probs, min_size=n, max_size=n)))
+    return LabeledDataset(features, scores, labels), q_true
+
+
+@settings(deadline=None)
+@given(data=csv_datasets())
+def test_csv_round_trip(data):
+    ds, q_true = data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        write_dataset_csv(path, ds, q_true)
+        back = read_dataset_csv(path)
+    np.testing.assert_array_equal(back.features, ds.features)
+    np.testing.assert_array_equal(back.scores, ds.scores)
+    np.testing.assert_array_equal(back.labels, ds.labels)
