@@ -14,7 +14,6 @@ from .calibration import (
     IsotonicMap,
     calibration_loss_binned,
     fit_calibration_curve,
-    isotonic_apply,
     isotonic_fit,
 )
 from .data import (
@@ -67,8 +66,8 @@ from .simulate import (
     sample_realistic,
     simulator_from_spec,
     simulator_to_spec,
-    true_cl_monte_carlo,
     true_gl_monte_carlo,
+    true_losses_monte_carlo,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -96,10 +96,6 @@ def isotonic_fit(scores, labels) -> IsotonicMap:
     return IsotonicMap(uniq, np.clip(fitted, 0.0, 1.0))
 
 
-def isotonic_apply(mapping: IsotonicMap, scores) -> np.ndarray:
-    return mapping(scores)
-
-
 def calibration_loss_binned(bview: BinnedView, rule: ScoringRule) -> float:
     """Binned calibration loss ``sum_s (n_s / n) d(S_B(s), c_hat(s))``.
 

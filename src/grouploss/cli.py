@@ -19,7 +19,6 @@ from .binning import make_bins
 from .calibration import (
     calibration_loss_binned,
     fit_calibration_curve,
-    isotonic_apply,
     isotonic_fit,
 )
 from .data import (
@@ -43,19 +42,18 @@ from .glestim import (
 from .partition import assign_regions, fit_partition, parse_strategy
 from .scoring import BRIER_SCALAR, LOG_LOSS
 from .simulate import (
-    LinkSimulator1D,
-    RealisticSimulator,
-    sample_link_1d,
     sample_realistic,
     simulator_from_spec,
     simulator_to_spec,
-    true_cl_monte_carlo,
     true_gl_monte_carlo,
+    true_losses_monte_carlo,
 )
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNESTIMABLE = 3
+
+RULES = {"brier": BRIER_SCALAR, "logloss": LOG_LOSS}
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ class RunConfig:
     split_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.rule not in ("brier", "logloss"):
+        if self.rule not in RULES:
             raise ValueError(f"rule must be brier or logloss, got {self.rule!r}")
         if self.n_bins < 1:
             raise ValueError("bins must be >= 1")
@@ -92,7 +90,7 @@ class RunConfig:
             raise ValueError("the train/test split fraction is fixed at 0.5")
 
     def scoring_rule(self):
-        return BRIER_SCALAR if self.rule == "brier" else LOG_LOSS
+        return RULES[self.rule]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -124,7 +122,7 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
     split = stratified_split(bv, cfg.n_bins, cfg.seed)
     if cfg.recalibrate == "isotonic":
         iso = isotonic_fit(bv.score[split.train_rows], bv.label[split.train_rows])
-        bv = bv.with_scores(isotonic_apply(iso, bv.score))
+        bv = bv.with_scores(iso(bv.score))
     bview_all = make_bins(bv, cfg.n_bins)
     bview_test = make_bins(bv, cfg.n_bins, rows=split.test_rows)
     curve = fit_calibration_curve(bv.score, bv.label, cfg.bandwidth_fraction)
@@ -191,25 +189,17 @@ def _require_positive(args, *names):
             raise ValueError(f"{flag} must be >= 1, got {getattr(args, name)}")
 
 
-def _sample(sim, n, seed):
-    if isinstance(sim, LinkSimulator1D):
-        return sample_link_1d(sim, n, seed)
-    return sample_realistic(sim, n, seed)
-
-
 def cmd_simulate(args) -> int:
     try:
         _require_positive(args, "n", "oracle_n")
         sim = _load_simulator(args.spec)
-        ds, q_true = _sample(sim, args.n, args.seed)
+        ds, q_true = sample_realistic(sim, args.n, args.seed)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.out:
         write_dataset_csv(args.out, ds, q_true=q_true)
-    rule = BRIER_SCALAR if args.rule == "brier" else LOG_LOSS
-    gl = true_gl_monte_carlo(sim, rule, args.oracle_n, args.seed)
-    cl = true_cl_monte_carlo(sim, rule, args.oracle_n, args.seed)
+    gl, cl = true_losses_monte_carlo(sim, RULES[args.rule], args.oracle_n, args.seed)
     summary = {
         "spec": simulator_to_spec(sim),
         "rule": args.rule,
@@ -228,6 +218,14 @@ def cmd_simulate(args) -> int:
 
 def _derived_seed(base: int, *key) -> int:
     return int(np.random.SeedSequence(base, spawn_key=tuple(key)).generate_state(1)[0])
+
+
+def _mean_sd(xs):
+    if not xs:
+        return float("nan"), float("nan")
+    arr = np.asarray(xs)
+    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    return float(arr.mean()), sd
 
 
 def cmd_sweep(args) -> int:
@@ -250,20 +248,13 @@ def cmd_sweep(args) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    rule = base.scoring_rule()
-    oracle = true_gl_monte_carlo(sim, rule, args.oracle_n, args.seed)
-    header = (
-        "axis,value,gl_lb,gl_lb_sd,gl_plugin,gl_plugin_sd,"
-        "gl_explained,gl_explained_sd,gl_induced,gl_induced_sd,"
-        "gl_true,gl_true_se,repeats_used,unestimable"
-    )
-    lines = [header]
+    rows = []
     for vi, (value, cfg) in enumerate(zip(values, cfgs)):
         lb, plugin, explained, induced = [], [], [], []
         dropped_any = False
         for r in range(args.repeats):
             seed_r = _derived_seed(args.seed, vi, r)
-            ds, _ = _sample(sim, args.n, seed_r)
+            ds, _ = sample_realistic(sim, args.n, seed_r)
             try:
                 report = run_pipeline(ds, replace(cfg, seed=seed_r))
             except ValueError as exc:
@@ -278,29 +269,25 @@ def cmd_sweep(args) -> int:
                 plugin.append(report.gl_plugin)
                 explained.append(report.gl_explained)
                 induced.append(report.gl_induced)
-
-        def _mean_sd(xs):
-            if not xs:
-                return float("nan"), float("nan")
-            arr = np.asarray(xs)
-            sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-            return float(arr.mean()), sd
-
-        (m_lb, s_lb) = _mean_sd(lb)
-        (m_pl, s_pl) = _mean_sd(plugin)
-        (m_ex, s_ex) = _mean_sd(explained)
-        (m_in, s_in) = _mean_sd(induced)
-        lines.append(
-            f"{args.axis},{value},{m_lb!r},{s_lb!r},{m_pl!r},{s_pl!r},"
-            f"{m_ex!r},{s_ex!r},{m_in!r},{s_in!r},"
-            f"{oracle.value!r},{oracle.se!r},{len(lb)},{int(dropped_any)}"
+        moments = ",".join(
+            f"{m!r},{sd!r}" for m, sd in map(_mean_sd, (lb, plugin, explained, induced))
         )
+        rows.append((f"{args.axis},{value},{moments}", f"{len(lb)},{int(dropped_any)}"))
+    # the oracle has its own seed, so it can wait for the pipelines: a sweep
+    # that fails exits before paying for it
+    oracle = true_gl_monte_carlo(sim, base.scoring_rule(), args.oracle_n, args.seed)
+    lines = [
+        "axis,value,gl_lb,gl_lb_sd,gl_plugin,gl_plugin_sd,"
+        "gl_explained,gl_explained_sd,gl_induced,gl_induced_sd,"
+        "gl_true,gl_true_se,repeats_used,unestimable"
+    ]
+    lines += [f"{head},{oracle.value!r},{oracle.se!r},{tail}" for head, tail in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _add_pipeline_flags(p):
-    p.add_argument("--rule", default="brier", choices=("brier", "logloss"))
+    p.add_argument("--rule", default="brier", choices=tuple(RULES))
     p.add_argument("--bins", type=int, default=15)
     p.add_argument("--region-ratio", dest="region_ratio", type=int, default=30)
     p.add_argument("--partition", default="tree")
@@ -329,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("spec", help="simulator spec JSON")
     simp.add_argument("--n", type=int, default=10_000)
     simp.add_argument("--seed", type=int, default=0)
-    simp.add_argument("--rule", default="brier", choices=("brier", "logloss"))
+    simp.add_argument("--rule", default="brier", choices=tuple(RULES))
     simp.add_argument("--oracle-n", dest="oracle_n", type=int, default=200_000)
     simp.add_argument("--out", default=None, help="dataset CSV path")
     simp.add_argument("--summary-out", dest="summary_out", default=None)
@@ -341,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--values", required=True, help="comma-separated integers")
     sw.add_argument("--n", type=int, default=10_000)
     sw.add_argument("--repeats", type=int, default=10)
-    sw.add_argument("--rule", default="brier", choices=("brier", "logloss"))
+    sw.add_argument("--rule", default="brier", choices=tuple(RULES))
     sw.add_argument("--partition", default="tree")
     sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--bandwidth", type=float, default=0.3)

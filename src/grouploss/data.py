@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SCORE_ROW_ATOL = 1e-6
+WRITE_CHUNK_ROWS = 1 << 16
 
 
 class InputFormatError(ValueError):
@@ -313,10 +314,14 @@ def write_dataset_csv(path, ds: LabeledDataset, q_true=None) -> None:
         if q_true is not None:
             header.append("q_true")
         writer.writerow(header)
-        for i in range(ds.n):
-            row = [str(int(ds.labels[i]))]
-            row += [repr(float(v)) for v in ds.scores[i]]
-            row += [repr(float(v)) for v in ds.features[i]]
+        if q_true is not None:
+            q_true = np.asarray(q_true, dtype=np.float64)
+        # csv writes a float as its repr, the shortest text that reads back;
+        # chunks bound how many Python floats exist at once
+        for start in range(0, ds.n, WRITE_CHUNK_ROWS):
+            rows = slice(start, start + WRITE_CHUNK_ROWS)
+            columns = [ds.labels[rows].tolist(), *ds.scores[rows].T.tolist(),
+                       *ds.features[rows].T.tolist()]
             if q_true is not None:
-                row.append(repr(float(q_true[i])))
-            writer.writerow(row)
+                columns.append(q_true[rows].tolist())
+            writer.writerows(zip(*columns))

@@ -28,6 +28,8 @@ from .scoring import ScoringRule, binary_negative_entropy
 
 LOW_CONFIDENCE_REGION_COUNT = 10
 LOGLOSS_CURVE_CLAMP = 1e-12
+# two-sided level of the region intervals that gray out diagram regions
+CP_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def binning_bounds(bview: BinnedView, rule: ScoringRule) -> BinningBounds:
     )
 
 
-def clopper_pearson(k, n, alpha: float = 0.05):
+def clopper_pearson(k, n, alpha: float = CP_ALPHA):
     """Exact binomial confidence interval via Beta quantiles, elementwise.
 
     Scalars give a pair of floats, arrays a pair of arrays."""
@@ -317,11 +319,8 @@ class GroupingReport:
     bins: tuple
     metadata: dict
 
-    def to_json_dict(self) -> dict:
-        return _jsonable(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(_jsonable(self), sort_keys=True, indent=2) + "\n"
 
     def diagram_csv(self) -> str:
         lines = [
@@ -361,20 +360,19 @@ def build_report(
     bounds: BinningBounds | None,
     n_rows: int,
     n_train: int,
-    alpha: float = 0.05,
     metadata: dict | None = None,
 ) -> GroupingReport:
     """Assemble the report and the grouping-diagram records.
 
-    A region is grayed when its Clopper-Pearson interval contains the
-    bin's test-side positive fraction.
+    A region is grayed when its ``1 - CP_ALPHA`` Clopper-Pearson interval
+    contains the bin's test-side positive fraction.
     """
     lb = gl_lower_bound(glx.explained, induced)
     offsets = stats.offsets.tolist()
     sizes = np.diff(stats.offsets)
     c_hat = np.repeat(stats.bin_pos_fraction, sizes)
     counts = stats.region_counts
-    lo, hi = clopper_pearson(np.rint(stats.region_pos).astype(np.int64), counts, alpha)
+    lo, hi = clopper_pearson(np.rint(stats.region_pos).astype(np.int64), counts)
     regions = [
         RegionRecord(*row)
         for row in zip(

@@ -108,11 +108,5 @@ def pav(values, weights):
         lw[m] = cw
         lend[m] = i
         m += 1
-    out = np.empty(n)
-    start = 0
-    for j in range(m):
-        for i in range(start, lend[j] + 1):
-            out[i] = lv[j]
-        start = lend[j] + 1
-    return out
+    return np.repeat(lv[:m], np.diff(lend[:m], prepend=-1))
 

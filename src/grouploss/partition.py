@@ -18,6 +18,9 @@ from .data import SplitIndex
 
 MIN_SPLIT_GAIN = 1e-12
 MIN_SAMPLES_LEAF = 2
+# Lloyd iterations stop after this many rounds or once no center moves this far
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,6 @@ class KMeans:
     """Lloyd clustering with k-means++ seeding."""
 
     k: int = 2
-    max_iter: int = 100
-    tol: float = 1e-6
 
 
 def parse_strategy(name: str):
@@ -86,17 +87,21 @@ class TreeAssigner:
         return out
 
 
+def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of each row to each center, ``(n, k)``."""
+    return (
+        np.sum(X * X, axis=1)[:, None]
+        - 2.0 * X @ centers.T
+        + np.sum(centers * centers, axis=1)[None, :]
+    )
+
+
 @dataclass(frozen=True)
 class CenterAssigner:
     centers: np.ndarray
 
     def assign(self, X: np.ndarray) -> np.ndarray:
-        d2 = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * X @ self.centers.T
-            + np.sum(self.centers * self.centers, axis=1)[None, :]
-        )
-        return np.argmin(d2, axis=1).astype(np.int64)
+        return np.argmin(_sq_distances(X, self.centers), axis=1).astype(np.int64)
 
     @property
     def n_regions(self) -> int:
@@ -105,8 +110,6 @@ class CenterAssigner:
 
 @dataclass(frozen=True)
 class PartitionModel:
-    strategy: object
-    region_ratio: int
     n_bins: int
     assigners: tuple
 
@@ -215,7 +218,7 @@ def _fit_stump(X: np.ndarray, y: np.ndarray):
     return TreeAssigner(feature, threshold, left, right, leaf_region, 2)
 
 
-def _fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, tol: float):
+def _fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
     n = X.shape[0]
     k = min(k, n)
     if k < 2:
@@ -230,12 +233,8 @@ def _fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, 
         else:
             centers[j] = X[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
-    for _ in range(max_iter):
-        dist2 = (
-            np.sum(X * X, axis=1)[:, None]
-            - 2.0 * X @ centers.T
-            + np.sum(centers * centers, axis=1)[None, :]
-        )
+    for _ in range(KMEANS_MAX_ITER):
+        dist2 = _sq_distances(X, centers)
         assign = np.argmin(dist2, axis=1)
         new_centers = centers.copy()
         for j in range(k):
@@ -248,7 +247,7 @@ def _fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int, 
                 new_centers[j] = X[worst]
         movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
         centers = new_centers
-        if movement < tol:
+        if movement < KMEANS_TOL:
             break
     return CenterAssigner(centers)
 
@@ -262,7 +261,7 @@ def _fit_bin(strategy, X, y, region_ratio, rng):
     if isinstance(strategy, BalancedStump):
         return _fit_stump(X, y)
     if isinstance(strategy, KMeans):
-        return _fit_kmeans(X, strategy.k, rng, strategy.max_iter, strategy.tol)
+        return _fit_kmeans(X, strategy.k, rng)
     raise TypeError(f"unknown strategy: {strategy!r}")
 
 
@@ -295,7 +294,7 @@ def fit_partition(
         return _fit_bin(strategy, features[rows], labels[rows], region_ratio, rng)
 
     assigners = tuple(fit_one(b) for b in range(bview.n_bins))
-    return PartitionModel(strategy, region_ratio, bview.n_bins, assigners)
+    return PartitionModel(bview.n_bins, assigners)
 
 
 def assign_regions(model: PartitionModel, bview: BinnedView, features: np.ndarray) -> np.ndarray:

@@ -23,7 +23,11 @@ from .binning import jensen_gap_by_bin
 from .data import LabeledDataset, bin_index_of
 from .scoring import ScoringRule, binary_divergence
 
-DEFAULT_BLOCK_SIZE = 1 << 20
+# rows per sampler block; each block has its own generator ``(seed, index)``
+BLOCK_SIZE = 1 << 20
+# Monte-Carlo oracle: score strata and bootstrap replicates of its SE
+N_STRATA = 1000
+N_BOOT = 20
 
 
 def _sigmoid(z):
@@ -60,19 +64,19 @@ def _resolve(table, value, what):
         raise ValueError(f"unknown {what}: {value!r}") from None
 
 
-def _blocks(n, seed, block_size):
+def _blocks(n, seed):
     start = 0
     idx = 0
     while start < n:
-        size = min(block_size, n - start)
+        size = min(BLOCK_SIZE, n - start)
         yield size, np.random.default_rng([seed, idx])
         start += size
         idx += 1
 
 
-def _sample_sq(sim, n, seed, block_size):
+def _sample_sq(sim, n, seed):
     parts_s, parts_q = [], []
-    for size, rng in _blocks(n, seed, block_size):
+    for size, rng in _blocks(n, seed):
         _, s, q = sim._draw(size, rng)
         parts_s.append(s)
         parts_q.append(q)
@@ -119,8 +123,8 @@ class LinkSimulator1D:
         s, q = self._score_posterior(x)
         return x[:, None], s, q
 
-    def sample_sq(self, n, seed, block_size=DEFAULT_BLOCK_SIZE):
-        return _sample_sq(self, n, seed, block_size)
+    def sample_sq(self, n, seed):
+        return _sample_sq(self, n, seed)
 
 
 @dataclass(frozen=True)
@@ -205,8 +209,8 @@ class RealisticSimulator:
         s, q = self._score_posterior(x)
         return x, self._emit(s), q
 
-    def sample_sq(self, n, seed, block_size=DEFAULT_BLOCK_SIZE):
-        return _sample_sq(self, n, seed, block_size)
+    def sample_sq(self, n, seed):
+        return _sample_sq(self, n, seed)
 
 
 def default_realistic(accuracy_preserving: bool = False, distortion=None) -> RealisticSimulator:
@@ -216,13 +220,13 @@ def default_realistic(accuracy_preserving: bool = False, distortion=None) -> Rea
     )
 
 
-def sample_realistic(sim, n: int, seed: int, block_size: int = DEFAULT_BLOCK_SIZE):
+def sample_realistic(sim, n: int, seed: int):
     """Draw a labelled binary dataset plus the oracle posterior per row.
 
     Serves both simulators: labels are drawn after each block's ``_draw``.
     """
     feats, scores, labels, qs = [], [], [], []
-    for size, rng in _blocks(n, seed, block_size):
+    for size, rng in _blocks(n, seed):
         x, s, q = sim._draw(size, rng)
         feats.append(x)
         scores.append(s)
@@ -235,10 +239,9 @@ def sample_realistic(sim, n: int, seed: int, block_size: int = DEFAULT_BLOCK_SIZ
     return ds, np.concatenate(qs)
 
 
-def sample_link_1d(sim: LinkSimulator1D, n: int, seed: int,
-                   block_size: int = DEFAULT_BLOCK_SIZE):
+def sample_link_1d(sim: LinkSimulator1D, n: int, seed: int):
     """Draw from the 1-D construction; features are the raw x values."""
-    return sample_realistic(sim, n, seed, block_size)
+    return sample_realistic(sim, n, seed)
 
 
 @dataclass(frozen=True)
@@ -246,8 +249,6 @@ class MonteCarloEstimate:
     value: float
     se: float
     value_refined: float
-    n: int
-    n_strata: int
 
 
 def _stratified_gl(s, q, rule, n_strata):
@@ -273,24 +274,22 @@ def _stratified_cl(s, q, rule, n_strata):
     return float(np.dot(counts[keep] / counts[keep].sum(), per))
 
 
-def _bootstrap_se(fn, s, q, seed, n_boot=20):
+def _monte_carlo(stratified, s, q, rule, seed) -> MonteCarloEstimate:
+    """``stratified`` at ``N_STRATA``, its bootstrap SE over rows, and 4x strata."""
     rng = np.random.default_rng([seed, 0x5E])
     n = s.shape[0]
-    reps = np.empty(n_boot)
-    for b in range(n_boot):
+    reps = np.empty(N_BOOT)
+    for b in range(N_BOOT):
         idx = rng.integers(0, n, size=n)
-        reps[b] = fn(s[idx], q[idx])
-    return float(reps.std(ddof=1))
+        reps[b] = stratified(s[idx], q[idx], rule, N_STRATA)
+    return MonteCarloEstimate(
+        stratified(s, q, rule, N_STRATA),
+        float(reps.std(ddof=1)),
+        stratified(s, q, rule, 4 * N_STRATA),
+    )
 
 
-def true_gl_monte_carlo(
-    sim,
-    rule: ScoringRule,
-    n_mc: int,
-    seed: int,
-    n_strata: int = 1000,
-    n_boot: int = 20,
-) -> MonteCarloEstimate:
+def true_gl_monte_carlo(sim, rule: ScoringRule, n_mc: int, seed: int) -> MonteCarloEstimate:
     """Monte-Carlo reference grouping loss from the oracle posterior.
 
     Scores are stratified into fine equal-width bins and the Jensen gap
@@ -300,26 +299,19 @@ def true_gl_monte_carlo(
     convergence check.
     """
     s, q = sim.sample_sq(n_mc, seed)
-    value = _stratified_gl(s, q, rule, n_strata)
-    refined = _stratified_gl(s, q, rule, 4 * n_strata)
-    se = _bootstrap_se(lambda a, b: _stratified_gl(a, b, rule, n_strata), s, q, seed, n_boot)
-    return MonteCarloEstimate(value, se, refined, n_mc, n_strata)
+    return _monte_carlo(_stratified_gl, s, q, rule, seed)
 
 
-def true_cl_monte_carlo(
-    sim,
-    rule: ScoringRule,
-    n_mc: int,
-    seed: int,
-    n_strata: int = 1000,
-    n_boot: int = 20,
-) -> MonteCarloEstimate:
-    """Monte-Carlo reference calibration loss (zero for the constructions)."""
+def true_losses_monte_carlo(sim, rule: ScoringRule, n_mc: int, seed: int):
+    """``(gl, cl)`` reference estimates from one oracle draw.
+
+    ``gl`` equals ``true_gl_monte_carlo`` with the same arguments; ``cl``
+    is the calibration loss over the same strata, zero for the
+    constructions up to Monte-Carlo error.
+    """
     s, q = sim.sample_sq(n_mc, seed)
-    value = _stratified_cl(s, q, rule, n_strata)
-    refined = _stratified_cl(s, q, rule, 4 * n_strata)
-    se = _bootstrap_se(lambda a, b: _stratified_cl(a, b, rule, n_strata), s, q, seed, n_boot)
-    return MonteCarloEstimate(value, se, refined, n_mc, n_strata)
+    return (_monte_carlo(_stratified_gl, s, q, rule, seed),
+            _monte_carlo(_stratified_cl, s, q, rule, seed))
 
 
 def simulator_to_spec(sim) -> dict:

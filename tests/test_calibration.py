@@ -7,7 +7,6 @@ from grouploss.binning import make_bins
 from grouploss.calibration import (
     calibration_loss_binned,
     fit_calibration_curve,
-    isotonic_apply,
     isotonic_fit,
 )
 from grouploss.data import BinaryView
@@ -93,7 +92,7 @@ class TestIsotonic:
     def test_three_point_pooling(self):
         mapping = isotonic_fit(np.array([0.1, 0.2, 0.3]), np.array([1, 0, 0]))
         np.testing.assert_allclose(
-            isotonic_apply(mapping, np.array([0.1, 0.2, 0.3])), 1 / 3, atol=1e-15
+            mapping(np.array([0.1, 0.2, 0.3])), 1 / 3, atol=1e-15
         )
 
     def test_values_nondecreasing(self):

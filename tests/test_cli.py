@@ -7,7 +7,7 @@ import pytest
 
 from grouploss.cli import EXIT_INPUT, EXIT_OK, EXIT_UNESTIMABLE, RunConfig, main, run_pipeline
 from grouploss.data import LabeledDataset, write_dataset_csv
-from grouploss.simulate import default_realistic, sample_realistic
+from grouploss.simulate import RealisticSimulator, default_realistic, sample_realistic
 
 
 def _two_region_csv(path, n=10_000, seed=0):
@@ -248,6 +248,25 @@ class TestSimulate:
         assert main(["estimate", str(data), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["n_rows"] == 4000
 
+    def test_one_oracle_draw(self, tmp_path, monkeypatch):
+        draws = []
+        sample_sq = RealisticSimulator.sample_sq
+
+        def counted(sim, n, seed):
+            draws.append((n, seed))
+            return sample_sq(sim, n, seed)
+
+        monkeypatch.setattr(RealisticSimulator, "sample_sq", counted)
+        summary = tmp_path / "summary.json"
+        code = main([
+            "simulate", str(self._spec(tmp_path)), "--n", "200", "--seed", "5",
+            "--oracle-n", "20000", "--summary-out", str(summary),
+        ])
+        assert code == EXIT_OK
+        assert draws == [(20000, 5)]
+        payload = json.loads(summary.read_text())
+        assert payload["gl_true"] > 0 and payload["cl_true"] < 5e-3
+
     def test_invalid_spec_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "mystery"}))
@@ -305,6 +324,21 @@ class TestSweep:
         assert code == EXIT_OK
         row = out.read_text().strip().split("\n")[1].split(",")
         assert row[-1] == "1"
+
+    def test_failed_pipeline_skips_the_oracle(self, tmp_path, capsys, monkeypatch):
+        def no_oracle(*args):
+            raise AssertionError("the oracle ran before any pipeline succeeded")
+
+        monkeypatch.setattr("grouploss.cli.true_gl_monte_carlo", no_oracle)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "realistic"}))
+        code = main([
+            "sweep", str(spec), "--axis", "region_ratio", "--values", "10",
+            "--n", "5", "--repeats", "1",
+        ])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least 10 points" in err
 
     def test_bad_axis_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -147,6 +147,22 @@ class TestCsvIO:
         np.testing.assert_allclose(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    def test_written_text_is_pinned(self, tmp_path):
+        # floats are written as their repr: shortest round-trip text, sign of
+        # zero kept, subnormals and large exponents in Python's own notation
+        ds = LabeledDataset(
+            np.array([[-0.0, 1e-300], [1e20, 5e-324]]),
+            np.array([[0.1, 0.9], [0.7, 0.3]]),
+            np.array([1, 0]),
+        )
+        path = tmp_path / "data.csv"
+        write_dataset_csv(path, ds, q_true=np.array([1 / 3, 0.0]))
+        assert path.read_bytes() == (
+            b"label,score_0,score_1,feature_0,feature_1,q_true\n"
+            b"1,0.1,0.9,-0.0,1e-300,0.3333333333333333\n"
+            b"0,0.7,0.3,1e+20,5e-324,0.0\n"
+        )
+
     def test_binary_shortcut(self, tmp_path):
         path = tmp_path / "bin.csv"
         path.write_text("label,score,feature_0\n1,0.75,2.5\n0,0.25,-1.0\n")
