@@ -1,17 +1,23 @@
 """Proper scoring rules: divergences, negative entropies, h-variances.
 
-Two rules are supported, Brier and log-loss.  Probability inputs come in
-two conventions:
+Each rule is given once, by its per-coordinate negative entropy ``h`` and
+divergence ``d``:
 
-* ``vector``  -- a point on the K-simplex, shape ``(K,)``.
-* ``scalar``  -- the positive-class probability of a binary problem, a
-  plain float.  For the Brier rule this selects the scalar formulas
-  (``h(p) = -p(1-p)``), whose h-variance coincides with the classical
-  variance; the vector convention on a 2-class problem is exactly twice
-  the scalar one.
+* Brier:    ``h(p) = p^2 - p``,    ``d(s, q) = (s - q)^2``;
+* log-loss: ``h(p) = p log p``,    ``d(s, q) = q log(q / s)``
+  (0 where ``q == 0``, ``inf`` where ``s == 0 < q``).
 
-Log-loss accepts both shapes; a scalar ``p`` is shorthand for the binary
-distribution ``(p, 1-p)``.
+Every entropy, divergence, h-variance and decomposition below sums these
+terms over the coordinates its input convention names:
+
+* ``BRIER`` and ``LOG_LOSS`` on a point of the K-simplex, shape ``(K,)``:
+  all ``K`` coordinates.
+* ``BRIER_SCALAR`` on the positive-class probability ``p`` of a binary
+  problem: ``p`` alone, so ``h(p) = -p(1-p)`` and its h-variance is the
+  classical variance.
+* ``BRIER`` and ``LOG_LOSS`` on a positive-class probability ``p``:
+  ``(p, 1 - p)``.  Vector Brier on a binary problem is therefore twice
+  scalar Brier, up to rounding.
 """
 
 from dataclasses import dataclass
@@ -67,12 +73,38 @@ def _as_prob(p, name="p"):
     return min(max(p, 0.0), 1.0)
 
 
-def _xlogx(p):
+def _h(rule: ScoringRule, p):
+    """Negative-entropy term of one coordinate, elementwise."""
+    if rule.kind == "brier":
+        return p * p - p
     p = np.asarray(p, dtype=np.float64)
     out = np.zeros_like(p)
     mask = p > 0
     out[mask] = p[mask] * np.log(p[mask])
     return out
+
+
+def _d(rule: ScoringRule, s, q):
+    """Divergence term of one coordinate, forecast ``s`` against ``q``."""
+    if rule.kind == "brier":
+        return (s - q) ** 2
+    pos = q > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(pos, q * np.log(np.where(pos, q, 1.0) / s), 0.0)
+
+
+def _on_binary(term, rule: ScoringRule, *probs):
+    """``term`` summed over the coordinates of positive-class probabilities:
+    ``p`` alone under scalar Brier, else ``p`` then ``1 - p``."""
+    out = term(rule, *probs)
+    if rule.is_scalar:
+        return out
+    return out + term(rule, *(1.0 - p for p in probs))
+
+
+def _check_logloss_domain(s, q):
+    if np.any((s == 0.0) & (q > 0.0)):
+        raise ValueError("log-loss divergence is infinite: s_k = 0 where q_k > 0")
 
 
 def divergence(rule: ScoringRule, s, q) -> float:
@@ -86,7 +118,7 @@ def divergence(rule: ScoringRule, s, q) -> float:
     if rule.is_scalar:
         if np.ndim(s) != 0 or np.ndim(q) != 0:
             raise ValueError("scalar Brier convention expects scalar inputs")
-        return (_as_prob(s, "s") - _as_prob(q, "q")) ** 2
+        return _d(rule, _as_prob(s, "s"), _as_prob(q, "q"))
     if rule.kind == "logloss" and np.ndim(s) == 0:
         s = np.array([_as_prob(s, "s"), 1.0 - _as_prob(s, "s")])
         q = np.array([_as_prob(q, "q"), 1.0 - _as_prob(q, "q")])
@@ -94,12 +126,9 @@ def divergence(rule: ScoringRule, s, q) -> float:
     q = _as_simplex(q, "q")
     if s.shape != q.shape:
         raise ValueError(f"dimension mismatch: {s.shape} vs {q.shape}")
-    if rule.kind == "brier":
-        return float(np.sum((s - q) ** 2))
-    support = q > 0
-    if np.any(s[support] == 0.0):
-        raise ValueError("log-loss divergence is infinite: s_k = 0 where q_k > 0")
-    return float(np.sum(q[support] * np.log(q[support] / s[support])))
+    if rule.kind == "logloss":
+        _check_logloss_domain(s, q)
+    return float(np.sum(_d(rule, s, q)))
 
 
 def negative_entropy(rule: ScoringRule, p):
@@ -108,17 +137,10 @@ def negative_entropy(rule: ScoringRule, p):
     Convex on its domain.  For the scalar Brier convention ``p`` may be
     an array; the formula applies elementwise.
     """
-    if rule.is_scalar:
-        p = np.asarray(p, dtype=np.float64)
-        out = p * p - p
+    if rule.is_scalar or (rule.kind == "logloss" and np.ndim(p) == 0):
+        out = _on_binary(_h, rule, np.asarray(p, dtype=np.float64))
         return float(out) if out.ndim == 0 else out
-    if rule.kind == "logloss" and np.ndim(p) == 0:
-        p = np.asarray(p, dtype=np.float64)
-        return float(_xlogx(p) + _xlogx(1.0 - p))
-    p = _as_simplex(p)
-    if rule.kind == "brier":
-        return float(np.sum(p * p) - 1.0)
-    return float(np.sum(_xlogx(p)))
+    return float(np.sum(_h(rule, _as_simplex(p))))
 
 
 @dataclass(frozen=True)
@@ -167,10 +189,12 @@ def h_variance(rule: ScoringRule, sample: WeightedProbSample) -> float:
         if rule.kind == "brier" and not rule.is_scalar:
             raise ValueError("vector Brier convention expects (m, K) points")
         mean = float(np.dot(w, pts))
-        h_vals = np.array([negative_entropy(rule, p) for p in pts])
+        h_vals = _on_binary(_h, rule, pts)
     else:
+        if rule.is_scalar:
+            raise ValueError("scalar Brier convention expects (m,) points")
         mean = pts.T @ w
-        h_vals = np.array([negative_entropy(rule, p) for p in pts])
+        h_vals = np.sum(_h(rule, np.clip(pts, 0.0, None)), axis=1)
     return float(np.dot(w, h_vals) - negative_entropy(rule, mean))
 
 
@@ -178,19 +202,10 @@ def binary_negative_entropy(rule: ScoringRule, p) -> np.ndarray:
     """h on positive-class probabilities, elementwise.
 
     Honours the rule's binary convention: the vector Brier value is twice
-    the scalar one; log-loss uses the two-outcome entropy with 0 log 0 = 0.
+    the scalar one up to rounding; log-loss uses the two-outcome entropy
+    with 0 log 0 = 0.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if rule.kind == "brier":
-        out = p * p - p
-        if rule.binary_convention == "vector":
-            out = 2.0 * out
-        return out
-    out = np.zeros_like(p)
-    for arm in (p, 1.0 - p):
-        mask = arm > 0
-        out[mask] += arm[mask] * np.log(arm[mask])
-    return out
+    return _on_binary(_h, rule, np.asarray(p, dtype=np.float64))
 
 
 def binary_divergence(rule: ScoringRule, s, c) -> np.ndarray:
@@ -202,36 +217,7 @@ def binary_divergence(rule: ScoringRule, s, c) -> np.ndarray:
     """
     s = np.asarray(s, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    if rule.kind == "brier":
-        out = (s - c) ** 2
-        if rule.binary_convention == "vector":
-            out = 2.0 * out
-        return out
-    out = np.zeros_like(s)
-    for arm_c, arm_s in ((c, s), (1.0 - c, 1.0 - s)):
-        pos = arm_c > 0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            term = np.where(pos, arm_c * np.log(np.where(pos, arm_c, 1.0) / arm_s), 0.0)
-        out = out + term
-    return out
-
-
-def _entropy_rows(rule: ScoringRule, rows: np.ndarray) -> np.ndarray:
-    """h applied to each row of an (m, K) array (vector conventions)."""
-    if rule.kind == "brier":
-        return np.sum(rows * rows, axis=1) - 1.0
-    return np.sum(_xlogx(rows), axis=1)
-
-
-def _divergence_rows(rule: ScoringRule, s_rows, q_rows) -> np.ndarray:
-    if rule.kind == "brier":
-        return np.sum((s_rows - q_rows) ** 2, axis=1)
-    if np.any((s_rows == 0.0) & (q_rows > 0.0)):
-        raise ValueError("log-loss divergence is infinite: s_k = 0 where q_k > 0")
-    mask = q_rows > 0
-    logratio = np.zeros_like(q_rows)
-    logratio[mask] = np.log(q_rows[mask] / s_rows[mask])
-    return np.sum(q_rows * logratio, axis=1)
+    return _on_binary(_d, rule, s, c)
 
 
 def _group_keys(rows: np.ndarray) -> np.ndarray:
@@ -245,14 +231,7 @@ def _group_keys(rows: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def finite_decomposition(rule: ScoringRule, weights, scores, posteriors):
-    """Population calibration/grouping/irreducible split on a finite law.
-
-    Rows with exactly equal score vectors form one level set; calibrated
-    scores are the weighted posterior means per level set.  Returns a
-    dict with ``total`` (expected divergence to sampled labels), ``cl``,
-    ``gl`` and ``il``; ``total == cl + gl + il`` up to rounding.
-    """
+def _decomposition(rule: ScoringRule, weights, scores, posteriors, classwise):
     w = np.asarray(weights, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
     q = np.asarray(posteriors, dtype=np.float64)
@@ -260,16 +239,22 @@ def finite_decomposition(rule: ScoringRule, weights, scores, posteriors):
         raise ValueError("scores and posteriors must be aligned (m, K) arrays")
     if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
         raise ValueError("weights must be nonnegative and sum to 1")
-    groups = _group_keys(s)
-    n_groups = groups.max() + 1
-    group_w = np.bincount(groups, weights=w, minlength=n_groups)
+    # level sets: equal score rows, or equal scores of each class alone
+    n_classes = s.shape[1]
+    if classwise:
+        keys = [_group_keys(s[:, k]) for k in range(n_classes)]
+    else:
+        keys = [_group_keys(s)] * n_classes
     c = np.empty_like(q)
-    for k in range(q.shape[1]):
-        sums = np.bincount(groups, weights=w * q[:, k], minlength=n_groups)
-        c[:, k] = (sums / group_w)[groups]
-    cl = float(np.dot(w, _divergence_rows(rule, s, c)))
-    gl = float(np.dot(w, _divergence_rows(rule, c, q)))
-    il = float(np.dot(w, -_entropy_rows(rule, q)))
+    for k, groups in enumerate(keys):
+        group_w = np.bincount(groups, weights=w)
+        c[:, k] = (np.bincount(groups, weights=w * q[:, k]) / group_w)[groups]
+    if rule.kind == "logloss":
+        _check_logloss_domain(s, c)
+        _check_logloss_domain(c, q)
+    cl = float(np.dot(w, np.sum(_d(rule, s, c), axis=1)))
+    gl = float(np.dot(w, np.sum(_d(rule, c, q), axis=1)))
+    il = float(np.dot(w, -np.sum(_h(rule, q), axis=1)))
     # total computed independently by enumerating the label distribution
     if rule.kind == "brier":
         per_label = np.sum(s * s, axis=1, keepdims=True) - 2.0 * s + 1.0
@@ -281,34 +266,21 @@ def finite_decomposition(rule: ScoringRule, weights, scores, posteriors):
     return {"total": total, "cl": cl, "gl": gl, "il": il}
 
 
+def finite_decomposition(rule: ScoringRule, weights, scores, posteriors):
+    """Population calibration/grouping/irreducible split on a finite law.
+
+    Rows with exactly equal score vectors form one level set; calibrated
+    scores are the weighted posterior means per level set.  Returns a
+    dict with ``total`` (expected divergence to sampled labels), ``cl``,
+    ``gl`` and ``il``; ``total == cl + gl + il`` up to rounding.
+    """
+    return _decomposition(rule, weights, scores, posteriors, classwise=False)
+
+
 def finite_decomposition_classwise(rule: ScoringRule, weights, scores, posteriors):
     """Classwise variant: conditions class ``k`` on the marginal score ``S_k``.
 
     Valid for Brier and log-loss, whose divergences split into per-class
     terms.  Same return shape as :func:`finite_decomposition`.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    s = np.asarray(scores, dtype=np.float64)
-    q = np.asarray(posteriors, dtype=np.float64)
-    cl = gl = il = total = 0.0
-    for k in range(s.shape[1]):
-        sk, qk = s[:, k], q[:, k]
-        groups = _group_keys(sk)
-        n_groups = groups.max() + 1
-        group_w = np.bincount(groups, weights=w, minlength=n_groups)
-        sums = np.bincount(groups, weights=w * qk, minlength=n_groups)
-        ck = (sums / group_w)[groups]
-        if rule.kind == "brier":
-            cl += float(np.dot(w, (sk - ck) ** 2))
-            gl += float(np.dot(w, (ck - qk) ** 2))
-            il += float(np.dot(w, qk * (1.0 - qk)))
-            total += float(np.dot(w, qk * (1.0 - sk) ** 2 + (1.0 - qk) * sk * sk))
-        else:
-            if np.any((sk == 0.0) & (qk > 0.0)) or np.any((ck == 0.0) & (qk > 0.0)):
-                raise ValueError("log-loss divergence is infinite on this instance")
-            cl += float(np.dot(w, ck * np.log(ck / np.where(sk > 0, sk, 1.0))))
-            mask = qk > 0
-            gl += float(np.dot(w[mask], qk[mask] * np.log(qk[mask] / ck[mask])))
-            il += float(np.dot(w, -_xlogx(qk)))
-            total += float(np.dot(w[mask], qk[mask] * -np.log(sk[mask])))
-    return {"total": total, "cl": cl, "gl": gl, "il": il}
+    return _decomposition(rule, weights, scores, posteriors, classwise=True)

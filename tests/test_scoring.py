@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouploss.scoring import (
     BRIER,
@@ -9,6 +11,8 @@ from grouploss.scoring import (
     LOG_LOSS,
     ScoringRule,
     WeightedProbSample,
+    binary_divergence,
+    binary_negative_entropy,
     divergence,
     finite_decomposition,
     finite_decomposition_classwise,
@@ -158,6 +162,11 @@ class TestHVariance:
                 )
                 assert total == pytest.approx(within + between, abs=1e-10)
 
+    def test_scalar_brier_rejects_vector_points(self):
+        sample = WeightedProbSample(np.array([[0.3, 0.7], [0.5, 0.5]]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="scalar Brier"):
+            h_variance(BRIER_SCALAR, sample)
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             WeightedProbSample(np.array([]), np.array([]))
@@ -206,6 +215,119 @@ class TestFiniteDecomposition:
         assert parts["cl"] == pytest.approx(0.0, abs=1e-12)
         assert parts["gl"] == pytest.approx(0.0, abs=1e-12)
         assert parts["total"] == pytest.approx(parts["il"], abs=1e-12)
+
+
+    def test_classwise_logloss_zero_score_with_zero_mean(self):
+        # class 0 has score 0 and posterior mean 0 on one level set: its
+        # calibration term is 0 log 0 = 0, not nan
+        w = [0.5, 0.5]
+        s = [[0.0, 0.4, 0.6], [0.2, 0.3, 0.5]]
+        q = [[0.0, 0.5, 0.5], [0.3, 0.3, 0.4]]
+        classwise = finite_decomposition_classwise(LOG_LOSS, w, s, q)
+        standard = finite_decomposition(LOG_LOSS, w, s, q)
+        assert np.isfinite(classwise["cl"])
+        for key in ("total", "cl", "gl", "il"):
+            assert classwise[key] == pytest.approx(standard[key], abs=1e-12)
+
+    def test_classwise_logloss_domain_error(self):
+        with pytest.raises(ValueError, match="infinite"):
+            finite_decomposition_classwise(
+                LOG_LOSS, [0.5, 0.5], [[0.0, 1.0], [0.5, 0.5]], [[0.2, 0.8], [0.5, 0.5]]
+            )
+
+
+# Multiples of 1/64 are exact and so are their complements: with K = 2 the
+# level sets of each score column are then exactly those of the score rows.
+_grid_prob = st.integers(1, 63).map(lambda i: i / 64)
+
+
+@st.composite
+def _binary_instances(draw):
+    m = draw(st.integers(1, 12))
+    p = np.array(draw(st.lists(_grid_prob, min_size=m, max_size=m)))
+    c = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    return w / w.sum(), np.column_stack([p, 1.0 - p]), np.column_stack([c, 1.0 - c])
+
+
+@pytest.mark.parametrize("rule", [BRIER, LOG_LOSS], ids=["brier", "logloss"])
+@settings(deadline=None)
+@given(instance=_binary_instances())
+def test_classwise_equals_standard_on_two_classes(rule, instance):
+    w, s, q = instance
+    try:
+        standard = finite_decomposition(rule, w, s, q)
+    except ValueError:
+        # a level-set mean underflowed to 0 under positive posterior mass
+        with pytest.raises(ValueError, match="infinite"):
+            finite_decomposition_classwise(rule, w, s, q)
+        return
+    classwise = finite_decomposition_classwise(rule, w, s, q)
+    for key in ("total", "cl", "gl", "il"):
+        assert classwise[key] == pytest.approx(standard[key], abs=1e-12)
+
+
+def _reference_binary_negative_entropy(rule, p):
+    # the per-convention formula as first written, kept to pin the shared core
+    p = np.asarray(p, dtype=np.float64)
+    if rule.kind == "brier":
+        out = p * p - p
+        if rule.binary_convention == "vector":
+            out = 2.0 * out
+        return out
+    out = np.zeros_like(p)
+    for arm in (p, 1.0 - p):
+        mask = arm > 0
+        out[mask] += arm[mask] * np.log(arm[mask])
+    return out
+
+
+def _reference_binary_divergence(rule, s, c):
+    s = np.asarray(s, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    if rule.kind == "brier":
+        out = (s - c) ** 2
+        if rule.binary_convention == "vector":
+            out = 2.0 * out
+        return out
+    out = np.zeros_like(s)
+    for arm_c, arm_s in ((c, s), (1.0 - c, 1.0 - s)):
+        pos = arm_c > 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            term = np.where(pos, arm_c * np.log(np.where(pos, arm_c, 1.0) / arm_s), 0.0)
+        out = out + term
+    return out
+
+
+class TestBinaryCore:
+    EDGES = np.array([0.0, 1.0, 5e-324, 1e-300, 1.0 - 2.0**-53])
+
+    def _values(self):
+        rng = np.random.default_rng(29)
+        p = np.concatenate([rng.uniform(size=200_000), self.EDGES])
+        c = np.concatenate([rng.uniform(size=200_000), self.EDGES[::-1]])
+        # every ordered pair of edge values as well
+        s_edge, c_edge = (a.ravel() for a in np.meshgrid(self.EDGES, self.EDGES))
+        return np.concatenate([p, s_edge]), np.concatenate([c, c_edge])
+
+    @pytest.mark.parametrize("rule", [BRIER_SCALAR, LOG_LOSS], ids=["brier-scalar", "logloss"])
+    def test_bitwise_equal_to_reference(self, rule):
+        s, c = self._values()
+        got = binary_negative_entropy(rule, s)
+        assert got.tobytes() == _reference_binary_negative_entropy(rule, s).tobytes()
+        got = binary_divergence(rule, s, c)
+        assert got.tobytes() == _reference_binary_divergence(rule, s, c).tobytes()
+
+    def test_vector_brier_close_to_reference(self):
+        s, c = self._values()
+        np.testing.assert_allclose(
+            binary_negative_entropy(BRIER, s),
+            _reference_binary_negative_entropy(BRIER, s), rtol=0, atol=1e-15,
+        )
+        np.testing.assert_allclose(
+            binary_divergence(BRIER, s, c),
+            _reference_binary_divergence(BRIER, s, c), rtol=0, atol=1e-15,
+        )
 
 
 class TestRuleValidation:
