@@ -23,7 +23,6 @@ from .calibration import (
 )
 from .data import (
     BinaryView,
-    InputFormatError,
     LabeledDataset,
     classwise_slice,
     read_dataset_csv,
@@ -83,7 +82,14 @@ class RunConfig:
         if self.reduction != "auto" and self.reduction != "top-label":
             if not self.reduction.startswith("classwise:"):
                 raise ValueError(f"unknown reduction: {self.reduction!r}")
-            int(self.reduction.split(":", 1)[1])
+            try:
+                int(self.reduction.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(
+                    f"reduction {self.reduction!r}: classwise:K needs an integer K"
+                ) from None
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.bandwidth_fraction <= 1.0:
             raise ValueError("bandwidth must lie in (0, 1]")
         if self.split_fraction != 0.5:
@@ -123,21 +129,21 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
     if cfg.recalibrate == "isotonic":
         iso = isotonic_fit(bv.score[split.train_rows], bv.label[split.train_rows])
         bv = bv.with_scores(iso(bv.score))
-    bview_all = make_bins(bv, cfg.n_bins)
-    bview_test = make_bins(bv, cfg.n_bins, rows=split.test_rows)
+    # bin_of covers every row; the per-bin statistics cover the test half
+    bview = make_bins(bv, cfg.n_bins, rows=split.test_rows)
     curve = fit_calibration_curve(bv.score, bv.label, cfg.bandwidth_fraction)
-    induced = gl_induced_estimate(curve, bview_all, bv.score, rule)
+    induced = gl_induced_estimate(curve, bview, bv.score, rule)
     model = fit_partition(
-        bview_all, bv.features, bv.label, split,
+        bview, bv.features, bv.label, split,
         parse_strategy(cfg.partition), cfg.region_ratio, cfg.seed,
     )
-    assignments = assign_regions(model, bview_all, bv.features)
-    stats = region_stats(assignments, bview_all, bv.label, split)
+    assignments = assign_regions(model, bview, bv.features)
+    stats = region_stats(assignments, bview, bv.label, split)
     glx = gl_explained_debiased(stats, rule)
-    cl = calibration_loss_binned(bview_test, rule)
-    bounds = binning_bounds(bview_test, rule) if rule is BRIER_SCALAR else None
+    cl = calibration_loss_binned(bview, rule)
+    bounds = binning_bounds(bview, rule) if rule is BRIER_SCALAR else None
     return build_report(
-        cfg.to_dict(), rule, stats, glx, induced, cl, bview_test, bounds,
+        cfg.to_dict(), stats, glx, induced, cl, bview, bounds,
         n_rows=bv.n, n_train=split.train_rows.size,
         metadata={"provenance": bv.provenance, "gl_induced_rows": "all"},
     )
@@ -152,22 +158,17 @@ def _write_text(path, text):
 
 
 def cmd_estimate(args) -> int:
-    try:
-        cfg = RunConfig(
-            rule=args.rule,
-            n_bins=args.bins,
-            region_ratio=args.region_ratio,
-            partition=args.partition,
-            recalibrate=args.recalibrate,
-            reduction=args.reduction,
-            seed=args.seed,
-            bandwidth_fraction=args.bandwidth,
-        )
-        ds = read_dataset_csv(args.input)
-        report = run_pipeline(ds, cfg)
-    except (InputFormatError, ValueError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    cfg = RunConfig(
+        rule=args.rule,
+        n_bins=args.bins,
+        region_ratio=args.region_ratio,
+        partition=args.partition,
+        recalibrate=args.recalibrate,
+        reduction=args.reduction,
+        seed=args.seed,
+        bandwidth_fraction=args.bandwidth,
+    )
+    report = run_pipeline(read_dataset_csv(args.input), cfg)
     _write_text(args.out, report.to_json())
     if args.diagram_out:
         _write_text(args.diagram_out, report.diagram_csv())
@@ -190,13 +191,11 @@ def _require_positive(args, *names):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        _require_positive(args, "n", "oracle_n")
-        sim = _load_simulator(args.spec)
-        ds, q_true = sample_realistic(sim, args.n, args.seed)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    _require_positive(args, "n", "oracle_n")
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
+    sim = _load_simulator(args.spec)
+    ds, q_true = sample_realistic(sim, args.n, args.seed)
     if args.out:
         write_dataset_csv(args.out, ds, q_true=q_true)
     gl, cl = true_losses_monte_carlo(sim, RULES[args.rule], args.oracle_n, args.seed)
@@ -229,25 +228,21 @@ def _mean_sd(xs):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        _require_positive(args, "n", "repeats", "oracle_n")
-        sim = _load_simulator(args.spec)
-        values = [int(v) for v in args.values.split(",") if v]
-        if not values:
-            raise ValueError("no sweep values given")
-        if args.axis not in ("bins", "region_ratio"):
-            raise ValueError(f"unknown sweep axis: {args.axis!r}")
-        base = RunConfig(
-            rule=args.rule,
-            partition=args.partition,
-            seed=args.seed,
-            bandwidth_fraction=args.bandwidth,
-        )
-        key = "n_bins" if args.axis == "bins" else "region_ratio"
-        cfgs = [replace(base, **{key: value}) for value in values]
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    _require_positive(args, "n", "repeats", "oracle_n")
+    sim = _load_simulator(args.spec)
+    values = [int(v) for v in args.values.split(",") if v]
+    if not values:
+        raise ValueError("no sweep values given")
+    if args.axis not in ("bins", "region_ratio"):
+        raise ValueError(f"unknown sweep axis: {args.axis!r}")
+    base = RunConfig(
+        rule=args.rule,
+        partition=args.partition,
+        seed=args.seed,
+        bandwidth_fraction=args.bandwidth,
+    )
+    key = "n_bins" if args.axis == "bins" else "region_ratio"
+    cfgs = [replace(base, **{key: value}) for value in values]
     rows = []
     for vi, (value, cfg) in enumerate(zip(values, cfgs)):
         lb, plugin, explained, induced = [], [], [], []
@@ -255,11 +250,7 @@ def cmd_sweep(args) -> int:
         for r in range(args.repeats):
             seed_r = _derived_seed(args.seed, vi, r)
             ds, _ = sample_realistic(sim, args.n, seed_r)
-            try:
-                report = run_pipeline(ds, replace(cfg, seed=seed_r))
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INPUT
+            report = run_pipeline(ds, replace(cfg, seed=seed_r))
             # a repeat is degraded once regions too small to estimate hold a
             # visible share of the test mass (the ratio-below-2 regime)
             if report.unestimable_bins or report.dropped_test_fraction > 0.03:
@@ -340,7 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # the one place bad input becomes exit 2; a TypeError is a bug and
+    # keeps its traceback
+    try:
+        return args.func(args)
+    except (ValueError, IndexError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

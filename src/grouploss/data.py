@@ -53,6 +53,10 @@ class LabeledDataset:
             raise ValueError("features must be finite")
         if not np.isfinite(scores).all():
             raise ValueError("scores must be finite")
+        negative = (scores < 0.0).any(axis=1)
+        if negative.any():
+            bad = int(np.argmax(negative))
+            raise DatasetRowError(bad, f"negative score entry {scores[bad].min():.6g}")
         row_sums = scores.sum(axis=1)
         off_simplex = np.abs(row_sums - 1.0) > SCORE_ROW_ATOL
         if off_simplex.any():
@@ -219,6 +223,23 @@ def _indexed_columns(names, prefix: str) -> list:
     return sorted((name for name in names if name.startswith(prefix)), key=index)
 
 
+def _records(fh):
+    """Yield ``(first line, last line, row)`` per CSV record.
+
+    A quoted field may span lines, so a record starts on the line after
+    the last one ended; a ``csv.Error`` becomes an :class:`InputFormatError`
+    naming that line.
+    """
+    reader = csv.reader(fh)
+    line_end = 0
+    try:
+        for row in reader:
+            line_no, line_end = line_end + 1, reader.line_num
+            yield line_no, line_end, row
+    except csv.Error as exc:
+        raise InputFormatError(f"line {line_end + 1}: {exc}") from None
+
+
 def read_dataset_csv(path) -> LabeledDataset:
     """Load a dataset from CSV.
 
@@ -229,13 +250,14 @@ def read_dataset_csv(path) -> LabeledDataset:
       the positive-class probability.
 
     Any extra columns are ignored.  Malformed rows, including NaN or
-    infinite scores and features, raise :class:`InputFormatError` with
-    the line number.
+    infinite scores and features, negative score entries and fields the
+    ``csv`` module rejects, raise :class:`InputFormatError` with the line
+    number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        records = _records(fh)
         try:
-            header = next(reader)
+            _, header_end, header = next(records)
         except StopIteration:
             raise InputFormatError("line 1: empty file") from None
         header = [h.strip() for h in header]
@@ -253,12 +275,8 @@ def read_dataset_csv(path) -> LabeledDataset:
                     f"line 1: score columns must be contiguous score_0..score_{{K-1}}, got {score_cols}"
                 )
         feature_cols = _indexed_columns(col, "feature_")
-        # Errors name a record's first physical line: a quoted field may
-        # span lines, so a record starts on the line after the last ended.
-        header_end = line_end = reader.line_num
         labels, scores, features, skipped_lines = [], [], [], []
-        for row in reader:
-            line_no, line_end = line_end + 1, reader.line_num
+        for line_no, line_end, row in records:
             if line_end > line_no:
                 skipped_lines.extend(range(line_no + 1, line_end + 1))
             if not row:

@@ -67,10 +67,16 @@ def region_stats(
     labels: np.ndarray,
     split: SplitIndex,
 ) -> RegionStats:
-    """Count test rows and positives per (bin, region) in one pass."""
+    """Count test rows and positives per (bin, region) in one pass.
+
+    Every test row needs a region: ``assign_regions`` writes -1 for rows
+    outside its view, and such a row here raises ``ValueError``.
+    """
     rows = split.test_rows
     b = bview.bin_of[rows].astype(np.int64)
     a = np.asarray(assignments, dtype=np.int64)[rows]
+    if a.size and a.min() < 0:
+        raise ValueError("a test row has no region (negative region id)")
     y = np.asarray(labels, dtype=np.int64)[rows]
     width = int(a.max()) + 1 if a.size else 1
     keys, row_of, counts = np.unique(b * width + a, return_inverse=True, return_counts=True)
@@ -196,14 +202,13 @@ def gl_induced_estimate(
     """Binning-induced grouping loss from the fitted calibration curve.
 
     Within each occupied bin, the Jensen gap of ``h`` over the curve
-    values; nonnegative up to rounding.  Uses the rows covered by
-    ``bview``.
+    values; nonnegative up to rounding.  Uses every row: ``scores`` align
+    with ``bview.bin_of``, whichever rows the view's statistics cover.
     """
-    rows = bview.rows
-    c_vals = curve(np.asarray(scores, dtype=np.float64)[rows])
+    c_vals = curve(np.asarray(scores, dtype=np.float64))
     if rule.kind == "logloss":
         c_vals = np.clip(c_vals, LOGLOSS_CURVE_CLAMP, 1.0 - LOGLOSS_CURVE_CLAMP)
-    counts, gaps = jensen_gap_by_bin(rule, bview.bin_of[rows], c_vals, bview.n_bins)
+    counts, gaps = jensen_gap_by_bin(rule, bview.bin_of, c_vals, bview.n_bins)
     occ = counts > 0
     return float(np.dot(counts[occ] / counts.sum(), gaps[occ]))
 
@@ -351,7 +356,6 @@ def _jsonable(x):
 
 def build_report(
     config: dict,
-    rule: ScoringRule,
     stats: RegionStats,
     glx: GLExplainedResult,
     induced: float,

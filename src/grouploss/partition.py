@@ -1,7 +1,8 @@
 """Feature-space partitioning of score level sets.
 
 Each occupied score bin gets its own partition of feature space, fitted
-on the train rows of that bin only and applied to every row.  Three
+on the train rows of that bin only and applied to the rows a binned
+view covers (the test rows, in the pipeline).  Three
 strategies: a greedy axis-aligned regression tree on squared loss with
 a leaf-count cap derived from the region ratio, a single balanced-split
 stump, and seeded Lloyd k-means.
@@ -39,6 +40,10 @@ class KMeans:
 
     k: int = 2
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k-means needs k >= 1, got {self.k}")
+
 
 def parse_strategy(name: str):
     if name == "tree":
@@ -48,7 +53,10 @@ def parse_strategy(name: str):
     if name == "kmeans":
         return KMeans()
     if name.startswith("kmeans:"):
-        return KMeans(k=int(name.split(":", 1)[1]))
+        try:
+            return KMeans(k=int(name.split(":", 1)[1]))
+        except ValueError:
+            raise ValueError(f"partition {name!r}: kmeans:K needs an integer K >= 1") from None
     raise ValueError(f"unknown partition strategy: {name!r}")
 
 
@@ -298,11 +306,16 @@ def fit_partition(
 
 
 def assign_regions(model: PartitionModel, bview: BinnedView, features: np.ndarray) -> np.ndarray:
-    """Region index for every row (train and test), within its bin."""
+    """Region index within its bin for each row ``bview`` covers.
+
+    The result spans every row of ``features``; rows outside
+    ``bview.rows`` get -1, which ``region_stats`` rejects.
+    """
     features = np.asarray(features, dtype=np.float64)
-    out = np.zeros(bview.bin_of.shape[0], dtype=np.int64)
+    out = np.full(bview.bin_of.shape[0], -1, dtype=np.int64)
+    bins = bview.bin_of[bview.rows]
     for b in range(model.n_bins):
-        rows = np.flatnonzero(bview.bin_of == b)
+        rows = bview.rows[bins == b]
         if rows.size:
             out[rows] = model.assigners[b].assign(features[rows])
     return out

@@ -15,7 +15,7 @@ distortion can be attached to emit miscalibrated variants; it leaves
 level sets, and hence the grouping loss, unchanged.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +95,6 @@ class LinkSimulator1D:
 
     link: object = "identity"
     accuracy_preserving: bool = False
-    name: str = field(default="", compare=False)
 
     def _h(self, s):
         return _resolve(LINK_FUNCS, self.link, "link")(s)
@@ -335,25 +334,56 @@ def simulator_to_spec(sim) -> dict:
     raise TypeError(f"unknown simulator: {sim!r}")
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+_NUMBERS = (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+            "a list of numbers")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
+# per kind, the keys a spec may hold and the JSON type of each
+_SPEC_KEYS = {
+    "realistic": {
+        "d": _INTEGER, "omega": _NUMBERS, "omega_perp": _NUMBERS, "psi": _STRING,
+        "accuracy_preserving": _BOOLEAN, "sigma_eigenvalues": _NUMBERS,
+        "distortion": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    },
+    "link1d": {"link": _STRING, "accuracy_preserving": _BOOLEAN},
+}
+
+
 def simulator_from_spec(spec: dict):
-    """Build a simulator from its JSON configuration."""
+    """Build a simulator from its JSON configuration.
+
+    Only the keys ``simulator_to_spec`` writes for the kind are accepted,
+    each with its JSON type; anything else raises ``ValueError``.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("simulator spec must be an object with a 'kind' key")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown simulator kind: {kind!r}")
+    types = _SPEC_KEYS[kind]
+    unknown = sorted(map(str, spec.keys() - {"kind", *types}))
+    if unknown:
+        raise ValueError(f"unknown {kind} simulator spec key(s): {', '.join(unknown)}")
+    for key, (check, what) in types.items():
+        if key in spec and not check(spec[key]):
+            raise ValueError(f"simulator spec key {key!r} must be {what}, got {spec[key]!r}")
     if kind == "realistic":
-        d = int(spec.get("d", 2))
+        d = spec.get("d", 2)
         return RealisticSimulator(
             d=d,
             omega=tuple(spec.get("omega", (1.0,) + (0.0,) * (d - 1))),
             omega_perp=tuple(spec.get("omega_perp", (0.0, 1.0) + (0.0,) * (d - 2))),
             psi=spec.get("psi", "sigmoid"),
-            accuracy_preserving=bool(spec.get("accuracy_preserving", False)),
+            accuracy_preserving=spec.get("accuracy_preserving", False),
             sigma_eigenvalues=tuple(spec.get("sigma_eigenvalues", (1.0,) * d)),
             distortion=spec.get("distortion"),
         )
-    if kind == "link1d":
-        return LinkSimulator1D(
-            link=spec.get("link", "identity"),
-            accuracy_preserving=bool(spec.get("accuracy_preserving", False)),
-        )
-    raise ValueError(f"unknown simulator kind: {kind!r}")
+    return LinkSimulator1D(
+        link=spec.get("link", "identity"),
+        accuracy_preserving=spec.get("accuracy_preserving", False),
+    )

@@ -93,6 +93,48 @@ class TestEstimate:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("flag", ["--out", "--diagram-out"])
+    def test_output_into_missing_directory_exits_2(self, tmp_path, capsys, flag):
+        csv = tmp_path / "data.csv"
+        _two_region_csv(csv, n=400)
+        missing = tmp_path / "missing" / "dir" / "r.json"
+        code = main(["estimate", str(csv), "--partition", "stump", flag, str(missing)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file or directory" in err
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--partition", "kmeans:x"], "'kmeans:x'"),
+            (["--reduction", "classwise:x"], "'classwise:x'"),
+            (["--seed", "-1"], "seed must be >= 0"),
+        ],
+        ids=["kmeans-x", "classwise-x", "seed-negative"],
+    )
+    def test_bad_option_value_names_itself(self, tmp_path, capsys, option, message):
+        csv = tmp_path / "data.csv"
+        _two_region_csv(csv, n=200)
+        assert main(["estimate", str(csv), *option]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "invalid literal" not in err
+
+    def test_pipeline_bins_once(self, monkeypatch):
+        from grouploss import cli
+
+        calls = []
+        make_bins = cli.make_bins
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("rows"))
+            return make_bins(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_bins", counted)
+        ds, _ = sample_realistic(default_realistic(), 2000, seed=3)
+        report = run_pipeline(ds, RunConfig(seed=3))
+        assert len(calls) == 1 and calls[0].size == report.n_test
+
     def test_every_bin_unestimable_exits_3(self, tmp_path):
         n = 12
         scores = np.full(n, 0.5)
@@ -267,13 +309,17 @@ class TestSimulate:
         payload = json.loads(summary.read_text())
         assert payload["gl_true"] > 0 and payload["cl_true"] < 5e-3
 
-    def test_invalid_spec_exits_2(self, tmp_path):
+    def test_invalid_spec_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "mystery"}))
         assert main(["simulate", str(bad)]) == EXIT_INPUT
         notjson = tmp_path / "notjson.json"
         notjson.write_text("{")
         assert main(["simulate", str(notjson)]) == EXIT_INPUT
+        # a value of the wrong JSON type is bad input, not a TypeError
+        capsys.readouterr()
+        assert main(["simulate", str(self._spec(tmp_path, psi=["sign"]))]) == EXIT_INPUT
+        assert "'psi' must be a string" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -357,11 +403,24 @@ class TestSweep:
         (["sweep", "--axis", "bins", "--values", "5", "--oracle-n", "0"], "--oracle-n"),
         (["simulate", "--oracle-n", "0"], "--oracle-n"),
         (["simulate", "--n", "-5"], "--n"),
+        (["sweep", "--axis", "bins", "--values", "5", "--partition", "kmeans:0"], "kmeans:0"),
+        (["sweep", "--axis", "bins", "--values", "5", "--seed", "-1"], "seed must be >= 0"),
+        (["simulate", "--seed", "-1"], "seed must be >= 0"),
+        (["sweep", "--axis", "bins", "--values", "5", "--n", "1000", "--repeats", "1",
+          "--oracle-n", "1000", "--out", "missing/sweep.csv"], "No such file or directory"),
+        (["simulate", "--n", "100", "--oracle-n", "1000", "--out", "missing/data.csv"],
+         "No such file or directory"),
+        (["simulate", "--n", "100", "--oracle-n", "1000", "--summary-out", "missing/s.json"],
+         "No such file or directory"),
     ],
     ids=["sweep-bins-0", "sweep-n-5", "sweep-repeats-0", "sweep-oracle-n-0",
-         "simulate-oracle-n-0", "simulate-n-negative"],
+         "simulate-oracle-n-0", "simulate-n-negative", "sweep-kmeans-0",
+         "sweep-seed-negative", "simulate-seed-negative", "sweep-out-missing-dir",
+         "simulate-out-missing-dir", "simulate-summary-out-missing-dir"],
 )
-def test_bad_numbers_exit_2(tmp_path, capsys, argv, message):
+def test_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    # relative output paths land under tmp_path, where "missing/" does not exist
+    monkeypatch.chdir(tmp_path)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"kind": "realistic"}))
     assert main([argv[0], str(spec), *argv[1:]]) == EXIT_INPUT

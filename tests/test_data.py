@@ -204,9 +204,16 @@ class TestCsvIO:
              "line 4: column 'feature_0' is not finite"),
             ('label,score,feature_0,note\n1,0.5,0.1,"a\n\nb"\n\n2,0.5,0.2,c\n',
              "line 6: label 2 out of range"),
+            # sums to 1, but a simplex row has no negative entry
+            ("label,score_0,score_1,feature_0\n1,0.5,0.5,0.1\n0,-0.5,1.5,0.2\n",
+             "line 3: negative score entry -0.5"),
+            # the csv module's field size limit, in a record after a multi-line one
+            ('label,score,note\n1,0.5,"a\nb"\n0,0.5,"' + "x" * 200_000 + '"\n',
+             "line 4: field larger than field limit"),
         ],
         ids=["bad-header-index", "label-out-of-range", "off-simplex-row",
-             "after-multiline-record", "label-after-multiline-record"],
+             "after-multiline-record", "label-after-multiline-record",
+             "negative-score-entry", "oversized-field"],
     )
     def test_rejected_row_reports_its_line(self, tmp_path, text, message):
         path = tmp_path / "bad5.csv"

@@ -59,6 +59,13 @@ class TestRegionStats:
         assert stats.bin_counts[0] == 2
         np.testing.assert_allclose(stats.region_means[_bin_rows(stats, 0)], [1.0, 0.0])
 
+    def test_test_row_without_region_rejected(self):
+        # -1 marks a row assign_regions did not cover; train rows may hold it
+        stats, _ = _stats([0.5] * 4, [1, 0, 1, 0], [-1, 0, -1, 1], test_rows=np.array([1, 3]))
+        assert stats.n_test == 2
+        with pytest.raises(ValueError, match="no region"):
+            _stats([0.5] * 4, [1, 0, 1, 0], [-1, 0, -1, 1], test_rows=np.array([0, 3]))
+
     def test_weighted_mean_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -118,7 +125,7 @@ class TestRegionStats:
             BinaryView(np.zeros((n, 1)), scores, labels), 4, rows=np.array([], dtype=np.int64)
         )
         report = build_report(
-            RunConfig().to_dict(), BRIER_SCALAR, stats, glx, 0.0,
+            RunConfig().to_dict(), stats, glx, 0.0,
             calibration_loss_binned(bview_test, BRIER_SCALAR), bview_test,
             binning_bounds(bview_test, BRIER_SCALAR), n_rows=n, n_train=n,
         )
@@ -252,6 +259,18 @@ class TestGlInduced:
         bview = self._bview(scores, 1)
         got = gl_induced_estimate(curve, bview, scores, BRIER_SCALAR)
         assert got == pytest.approx(0.04, abs=1e-12)
+
+    def test_reads_every_row_whatever_the_view_covers(self):
+        rng = np.random.default_rng(5)
+        n = 500
+        scores = rng.uniform(size=n)
+        curve = CalibrationCurve(np.sort(rng.uniform(size=8)), rng.uniform(size=8), 0.3, n)
+        bv = BinaryView(np.zeros((n, 1)), scores, np.zeros(n, dtype=int))
+        test_view = make_bins(bv, 7, rows=np.arange(1, n, 2))
+        for rule in (BRIER_SCALAR, LOG_LOSS):
+            assert gl_induced_estimate(curve, test_view, scores, rule) == gl_induced_estimate(
+                curve, self._bview(scores, 7), scores, rule
+            )
 
     def test_nonnegative_on_random_instances(self):
         rng = np.random.default_rng(3)
@@ -398,7 +417,6 @@ class TestBuildReport:
         cl = calibration_loss_binned(bview, BRIER_SCALAR)
         return build_report(
             {"seed": 0},
-            BRIER_SCALAR,
             stats,
             glx,
             induced,

@@ -356,6 +356,21 @@ class TestAssignRegions:
             if rows.any():
                 assert assign[rows].max() < model.assigners[b].n_regions
 
+    def test_rows_outside_the_view_get_minus_one(self):
+        rng = np.random.default_rng(24)
+        n = 300
+        features = rng.normal(size=(n, 2))
+        bv = BinaryView(features, rng.uniform(size=n), rng.integers(0, 2, n))
+        half = np.arange(n)
+        split = SplitIndex(half[::2], half[1::2], 5)
+        bview = make_bins(bv, 5, rows=split.test_rows)
+        model = fit_partition(bview, features, bv.label, split, Tree(), 10, seed=25)
+        assign = assign_regions(model, bview, features)
+        assert (assign[split.train_rows] == -1).all()
+        full = assign_regions(model, make_bins(bv, 5), features)
+        np.testing.assert_array_equal(assign[split.test_rows], full[split.test_rows])
+        assert (assign[split.test_rows] >= 0).all()
+
     def test_small_bins_fall_back_to_single_region(self):
         scores = np.array([0.05, 0.95, 0.96, 0.97, 0.98])
         features = np.arange(5, dtype=float)[:, None]
@@ -383,3 +398,12 @@ class TestParseStrategy:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             parse_strategy("oblique")
+
+    @pytest.mark.parametrize("name", ["kmeans:0", "kmeans:-3", "kmeans:x", "kmeans:"])
+    def test_bad_k_names_the_value(self, name):
+        with pytest.raises(ValueError, match=f"partition '{name}'"):
+            parse_strategy(name)
+
+    def test_kmeans_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="k >= 1"):
+            KMeans(k=0)

@@ -188,3 +188,21 @@ class TestSpecRoundTrip:
             simulator_from_spec({"kind": "unknown"})
         with pytest.raises(ValueError):
             simulator_from_spec([])
+        with pytest.raises(ValueError, match="key.*: distorsion, psy"):
+            simulator_from_spec({"kind": "realistic", "psy": "sign", "distorsion": "square"})
+        with pytest.raises(ValueError, match="key.*: psi"):
+            simulator_from_spec({"kind": "link1d", "psi": "sign"})
+        with pytest.raises(ValueError, match="'accuracy_preserving' must be true or false"):
+            simulator_from_spec({"kind": "realistic", "accuracy_preserving": "false"})
+        with pytest.raises(ValueError, match="'accuracy_preserving' must be true or false"):
+            simulator_from_spec({"kind": "link1d", "accuracy_preserving": 0})
+        # wrong JSON types raise ValueError, never TypeError
+        for key, value in [("psi", ["sign"]), ("d", "3"), ("d", 2.0), ("omega", 1.0),
+                           ("omega_perp", ["0", "1"]), ("sigma_eigenvalues", [True, 1.0]),
+                           ("distortion", 2)]:
+            with pytest.raises(ValueError, match=f"'{key}' must be"):
+                simulator_from_spec({"kind": "realistic", key: value})
+        with pytest.raises(ValueError, match="'link' must be a string"):
+            simulator_from_spec({"kind": "link1d", "link": {"name": "poly"}})
+        with pytest.raises(ValueError, match="kind"):
+            simulator_from_spec({"kind": ["realistic"]})
