@@ -9,6 +9,7 @@ command with identical inputs yields byte-identical outputs.
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -67,7 +68,6 @@ class RunConfig:
     reduction: str = "auto"
     seed: int = 0
     bandwidth_fraction: float = 0.3
-    split_fraction: float = 0.5
 
     def __post_init__(self):
         if self.rule not in RULES:
@@ -92,14 +92,13 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if not 0.0 < self.bandwidth_fraction <= 1.0:
             raise ValueError("bandwidth must lie in (0, 1]")
-        if self.split_fraction != 0.5:
-            raise ValueError("the train/test split fraction is fixed at 0.5")
 
     def scoring_rule(self):
         return RULES[self.rule]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the train/test split is always half and half
+        return {**asdict(self), "split_fraction": 0.5}
 
 
 def reduce_dataset(ds: LabeledDataset, reduction: str) -> BinaryView:
@@ -157,7 +156,21 @@ def _write_text(path, text):
             fh.write(text)
 
 
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _require_out_dirs(args, *names):
+    """Reject a missing output directory before any input is read."""
+    for name in names:
+        path = getattr(args, name)
+        parent = os.path.dirname(path or "") or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"{_flag(name)} {path}: No such file or directory: {parent!r}")
+
+
 def cmd_estimate(args) -> int:
+    _require_out_dirs(args, "out", "diagram_out")
     cfg = RunConfig(
         rule=args.rule,
         n_bins=args.bins,
@@ -186,11 +199,11 @@ def _load_simulator(path):
 def _require_positive(args, *names):
     for name in names:
         if getattr(args, name) < 1:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be >= 1, got {getattr(args, name)}")
+            raise ValueError(f"{_flag(name)} must be >= 1, got {getattr(args, name)}")
 
 
 def cmd_simulate(args) -> int:
+    _require_out_dirs(args, "out", "summary_out")
     _require_positive(args, "n", "oracle_n")
     if args.seed < 0:
         raise ValueError("seed must be >= 0")
@@ -227,14 +240,23 @@ def _mean_sd(xs):
     return float(arr.mean()), sd
 
 
+def _sweep_values(text):
+    values = []
+    for v in filter(None, text.split(",")):
+        try:
+            values.append(int(v))
+        except ValueError:
+            raise ValueError(f"--values {text!r}: {v!r} is not an integer") from None
+    return values
+
+
 def cmd_sweep(args) -> int:
+    _require_out_dirs(args, "out")
     _require_positive(args, "n", "repeats", "oracle_n")
     sim = _load_simulator(args.spec)
-    values = [int(v) for v in args.values.split(",") if v]
+    values = _sweep_values(args.values)
     if not values:
         raise ValueError("no sweep values given")
-    if args.axis not in ("bins", "region_ratio"):
-        raise ValueError(f"unknown sweep axis: {args.axis!r}")
     base = RunConfig(
         rule=args.rule,
         partition=args.partition,

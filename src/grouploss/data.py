@@ -57,6 +57,11 @@ class LabeledDataset:
         if negative.any():
             bad = int(np.argmax(negative))
             raise DatasetRowError(bad, f"negative score entry {scores[bad].min():.6g}")
+        # repr: a .6g format prints 1.0000005 as 1
+        above_one = (scores > 1.0).any(axis=1)
+        if above_one.any():
+            bad = int(np.argmax(above_one))
+            raise DatasetRowError(bad, f"score entry {float(scores[bad].max())!r} above 1")
         row_sums = scores.sum(axis=1)
         off_simplex = np.abs(row_sums - 1.0) > SCORE_ROW_ATOL
         if off_simplex.any():
@@ -250,9 +255,9 @@ def read_dataset_csv(path) -> LabeledDataset:
       the positive-class probability.
 
     Any extra columns are ignored.  Malformed rows, including NaN or
-    infinite scores and features, negative score entries and fields the
-    ``csv`` module rejects, raise :class:`InputFormatError` with the line
-    number.
+    infinite scores and features, score entries below 0 or above 1 and
+    fields the ``csv`` module rejects, raise :class:`InputFormatError`
+    with the line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         records = _records(fh)

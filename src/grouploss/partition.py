@@ -5,7 +5,9 @@ on the train rows of that bin only and applied to the rows a binned
 view covers (the test rows, in the pipeline).  Three
 strategies: a greedy axis-aligned regression tree on squared loss with
 a leaf-count cap derived from the region ratio, a single balanced-split
-stump, and seeded Lloyd k-means.
+stump, and seeded Lloyd k-means.  Each strategy's
+``fit(X, y, region_ratio, rng)`` partitions one bin's train rows and
+returns an assigner, with ``assign(X)`` and ``n_regions``.
 """
 
 import heapq
@@ -28,10 +30,16 @@ KMEANS_TOL = 1e-6
 class Tree:
     """Greedy CART partition; leaves capped at n_train_in_bin // region_ratio."""
 
+    def fit(self, X, y, region_ratio, rng):
+        return _grow_tree(X, y, max(X.shape[0] // region_ratio, 1))
+
 
 @dataclass(frozen=True)
 class BalancedStump:
     """One split with at least floor(n/2) train samples on each side."""
+
+    def fit(self, X, y, region_ratio, rng):
+        return _fit_stump(X, y)
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,39 @@ class KMeans:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k-means needs k >= 1, got {self.k}")
+
+    def fit(self, X, y, region_ratio, rng):
+        n = X.shape[0]
+        k = min(self.k, n)
+        if k < 2:
+            return ONE_REGION
+        centers = np.empty((k, X.shape[1]))
+        centers[0] = X[rng.integers(n)]
+        d2 = np.sum((X - centers[0]) ** 2, axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            if total <= 0.0:
+                centers[j] = X[rng.integers(n)]
+            else:
+                centers[j] = X[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+        for _ in range(KMEANS_MAX_ITER):
+            dist2 = _sq_distances(X, centers)
+            assign = np.argmin(dist2, axis=1)
+            new_centers = centers.copy()
+            for j in range(k):
+                members = assign == j
+                if members.any():
+                    new_centers[j] = X[members].mean(axis=0)
+                else:
+                    # re-seed an empty cluster at the worst-served point
+                    worst = int(np.argmax(np.take_along_axis(dist2, assign[:, None], 1)))
+                    new_centers[j] = X[worst]
+            movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
+            centers = new_centers
+            if movement < KMEANS_TOL:
+                break
+        return CenterAssigner(centers)
 
 
 def parse_strategy(name: str):
@@ -58,16 +99,6 @@ def parse_strategy(name: str):
         except ValueError:
             raise ValueError(f"partition {name!r}: kmeans:K needs an integer K >= 1") from None
     raise ValueError(f"unknown partition strategy: {name!r}")
-
-
-@dataclass(frozen=True)
-class SingleRegion:
-    def assign(self, X: np.ndarray) -> np.ndarray:
-        return np.zeros(X.shape[0], dtype=np.int64)
-
-    @property
-    def n_regions(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -95,6 +126,12 @@ class TreeAssigner:
         return out
 
 
+# an unsplit bin: the one-leaf tree ``_grow_tree(X, y, 1)`` returns
+_MINUS_ONE = np.array([-1], dtype=np.int64)
+ONE_REGION = TreeAssigner(_MINUS_ONE, np.zeros(1), _MINUS_ONE, _MINUS_ONE,
+                          np.zeros(1, dtype=np.int64), 1)
+
+
 def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance of each row to each center, ``(n, k)``."""
     return (
@@ -118,7 +155,6 @@ class CenterAssigner:
 
 @dataclass(frozen=True)
 class PartitionModel:
-    n_bins: int
     assigners: tuple
 
 
@@ -198,7 +234,7 @@ def _fit_stump(X: np.ndarray, y: np.ndarray):
     """Best single split with both sides >= floor(n/2) samples."""
     n = y.shape[0]
     if n < 2:
-        return SingleRegion()
+        return ONE_REGION
     half = n // 2
     left_counts = (half,) if n % 2 == 0 else (half, half + 1)
     best = None
@@ -216,7 +252,7 @@ def _fit_stump(X: np.ndarray, y: np.ndarray):
             if best is None or gain > best[0]:
                 best = (gain, f, kernels.split_threshold(float(xs[l - 1]), float(xs[l])))
     if best is None:
-        return SingleRegion()
+        return ONE_REGION
     _, f, thresh = best
     feature = np.array([f, -1, -1], dtype=np.int64)
     threshold = np.array([thresh, 0.0, 0.0])
@@ -224,53 +260,6 @@ def _fit_stump(X: np.ndarray, y: np.ndarray):
     right = np.array([2, -1, -1], dtype=np.int64)
     leaf_region = np.array([-1, 0, 1], dtype=np.int64)
     return TreeAssigner(feature, threshold, left, right, leaf_region, 2)
-
-
-def _fit_kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
-    n = X.shape[0]
-    k = min(k, n)
-    if k < 2:
-        return SingleRegion()
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            centers[j] = X[rng.integers(n)]
-        else:
-            centers[j] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
-    for _ in range(KMEANS_MAX_ITER):
-        dist2 = _sq_distances(X, centers)
-        assign = np.argmin(dist2, axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            members = assign == j
-            if members.any():
-                new_centers[j] = X[members].mean(axis=0)
-            else:
-                # re-seed an empty cluster at the worst-served point
-                worst = int(np.argmax(np.take_along_axis(dist2, assign[:, None], 1)))
-                new_centers[j] = X[worst]
-        movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
-        centers = new_centers
-        if movement < KMEANS_TOL:
-            break
-    return CenterAssigner(centers)
-
-
-def _fit_bin(strategy, X, y, region_ratio, rng):
-    if X.shape[0] < 2:
-        return SingleRegion()
-    if isinstance(strategy, Tree):
-        max_leaves = max(X.shape[0] // region_ratio, 1)
-        return _grow_tree(X, y, max_leaves)
-    if isinstance(strategy, BalancedStump):
-        return _fit_stump(X, y)
-    if isinstance(strategy, KMeans):
-        return _fit_kmeans(X, strategy.k, rng)
-    raise TypeError(f"unknown strategy: {strategy!r}")
 
 
 def fit_partition(
@@ -298,11 +287,12 @@ def fit_partition(
 
     def fit_one(b):
         rows = split.train_rows[train_bins == b]
+        if rows.size < 2:
+            return ONE_REGION
         rng = np.random.default_rng([seed, b])
-        return _fit_bin(strategy, features[rows], labels[rows], region_ratio, rng)
+        return strategy.fit(features[rows], labels[rows], region_ratio, rng)
 
-    assigners = tuple(fit_one(b) for b in range(bview.n_bins))
-    return PartitionModel(bview.n_bins, assigners)
+    return PartitionModel(tuple(fit_one(b) for b in range(bview.n_bins)))
 
 
 def assign_regions(model: PartitionModel, bview: BinnedView, features: np.ndarray) -> np.ndarray:
@@ -314,8 +304,8 @@ def assign_regions(model: PartitionModel, bview: BinnedView, features: np.ndarra
     features = np.asarray(features, dtype=np.float64)
     out = np.full(bview.bin_of.shape[0], -1, dtype=np.int64)
     bins = bview.bin_of[bview.rows]
-    for b in range(model.n_bins):
+    for b, assigner in enumerate(model.assigners):
         rows = bview.rows[bins == b]
         if rows.size:
-            out[rows] = model.assigners[b].assign(features[rows])
+            out[rows] = assigner.assign(features[rows])
     return out

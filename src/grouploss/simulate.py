@@ -15,7 +15,7 @@ distortion can be attached to emit miscalibrated variants; it leaves
 level sets, and hence the grouping loss, unchanged.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -74,17 +74,25 @@ def _blocks(n, seed):
         idx += 1
 
 
-def _sample_sq(sim, n, seed):
-    parts_s, parts_q = [], []
-    for size, rng in _blocks(n, seed):
-        _, s, q = sim._draw(size, rng)
-        parts_s.append(s)
-        parts_q.append(q)
-    return np.concatenate(parts_s), np.concatenate(parts_q)
+def _same_side(s, q):
+    """Pin ``q`` to the side of 1/2 that ``s`` is on."""
+    return np.where(s >= 0.5, np.maximum(q, 0.5), np.minimum(q, 0.5))
+
+
+class _Simulator:
+    """Shared oracle path: subclasses draw one block with ``_draw``."""
+
+    def sample_sq(self, n, seed):
+        parts_s, parts_q = [], []
+        for size, rng in _blocks(n, seed):
+            _, s, q = self._draw(size, rng)
+            parts_s.append(s)
+            parts_q.append(q)
+        return np.concatenate(parts_s), np.concatenate(parts_q)
 
 
 @dataclass(frozen=True)
-class LinkSimulator1D:
+class LinkSimulator1D(_Simulator):
     """1-D calibrated classifier with an arbitrary score/posterior link.
 
     ``S(x) = sigmoid(|x|)``, features standard normal.  The link must
@@ -113,7 +121,7 @@ class LinkSimulator1D:
                                np.maximum(h, g) < 0.5 + 1e-9)
             if not side_ok.all():
                 raise ValueError("link is not accuracy-preserving on these scores")
-            q = np.where(s >= 0.5, np.maximum(q, 0.5), np.minimum(q, 0.5))
+            q = _same_side(s, q)
         return s, np.clip(q, 0.0, 1.0)
 
     def _draw(self, size, rng):
@@ -122,12 +130,9 @@ class LinkSimulator1D:
         s, q = self._score_posterior(x)
         return x[:, None], s, q
 
-    def sample_sq(self, n, seed):
-        return _sample_sq(self, n, seed)
-
 
 @dataclass(frozen=True)
-class RealisticSimulator:
+class RealisticSimulator(_Simulator):
     """Logistic classifier with heterogeneity orthogonal to its weights.
 
     ``S(x) = sigmoid(omega . x)`` with ``X ~ N(0, Sigma)``; the posterior
@@ -189,7 +194,7 @@ class RealisticSimulator:
             delta = np.minimum(delta, np.abs(0.5 - s))
         q = s + _resolve(PSI_FUNCS, self.psi, "perturbation")(x @ perp) * delta
         if self.accuracy_preserving:
-            q = np.where(s >= 0.5, np.maximum(q, 0.5), np.minimum(q, 0.5))
+            q = _same_side(s, q)
         return s, np.clip(q, 0.0, 1.0)
 
     def _emit(self, s):
@@ -207,9 +212,6 @@ class RealisticSimulator:
         x = self._sample_x(size, rng)
         s, q = self._score_posterior(x)
         return x, self._emit(s), q
-
-    def sample_sq(self, n, seed):
-        return _sample_sq(self, n, seed)
 
 
 def default_realistic(accuracy_preserving: bool = False, distortion=None) -> RealisticSimulator:
@@ -313,25 +315,14 @@ def true_losses_monte_carlo(sim, rule: ScoringRule, n_mc: int, seed: int):
             _monte_carlo(_stratified_cl, s, q, rule, seed))
 
 
+_KINDS = {"realistic": RealisticSimulator, "link1d": LinkSimulator1D}
+
+
 def simulator_to_spec(sim) -> dict:
-    if isinstance(sim, RealisticSimulator):
-        return {
-            "kind": "realistic",
-            "d": sim.d,
-            "omega": list(sim.omega),
-            "omega_perp": list(sim.omega_perp),
-            "psi": sim.psi,
-            "accuracy_preserving": sim.accuracy_preserving,
-            "sigma_eigenvalues": list(sim.sigma_eigenvalues),
-            "distortion": sim.distortion,
-        }
-    if isinstance(sim, LinkSimulator1D):
-        return {
-            "kind": "link1d",
-            "link": sim.link,
-            "accuracy_preserving": sim.accuracy_preserving,
-        }
-    raise TypeError(f"unknown simulator: {sim!r}")
+    """``kind`` plus every dataclass field, tuples written as lists."""
+    kind = {cls: k for k, cls in _KINDS.items()}[type(sim)]
+    fields = {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(sim).items()}
+    return {"kind": kind, **fields}
 
 
 def _is_number(v):
@@ -372,18 +363,12 @@ def simulator_from_spec(spec: dict):
     for key, (check, what) in types.items():
         if key in spec and not check(spec[key]):
             raise ValueError(f"simulator spec key {key!r} must be {what}, got {spec[key]!r}")
+    args = {key: tuple(v) if isinstance(v, list) else v
+            for key, v in spec.items() if key != "kind"}
     if kind == "realistic":
-        d = spec.get("d", 2)
-        return RealisticSimulator(
-            d=d,
-            omega=tuple(spec.get("omega", (1.0,) + (0.0,) * (d - 1))),
-            omega_perp=tuple(spec.get("omega_perp", (0.0, 1.0) + (0.0,) * (d - 2))),
-            psi=spec.get("psi", "sigmoid"),
-            accuracy_preserving=spec.get("accuracy_preserving", False),
-            sigma_eigenvalues=tuple(spec.get("sigma_eigenvalues", (1.0,) * d)),
-            distortion=spec.get("distortion"),
-        )
-    return LinkSimulator1D(
-        link=spec.get("link", "identity"),
-        accuracy_preserving=spec.get("accuracy_preserving", False),
-    )
+        # the defaults that depend on d; the others are the dataclass's
+        d = args.get("d", 2)
+        args = {"omega": (1.0,) + (0.0,) * (d - 1),
+                "omega_perp": (0.0, 1.0) + (0.0,) * (d - 2),
+                "sigma_eigenvalues": (1.0,) * d, **args}
+    return _KINDS[kind](**args)

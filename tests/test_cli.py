@@ -100,8 +100,10 @@ class TestEstimate:
         missing = tmp_path / "missing" / "dir" / "r.json"
         code = main(["estimate", str(csv), "--partition", "stump", flag, str(missing)])
         assert code == EXIT_INPUT
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error:") and "No such file or directory" in err
+        # checked before any work: no report reaches stdout either
+        assert f"{flag} {missing}" in err and out == ""
 
     @pytest.mark.parametrize(
         "option, message",
@@ -386,6 +388,19 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "at least 10 points" in err
 
+    def test_missing_output_directory_skips_the_pipelines(self, tmp_path, capsys, monkeypatch):
+        def no_pipeline(*args):
+            raise AssertionError("a pipeline ran before the output path was checked")
+
+        monkeypatch.setattr("grouploss.cli.run_pipeline", no_pipeline)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "realistic"}))
+        missing = tmp_path / "missing" / "dir" / "s.csv"
+        code = main(["sweep", str(spec), "--axis", "bins", "--values", "5",
+                     "--n", "1000", "--repeats", "1", "--out", str(missing)])
+        assert code == EXIT_INPUT
+        assert f"--out {missing}" in capsys.readouterr().err
+
     def test_bad_axis_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "realistic"}))
@@ -412,11 +427,12 @@ class TestSweep:
          "No such file or directory"),
         (["simulate", "--n", "100", "--oracle-n", "1000", "--summary-out", "missing/s.json"],
          "No such file or directory"),
+        (["sweep", "--axis", "bins", "--values", "5,x"], "--values '5,x': 'x' is not an integer"),
     ],
     ids=["sweep-bins-0", "sweep-n-5", "sweep-repeats-0", "sweep-oracle-n-0",
          "simulate-oracle-n-0", "simulate-n-negative", "sweep-kmeans-0",
          "sweep-seed-negative", "simulate-seed-negative", "sweep-out-missing-dir",
-         "simulate-out-missing-dir", "simulate-summary-out-missing-dir"],
+         "simulate-out-missing-dir", "simulate-summary-out-missing-dir", "sweep-values-x"],
 )
 def test_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # relative output paths land under tmp_path, where "missing/" does not exist
@@ -427,6 +443,12 @@ def test_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+def test_split_fraction_is_echoed_but_not_settable():
+    assert RunConfig().to_dict()["split_fraction"] == 0.5
+    with pytest.raises(TypeError):
+        RunConfig(split_fraction=0.5)
 
 
 class TestParser:

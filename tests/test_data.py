@@ -207,13 +207,17 @@ class TestCsvIO:
             # sums to 1, but a simplex row has no negative entry
             ("label,score_0,score_1,feature_0\n1,0.5,0.5,0.1\n0,-0.5,1.5,0.2\n",
              "line 3: negative score entry -0.5"),
+            # sums to 1 within the tolerance, but an entry lies above 1
+            ("label,score_0,score_1,score_2,feature_0\n"
+             + "1,0.2,0.3,0.5,0.1\n" * 5 + "0,1.0000005,0,0,0.1\n",
+             "line 7: score entry 1.0000005 above 1"),
             # the csv module's field size limit, in a record after a multi-line one
             ('label,score,note\n1,0.5,"a\nb"\n0,0.5,"' + "x" * 200_000 + '"\n',
              "line 4: field larger than field limit"),
         ],
         ids=["bad-header-index", "label-out-of-range", "off-simplex-row",
              "after-multiline-record", "label-after-multiline-record",
-             "negative-score-entry", "oversized-field"],
+             "negative-score-entry", "score-entry-above-one", "oversized-field"],
     )
     def test_rejected_row_reports_its_line(self, tmp_path, text, message):
         path = tmp_path / "bad5.csv"

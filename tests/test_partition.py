@@ -12,7 +12,6 @@ from grouploss.partition import (
     MIN_SPLIT_GAIN,
     BalancedStump,
     KMeans,
-    SingleRegion,
     Tree,
     _fit_stump,
     _grow_tree,
@@ -278,7 +277,19 @@ class TestBalancedStump:
         y = np.arange(10) % 2
         bv, bview, split = _single_bin_setup(X, y, n_train=10)
         model = fit_partition(bview, bv.features, bv.label, split, BalancedStump(), 30, seed=14)
-        assert isinstance(model.assigners[0], SingleRegion)
+        assert model.assigners[0].n_regions == 1
+
+
+@pytest.mark.parametrize("strategy", [Tree(), BalancedStump(), KMeans(1)],
+                         ids=["tree", "stump", "kmeans-1"])
+def test_fit_on_an_unsplittable_bin_gives_one_region(strategy):
+    # identical rows: no split and no second center exists
+    X = np.ones((10, 2))
+    y = (np.arange(10) % 2).astype(float)
+    assigner = strategy.fit(X, y, 2, np.random.default_rng(0))
+    assert assigner.n_regions == 1
+    np.testing.assert_array_equal(assigner.assign(np.random.default_rng(1).normal(size=(7, 2))),
+                                  np.zeros(7, dtype=np.int64))
 
 
 # neighbouring doubles, whose midpoint rounds up to the larger one
@@ -378,7 +389,7 @@ class TestAssignRegions:
         bview = make_bins(bv, 10)
         split = SplitIndex(np.array([0, 1, 2]), np.array([3, 4]), 10)
         model = fit_partition(bview, features, bv.label, split, Tree(), 2, seed=22)
-        assert isinstance(model.assigners[0], SingleRegion)
+        assert model.assigners[0].n_regions == 1
 
     def test_no_features_rejected(self):
         bv = BinaryView(np.zeros((4, 0)), np.full(4, 0.5), np.array([0, 1, 0, 1]))

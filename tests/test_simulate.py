@@ -1,10 +1,13 @@
 """Oracle simulators: calibration by construction, reference values."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from grouploss.scoring import BRIER_SCALAR, LOG_LOSS
 from grouploss.simulate import (
+    _SPEC_KEYS,
     LinkSimulator1D,
     RealisticSimulator,
     default_realistic,
@@ -182,6 +185,21 @@ class TestSpecRoundTrip:
     def test_link_round_trip(self):
         sim = LinkSimulator1D("accuracy", accuracy_preserving=True)
         assert simulator_from_spec(simulator_to_spec(sim)) == sim
+
+    @pytest.mark.parametrize("kind, cls", [("realistic", RealisticSimulator),
+                                           ("link1d", LinkSimulator1D)])
+    def test_spec_keys_are_the_dataclass_fields(self, kind, cls):
+        assert list(_SPEC_KEYS[kind]) == [f.name for f in fields(cls)]
+
+    def test_defaults_that_depend_on_d(self):
+        sim = simulator_from_spec({"kind": "realistic", "d": 3})
+        assert sim.omega == (1.0, 0.0, 0.0)
+        assert sim.omega_perp == (0.0, 1.0, 0.0)
+        assert sim.sigma_eigenvalues == (1.0, 1.0, 1.0)
+        spec = simulator_to_spec(sim)
+        assert spec["omega"] == [1.0, 0.0, 0.0]
+        assert spec["omega_perp"] == [0.0, 1.0, 0.0]
+        assert spec["sigma_eigenvalues"] == [1.0, 1.0, 1.0]
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
