@@ -161,12 +161,15 @@ def _flag(name):
 
 
 def _require_out_dirs(args, *names):
-    """Reject a missing output directory before any input is read."""
+    """Reject an output path in a missing directory, or one that is a
+    directory, before any input is read."""
     for name in names:
         path = getattr(args, name)
         parent = os.path.dirname(path or "") or "."
         if not os.path.isdir(parent):
             raise ValueError(f"{_flag(name)} {path}: No such file or directory: {parent!r}")
+        if path and os.path.isdir(path):
+            raise ValueError(f"{_flag(name)} {path}: Is a directory")
 
 
 def cmd_estimate(args) -> int:

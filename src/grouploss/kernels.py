@@ -52,10 +52,13 @@ def best_split(X, y, min_leaf, order=None):
 
     ``order`` is each feature's ascending row order of ``X``, shape
     ``(d, n)``; it is computed when not given.  All features are scanned
-    in one 2-D pass.  Returns ``(feature, threshold, gain)``; feature is
-    -1 when no split with positive gain exists.  Gain ties keep the
-    lowest feature index, then the lowest threshold.  ``min_leaf`` must
-    be at least 1.
+    in one 2-D pass.  Returns ``(feature, threshold, gain)`` of the best
+    boundary between distinct values that leaves at least ``min_leaf``
+    rows on each side, whatever its gain, zero and negative included:
+    whether a split is worth taking is the caller's decision.  Returns
+    ``(-1, 0.0, 0.0)`` only when no boundary qualifies.  Gain ties keep
+    the lowest feature index, then the lowest threshold.  ``min_leaf``
+    must be at least 1.
     """
     n, d = X.shape
     if d == 0 or n < 2 * min_leaf:
@@ -75,7 +78,7 @@ def best_split(X, y, min_leaf, order=None):
     gains[:, n - min_leaf:] = -np.inf
     # row-major argmax: lowest feature first, then lowest threshold
     f, i = divmod(int(np.argmax(gains)), n - 1)
-    if not gains[f, i] > 0.0:
+    if gains[f, i] == -np.inf:
         return -1, 0.0, 0.0
     return f, split_threshold(float(xs[f, i]), float(xs[f, i + 1])), float(gains[f, i])
 

@@ -126,10 +126,29 @@ class TreeAssigner:
         return out
 
 
+def _tree(feature, threshold, left, right):
+    """The ``TreeAssigner`` of per-node lists, node 0 the root.
+
+    Leaves are numbered in preorder, which keeps region ids contiguous
+    and stable.
+    """
+    leaf_region = np.full(len(feature), -1, dtype=np.int64)
+    stack, next_region = [0], 0
+    while stack:
+        node = stack.pop()
+        if feature[node] < 0:
+            leaf_region[node] = next_region
+            next_region += 1
+        else:
+            stack.append(right[node])
+            stack.append(left[node])
+    return TreeAssigner(np.array(feature, dtype=np.int64), np.array(threshold, dtype=float),
+                        np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+                        leaf_region, next_region)
+
+
 # an unsplit bin: the one-leaf tree ``_grow_tree(X, y, 1)`` returns
-_MINUS_ONE = np.array([-1], dtype=np.int64)
-ONE_REGION = TreeAssigner(_MINUS_ONE, np.zeros(1), _MINUS_ONE, _MINUS_ONE,
-                          np.zeros(1, dtype=np.int64), 1)
+ONE_REGION = _tree([-1], [0.0], [-1], [-1])
 
 
 def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -158,108 +177,53 @@ class PartitionModel:
     assigners: tuple
 
 
-class _Node:
-    __slots__ = ("rows", "order", "feature", "threshold", "left", "right")
-
-    def __init__(self, rows, order=None):
-        self.rows = rows
-        self.order = order
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = -1
-        self.right = -1
-
-
 def _grow_tree(X: np.ndarray, y: np.ndarray, max_leaves: int):
     """Best-first CART growth: always take the largest-gain candidate.
 
-    Each feature's rows are sorted once, at the root.  A node keeps its
-    rows and their per-feature ascending order ``(d, n_node)`` as local
-    indices; a split filters the parent's order by side, which keeps it
-    sorted, and renumbers it to the child's rows.  Deterministic tie
-    handling: the split scan keeps the lowest feature and threshold, the
-    heap breaks equal gains by node creation order.  Leaf caps therefore
-    nest, so growing a larger tree only refines a smaller one.
+    Each feature's rows are sorted once, at the root.  An open leaf keeps
+    its rows and their per-feature ascending order ``(d, n_leaf)`` as
+    local indices; a split filters the parent's order by side, which
+    keeps it sorted, and renumbers it to the child's rows.  Deterministic
+    tie handling: the split scan keeps the lowest feature and threshold,
+    the heap breaks equal gains by node creation order.  Leaf caps
+    therefore nest, so growing a larger tree only refines a smaller one.
     """
-    d = X.shape[1]
-    nodes = [_Node(np.arange(X.shape[0], dtype=np.int64))]
+    feature, threshold, left, right = [-1], [0.0], [-1], [-1]
+    candidates, open_leaves = [], {}
+
+    def consider(node, rows, order):
+        f, t, g = kernels.best_split(X[rows], y[rows], MIN_SAMPLES_LEAF, order)
+        if g > MIN_SPLIT_GAIN:
+            heapq.heappush(candidates, (-g, node, f, t))
+            open_leaves[node] = rows, order
+
     if max_leaves > 1:
-        nodes[0].order = np.argsort(X, axis=0, kind="stable").T
-        feat, thresh, gain = kernels.best_split(X, y, MIN_SAMPLES_LEAF, nodes[0].order)
-        candidates = []
-        if feat >= 0 and gain > MIN_SPLIT_GAIN:
-            heapq.heappush(candidates, (-gain, 0, 0, feat, thresh))
-        n_leaves = 1
-        while n_leaves < max_leaves and candidates:
-            _, _, node_id, feat, thresh = heapq.heappop(candidates)
-            node = nodes[node_id]
-            node.feature = feat
-            node.threshold = thresh
-            node.left = len(nodes)
-            node.right = node.left + 1
-            goes_left = X[node.rows, feat] <= thresh
-            for side in (goes_left, ~goes_left):
-                # boolean indexing keeps each feature's sorted order
-                rank = np.cumsum(side) - 1
-                order = rank[node.order[side[node.order]]].reshape(d, -1)
-                nodes.append(_Node(node.rows[side], order))
-            node.rows = node.order = None
-            n_leaves += 1
-            for child_id in (node.left, node.right):
-                child = nodes[child_id]
-                f, t, g = kernels.best_split(
-                    X[child.rows], y[child.rows], MIN_SAMPLES_LEAF, child.order
-                )
-                if f >= 0 and g > MIN_SPLIT_GAIN:
-                    heapq.heappush(candidates, (-g, child_id, child_id, f, t))
-    feature = np.array([n.feature for n in nodes], dtype=np.int64)
-    threshold = np.array([n.threshold for n in nodes])
-    left = np.array([n.left for n in nodes], dtype=np.int64)
-    right = np.array([n.right for n in nodes], dtype=np.int64)
-    # preorder leaf numbering keeps region ids contiguous and stable
-    leaf_region = np.full(len(nodes), -1, dtype=np.int64)
-    stack, next_region = [0], 0
-    while stack:
-        node = stack.pop()
-        if feature[node] < 0:
-            leaf_region[node] = next_region
-            next_region += 1
-        else:
-            stack.append(right[node])
-            stack.append(left[node])
-    return TreeAssigner(feature, threshold, left, right, leaf_region, next_region)
+        consider(0, np.arange(X.shape[0]), np.argsort(X, axis=0, kind="stable").T)
+    n_leaves = 1
+    while n_leaves < max_leaves and candidates:
+        _, node, feat, thresh = heapq.heappop(candidates)
+        rows, order = open_leaves.pop(node)
+        feature[node], threshold[node] = feat, thresh
+        left[node], right[node] = len(feature), len(feature) + 1
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+        goes_left = X[rows, feat] <= thresh
+        for child, side in ((left[node], goes_left), (right[node], ~goes_left)):
+            # boolean indexing keeps each feature's sorted order
+            rank = np.cumsum(side) - 1
+            consider(child, rows[side], rank[order[side[order]]].reshape(X.shape[1], -1))
+        n_leaves += 1
+    return _tree(feature, threshold, left, right)
 
 
 def _fit_stump(X: np.ndarray, y: np.ndarray):
     """Best single split with both sides >= floor(n/2) samples."""
-    n = y.shape[0]
-    if n < 2:
+    feat, thresh, _ = kernels.best_split(X, y, max(y.shape[0] // 2, 1))
+    if feat < 0:
         return ONE_REGION
-    half = n // 2
-    left_counts = (half,) if n % 2 == 0 else (half, half + 1)
-    best = None
-    total = float(y.sum())
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        for l in left_counts:
-            if xs[l - 1] == xs[l]:
-                continue
-            lsum = float(ys[:l].sum())
-            rsum = total - lsum
-            gain = lsum * lsum / l + rsum * rsum / (n - l)
-            if best is None or gain > best[0]:
-                best = (gain, f, kernels.split_threshold(float(xs[l - 1]), float(xs[l])))
-    if best is None:
-        return ONE_REGION
-    _, f, thresh = best
-    feature = np.array([f, -1, -1], dtype=np.int64)
-    threshold = np.array([thresh, 0.0, 0.0])
-    left = np.array([1, -1, -1], dtype=np.int64)
-    right = np.array([2, -1, -1], dtype=np.int64)
-    leaf_region = np.array([-1, 0, 1], dtype=np.int64)
-    return TreeAssigner(feature, threshold, left, right, leaf_region, 2)
+    return _tree([feat, -1, -1], [thresh, 0.0, 0.0], [1, -1, -1], [2, -1, -1])
 
 
 def fit_partition(

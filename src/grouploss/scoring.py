@@ -249,11 +249,14 @@ def _decomposition(rule: ScoringRule, weights, scores, posteriors, classwise):
     for k, groups in enumerate(keys):
         group_w = np.bincount(groups, weights=w)
         c[:, k] = (np.bincount(groups, weights=w * q[:, k]) / group_w)[groups]
+    gl_terms = _d(rule, c, q)
     if rule.kind == "logloss":
-        _check_logloss_domain(s, c)
-        _check_logloss_domain(c, q)
+        # The exact CL is infinite exactly where s_k == 0 < q_k.  A mean c_k
+        # that underflowed to 0 under q_k > 0 leaves a GL term below 1e-320.
+        _check_logloss_domain(s, q)
+        gl_terms[c == 0.0] = 0.0
     cl = float(np.dot(w, np.sum(_d(rule, s, c), axis=1)))
-    gl = float(np.dot(w, np.sum(_d(rule, c, q), axis=1)))
+    gl = float(np.dot(w, np.sum(gl_terms, axis=1)))
     il = float(np.dot(w, -np.sum(_h(rule, q), axis=1)))
     # total computed independently by enumerating the label distribution
     if rule.kind == "brier":

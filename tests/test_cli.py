@@ -105,6 +105,16 @@ class TestEstimate:
         # checked before any work: no report reaches stdout either
         assert f"{flag} {missing}" in err and out == ""
 
+    def test_output_onto_a_directory_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "data.csv"
+        _two_region_csv(csv, n=400)
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        assert main(["estimate", str(csv), "--diagram-out", str(adir)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and f"--diagram-out {adir}: Is a directory" in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "option, message",
         [
@@ -428,15 +438,24 @@ class TestSweep:
         (["simulate", "--n", "100", "--oracle-n", "1000", "--summary-out", "missing/s.json"],
          "No such file or directory"),
         (["sweep", "--axis", "bins", "--values", "5,x"], "--values '5,x': 'x' is not an integer"),
+        (["sweep", "--axis", "bins", "--values", "5", "--n", "1000", "--repeats", "1",
+          "--oracle-n", "1000", "--out", "adir"], "--out adir: Is a directory"),
+        (["simulate", "--n", "100", "--oracle-n", "1000", "--out", "adir"],
+         "--out adir: Is a directory"),
+        (["simulate", "--n", "100", "--oracle-n", "1000", "--summary-out", "adir"],
+         "--summary-out adir: Is a directory"),
     ],
     ids=["sweep-bins-0", "sweep-n-5", "sweep-repeats-0", "sweep-oracle-n-0",
          "simulate-oracle-n-0", "simulate-n-negative", "sweep-kmeans-0",
          "sweep-seed-negative", "simulate-seed-negative", "sweep-out-missing-dir",
-         "simulate-out-missing-dir", "simulate-summary-out-missing-dir", "sweep-values-x"],
+         "simulate-out-missing-dir", "simulate-summary-out-missing-dir", "sweep-values-x",
+         "sweep-out-is-dir", "simulate-out-is-dir", "simulate-summary-out-is-dir"],
 )
 def test_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, message):
-    # relative output paths land under tmp_path, where "missing/" does not exist
+    # relative output paths land under tmp_path, where "missing/" does not
+    # exist and "adir/" is a directory
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"kind": "realistic"}))
     assert main([argv[0], str(spec), *argv[1:]]) == EXIT_INPUT

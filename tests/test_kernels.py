@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grouploss import kernels
+from grouploss.partition import Tree, _fit_stump, _grow_tree
 
 
 def _lowess_grid_reference(s, y, grid, k):
@@ -59,9 +60,9 @@ def _lowess_grid_reference(s, y, grid, k):
 def _best_split_reference(X, y, min_leaf):
     # Scalar scan of every threshold of every feature; a strictly larger
     # gain is required to replace the incumbent, so ties keep the lowest
-    # feature, then the lowest threshold.
+    # feature, then the lowest threshold.  Any boundary beats none.
     n, d = X.shape
-    best_gain = 0.0
+    best_gain = -np.inf
     best_feat = -1
     best_thresh = 0.0
     if n < 2 * min_leaf:
@@ -198,14 +199,22 @@ def test_best_split_min_leaf_bounds(n, min_leaf):
         assert _assert_split_matches_reference(X, y, min_leaf) == (0, min_leaf - 0.5)
 
 
-def test_best_split_without_gain_returns_no_split():
+def test_split_without_gain():
+    # The scan reports the best boundary whatever its gain; the tree's
+    # MIN_SPLIT_GAIN decides whether a split is worth taking.
     rng = np.random.default_rng(5)
     y = np.array([0.0, 1.0] * 5)
     assert kernels.best_split(np.full((10, 3), 2.0), y, 1) == (-1, 0.0, 0.0)
     X = rng.normal(size=(10, 3))
-    for constant in (np.zeros(10), np.ones(10)):  # every gain is exactly 0
-        assert kernels.best_split(X, constant, 1) == (-1, 0.0, 0.0)
     assert kernels.best_split(X, y, 6) == (-1, 0.0, 0.0)
+    lowest = kernels.split_threshold(*np.sort(X[:, 0])[:2])
+    for constant in (np.zeros(10), np.ones(10)):  # every gain is exactly 0
+        f, t, g = kernels.best_split(X, constant, 1)
+        assert (f, t) == (0, lowest)
+        assert g == 0.0
+        assert _grow_tree(X, constant, 10).n_regions == 1
+        assert Tree().fit(X, constant, 1, np.random.default_rng(0)).n_regions == 1
+        assert _fit_stump(X, constant).n_regions == 2
 
 
 def test_pav_monotone_and_mean_preserving():

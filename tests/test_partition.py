@@ -5,6 +5,7 @@ import heapq
 import numpy as np
 import pytest
 
+from grouploss import kernels
 from grouploss.binning import make_bins
 from grouploss.data import BinaryView, SplitIndex
 from grouploss.partition import (
@@ -90,6 +91,42 @@ def _grow_tree_reference(X, y, max_leaves):
             stack.append(right[node])
             stack.append(left[node])
     return feature, threshold, left, right, leaf_region, next_region
+
+
+def _fit_stump_reference(X, y):
+    # Tries each allowed left count of each feature's own sort; returns
+    # (feature, threshold, left, right, leaf_region, n_regions).
+    n = y.shape[0]
+    one_region = [-1], [0.0], [-1], [-1], [0], 1
+    if n < 2:
+        return one_region
+    half = n // 2
+    left_counts = (half,) if n % 2 == 0 else (half, half + 1)
+    best = None
+    total = float(y.sum())
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        for l in left_counts:
+            if xs[l - 1] == xs[l]:
+                continue
+            lsum = float(ys[:l].sum())
+            rsum = total - lsum
+            gain = lsum * lsum / l + rsum * rsum / (n - l)
+            if best is None or gain > best[0]:
+                best = (gain, f, kernels.split_threshold(float(xs[l - 1]), float(xs[l])))
+    if best is None:
+        return one_region
+    _, f, thresh = best
+    return [f, -1, -1], [thresh, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 1], 2
+
+
+def _assert_same_tree(tree, reference):
+    # reference: (feature, threshold, left, right, leaf_region, n_regions)
+    for name, expected in zip(("feature", "threshold", "left", "right", "leaf_region"), reference):
+        np.testing.assert_array_equal(getattr(tree, name), expected)
+    assert tree.n_regions == reference[-1]
 
 
 def _single_bin_setup(features, labels, n_train=None):
@@ -206,19 +243,26 @@ class TestTree:
                 q = 1 / (1 + np.exp(-2 * X[:, 0] + X[:, -1]))
                 y = (rng.uniform(size=n) < q).astype(float)
                 for cap in (1, 2, 5, n):
-                    tree = _grow_tree(X, y, cap)
-                    feature, threshold, left, right, leaf_region, n_regions = (
-                        _grow_tree_reference(X, y, cap)
-                    )
-                    np.testing.assert_array_equal(tree.feature, feature)
-                    np.testing.assert_array_equal(tree.threshold, threshold)
-                    np.testing.assert_array_equal(tree.left, left)
-                    np.testing.assert_array_equal(tree.right, right)
-                    np.testing.assert_array_equal(tree.leaf_region, leaf_region)
-                    assert tree.n_regions == n_regions
+                    _assert_same_tree(_grow_tree(X, y, cap), _grow_tree_reference(X, y, cap))
 
 
 class TestBalancedStump:
+    def test_matches_per_feature_reference(self):
+        rng = np.random.default_rng(26)
+        for n in [*range(1, 42), 1000, 1001]:
+            for d in (1, 2, 3):
+                for kind in ("continuous", "two-valued", "three-valued", "rounded"):
+                    if kind == "continuous":
+                        X = rng.normal(size=(n, d))
+                    elif kind == "rounded":
+                        X = np.round(rng.normal(size=(n, d)), 1)
+                    else:
+                        X = rng.integers(0, 2 if kind == "two-valued" else 3,
+                                         size=(n, d)).astype(float)
+                    for y in (np.zeros(n), np.ones(n),
+                              rng.integers(0, 2, n).astype(float)):
+                        _assert_same_tree(_fit_stump(X, y), _fit_stump_reference(X, y))
+
     def test_sign_split(self):
         rng = np.random.default_rng(8)
         x = np.concatenate([rng.uniform(-2, -0.05, 50), rng.uniform(0.05, 2, 50)])

@@ -229,6 +229,18 @@ class TestFiniteDecomposition:
         for key in ("total", "cl", "gl", "il"):
             assert classwise[key] == pytest.approx(standard[key], abs=1e-12)
 
+    def test_logloss_level_set_mean_underflow_stays_finite(self):
+        # c_0 = 5e-324 / 6 underflows to 0 under q_0 > 0; the exact GL is finite
+        w = np.full(6, 1 / 6)
+        s = np.full((6, 2), 0.5)
+        q = np.array([[5e-324, 1.0]] + [[0.0, 1.0]] * 5)
+        standard = finite_decomposition(LOG_LOSS, w, s, q)
+        classwise = finite_decomposition_classwise(LOG_LOSS, w, s, q)
+        assert all(np.isfinite(v) for v in standard.values())
+        total = standard["cl"] + standard["gl"] + standard["il"]
+        assert standard["total"] == pytest.approx(total, abs=1e-12)
+        assert classwise == standard
+
     def test_classwise_logloss_domain_error(self):
         with pytest.raises(ValueError, match="infinite"):
             finite_decomposition_classwise(
@@ -255,13 +267,7 @@ def _binary_instances(draw):
 @given(instance=_binary_instances())
 def test_classwise_equals_standard_on_two_classes(rule, instance):
     w, s, q = instance
-    try:
-        standard = finite_decomposition(rule, w, s, q)
-    except ValueError:
-        # a level-set mean underflowed to 0 under positive posterior mass
-        with pytest.raises(ValueError, match="infinite"):
-            finite_decomposition_classwise(rule, w, s, q)
-        return
+    standard = finite_decomposition(rule, w, s, q)
     classwise = finite_decomposition_classwise(rule, w, s, q)
     for key in ("total", "cl", "gl", "il"):
         assert classwise[key] == pytest.approx(standard[key], abs=1e-12)
