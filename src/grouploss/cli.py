@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -79,15 +79,7 @@ class RunConfig:
         parse_strategy(self.partition)
         if self.recalibrate not in ("none", "isotonic"):
             raise ValueError(f"recalibrate must be none or isotonic, got {self.recalibrate!r}")
-        if self.reduction != "auto" and self.reduction != "top-label":
-            if not self.reduction.startswith("classwise:"):
-                raise ValueError(f"unknown reduction: {self.reduction!r}")
-            try:
-                int(self.reduction.split(":", 1)[1])
-            except ValueError:
-                raise ValueError(
-                    f"reduction {self.reduction!r}: classwise:K needs an integer K"
-                ) from None
+        _parse_reduction(self.reduction)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 0.0 < self.bandwidth_fraction <= 1.0:
@@ -101,17 +93,25 @@ class RunConfig:
         return {**asdict(self), "split_fraction": 0.5}
 
 
+def _parse_reduction(name: str):
+    """The reduction ``name`` as a function from a dataset to its binary view."""
+    if name == "auto":
+        return lambda ds: (replace(classwise_slice(ds, 1), provenance="native")
+                           if ds.n_classes == 2 else top_label_reduce(ds))
+    if name == "top-label":
+        return top_label_reduce
+    if not name.startswith("classwise:"):
+        raise ValueError(f"unknown reduction: {name!r}")
+    try:
+        k = int(name.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"reduction {name!r}: classwise:K needs an integer K") from None
+    return lambda ds: classwise_slice(ds, k)
+
+
 def reduce_dataset(ds: LabeledDataset, reduction: str) -> BinaryView:
     """Resolve the configured reduction to a binary view."""
-    if reduction == "auto":
-        if ds.n_classes == 2:
-            bv = classwise_slice(ds, 1)
-            return BinaryView(bv.features, bv.score, bv.label, "native")
-        return top_label_reduce(ds)
-    if reduction == "top-label":
-        return top_label_reduce(ds)
-    k = int(reduction.split(":", 1)[1])
-    return classwise_slice(ds, k)
+    return _parse_reduction(reduction)(ds)
 
 
 def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
@@ -161,10 +161,12 @@ def _flag(name):
 
 
 def _require_out_dirs(args, *names):
-    """Reject an output path in a missing directory, or one that is a
-    directory, before any input is read."""
+    """Reject an empty output path, one in a missing directory, or one
+    that is a directory, before any input is read."""
     for name in names:
         path = getattr(args, name)
+        if path == "":
+            raise ValueError(f"{_flag(name)} '': the path is empty")
         parent = os.path.dirname(path or "") or "."
         if not os.path.isdir(parent):
             raise ValueError(f"{_flag(name)} {path}: No such file or directory: {parent!r}")
@@ -172,21 +174,17 @@ def _require_out_dirs(args, *names):
             raise ValueError(f"{_flag(name)} {path}: Is a directory")
 
 
+def _run_config(args) -> RunConfig:
+    """``RunConfig`` from the pipeline flags a command has; the rest default."""
+    given = vars(args)
+    return RunConfig(**{f.name: given[f.name] for f in fields(RunConfig) if f.name in given})
+
+
 def cmd_estimate(args) -> int:
     _require_out_dirs(args, "out", "diagram_out")
-    cfg = RunConfig(
-        rule=args.rule,
-        n_bins=args.bins,
-        region_ratio=args.region_ratio,
-        partition=args.partition,
-        recalibrate=args.recalibrate,
-        reduction=args.reduction,
-        seed=args.seed,
-        bandwidth_fraction=args.bandwidth,
-    )
-    report = run_pipeline(read_dataset_csv(args.input), cfg)
+    report = run_pipeline(read_dataset_csv(args.input), _run_config(args))
     _write_text(args.out, report.to_json())
-    if args.diagram_out:
+    if args.diagram_out is not None:
         _write_text(args.diagram_out, report.diagram_csv())
     if not math.isfinite(report.gl_explained):
         print("error: every bin is unestimable at this region ratio", file=sys.stderr)
@@ -208,18 +206,17 @@ def _require_positive(args, *names):
 def cmd_simulate(args) -> int:
     _require_out_dirs(args, "out", "summary_out")
     _require_positive(args, "n", "oracle_n")
-    if args.seed < 0:
-        raise ValueError("seed must be >= 0")
+    cfg = _run_config(args)
     sim = _load_simulator(args.spec)
-    ds, q_true = sample_realistic(sim, args.n, args.seed)
-    if args.out:
+    ds, q_true = sample_realistic(sim, args.n, cfg.seed)
+    if args.out is not None:
         write_dataset_csv(args.out, ds, q_true=q_true)
-    gl, cl = true_losses_monte_carlo(sim, RULES[args.rule], args.oracle_n, args.seed)
+    gl, cl = true_losses_monte_carlo(sim, cfg.scoring_rule(), args.oracle_n, cfg.seed)
     summary = {
         "spec": simulator_to_spec(sim),
-        "rule": args.rule,
+        "rule": cfg.rule,
         "n": args.n,
-        "seed": args.seed,
+        "seed": cfg.seed,
         "oracle_n": args.oracle_n,
         "gl_true": gl.value,
         "gl_true_se": gl.se,
@@ -260,20 +257,15 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args.values)
     if not values:
         raise ValueError("no sweep values given")
-    base = RunConfig(
-        rule=args.rule,
-        partition=args.partition,
-        seed=args.seed,
-        bandwidth_fraction=args.bandwidth,
-    )
-    key = "n_bins" if args.axis == "bins" else "region_ratio"
+    base = _run_config(args)
+    key = _FLAG_FIELDS.get(args.axis, args.axis)
     cfgs = [replace(base, **{key: value}) for value in values]
     rows = []
     for vi, (value, cfg) in enumerate(zip(values, cfgs)):
         lb, plugin, explained, induced = [], [], [], []
         dropped_any = False
         for r in range(args.repeats):
-            seed_r = _derived_seed(args.seed, vi, r)
+            seed_r = _derived_seed(base.seed, vi, r)
             ds, _ = sample_realistic(sim, args.n, seed_r)
             report = run_pipeline(ds, replace(cfg, seed=seed_r))
             # a repeat is degraded once regions too small to estimate hold a
@@ -291,7 +283,7 @@ def cmd_sweep(args) -> int:
         rows.append((f"{args.axis},{value},{moments}", f"{len(lb)},{int(dropped_any)}"))
     # the oracle has its own seed, so it can wait for the pipelines: a sweep
     # that fails exits before paying for it
-    oracle = true_gl_monte_carlo(sim, base.scoring_rule(), args.oracle_n, args.seed)
+    oracle = true_gl_monte_carlo(sim, base.scoring_rule(), args.oracle_n, base.seed)
     lines = [
         "axis,value,gl_lb,gl_lb_sd,gl_plugin,gl_plugin_sd,"
         "gl_explained,gl_explained_sd,gl_induced,gl_induced_sd,"
@@ -302,15 +294,26 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_pipeline_flags(p):
-    p.add_argument("--rule", default="brier", choices=tuple(RULES))
-    p.add_argument("--bins", type=int, default=15)
-    p.add_argument("--region-ratio", dest="region_ratio", type=int, default=30)
-    p.add_argument("--partition", default="tree")
-    p.add_argument("--recalibrate", default="none", choices=("none", "isotonic"))
-    p.add_argument("--reduction", default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bandwidth", type=float, default=0.3)
+# the pipeline flags named otherwise than their RunConfig field
+_FLAG_FIELDS = {"bins": "n_bins", "bandwidth": "bandwidth_fraction"}
+
+
+def _add_pipeline_flags(p, *names):
+    """One flag per name, typed and defaulted by its ``RunConfig`` field."""
+    by_name = {f.name: f for f in fields(RunConfig)}
+    for name in names:
+        f = by_name[_FLAG_FIELDS.get(name, name)]
+        p.add_argument(_flag(name), dest=f.name, metavar=name.upper(),
+                       type=f.type, default=f.default, help="default: %(default)s")
+
+
+def _add_simulator_flags(p, out_help):
+    """The spec and flags ``simulate`` and ``sweep`` share."""
+    p.add_argument("spec", help="simulator spec JSON")
+    p.add_argument("--n", type=int, default=10_000)
+    p.add_argument("--oracle-n", dest="oracle_n", type=int, default=200_000)
+    p.add_argument("--out", default=None, help=out_help)
+    _add_pipeline_flags(p, "rule", "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,33 +326,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate losses from a score CSV")
     est.add_argument("input", help="input CSV (see README for the layout)")
-    _add_pipeline_flags(est)
+    _add_pipeline_flags(est, "rule", "bins", "region_ratio", "partition",
+                        "recalibrate", "reduction", "seed", "bandwidth")
     est.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     est.add_argument("--diagram-out", dest="diagram_out", default=None)
     est.set_defaults(func=cmd_estimate)
 
     simp = sub.add_parser("simulate", help="sample an oracle dataset")
-    simp.add_argument("spec", help="simulator spec JSON")
-    simp.add_argument("--n", type=int, default=10_000)
-    simp.add_argument("--seed", type=int, default=0)
-    simp.add_argument("--rule", default="brier", choices=tuple(RULES))
-    simp.add_argument("--oracle-n", dest="oracle_n", type=int, default=200_000)
-    simp.add_argument("--out", default=None, help="dataset CSV path")
+    _add_simulator_flags(simp, "dataset CSV path")
     simp.add_argument("--summary-out", dest="summary_out", default=None)
     simp.set_defaults(func=cmd_simulate)
 
     sw = sub.add_parser("sweep", help="sweep bins or region ratio on a simulator")
-    sw.add_argument("spec", help="simulator spec JSON")
+    _add_simulator_flags(sw, "sweep CSV path (default: stdout)")
     sw.add_argument("--axis", required=True, choices=("bins", "region_ratio"))
     sw.add_argument("--values", required=True, help="comma-separated integers")
-    sw.add_argument("--n", type=int, default=10_000)
     sw.add_argument("--repeats", type=int, default=10)
-    sw.add_argument("--rule", default="brier", choices=tuple(RULES))
-    sw.add_argument("--partition", default="tree")
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--bandwidth", type=float, default=0.3)
-    sw.add_argument("--oracle-n", dest="oracle_n", type=int, default=200_000)
-    sw.add_argument("--out", default=None)
+    _add_pipeline_flags(sw, "partition", "bandwidth")
     sw.set_defaults(func=cmd_sweep)
     return parser
 

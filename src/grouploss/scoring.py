@@ -16,8 +16,10 @@ terms over the coordinates its input convention names:
   problem: ``p`` alone, so ``h(p) = -p(1-p)`` and its h-variance is the
   classical variance.
 * ``BRIER`` and ``LOG_LOSS`` on a positive-class probability ``p``:
-  ``(p, 1 - p)``.  Vector Brier on a binary problem is therefore twice
-  scalar Brier, up to rounding.
+  ``(p, 1 - p)``, in ``divergence``, ``negative_entropy``,
+  ``h_variance`` and the elementwise ``binary_*`` functions alike.
+  Vector Brier on a binary problem is therefore twice scalar Brier, up
+  to rounding.
 """
 
 from dataclasses import dataclass
@@ -33,7 +35,8 @@ class ScoringRule:
 
     ``binary_convention`` is only meaningful for the Brier rule: under
     ``"scalar"`` all inputs are positive-class probabilities, under
-    ``"vector"`` they are simplex vectors.
+    ``"vector"`` they are simplex vectors or positive-class
+    probabilities ``p`` read as ``(p, 1 - p)``.
     """
 
     kind: str
@@ -57,20 +60,19 @@ BRIER_SCALAR = ScoringRule("brier", "scalar")
 LOG_LOSS = ScoringRule("logloss")
 
 
-def _as_simplex(p, name="p"):
+def _probs(p, name, vectors):
+    """``p`` checked and clipped onto its domain: positive-class
+    probabilities in [0, 1] or, with ``vectors``, one simplex vector."""
     p = np.asarray(p, dtype=np.float64)
+    if not vectors:
+        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+            raise ValueError(f"{name} must lie in [0, 1], got {p}")
+        return np.clip(p, 0.0, 1.0)
     if p.ndim != 1:
         raise ValueError(f"{name} must be a 1-D probability vector")
     if np.any(p < -1e-12) or abs(p.sum() - 1.0) > _SIMPLEX_ATOL:
         raise ValueError(f"{name} is not on the probability simplex: {p}")
     return np.clip(p, 0.0, None)
-
-
-def _as_prob(p, name="p"):
-    p = float(p)
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    return min(max(p, 0.0), 1.0)
 
 
 def _h(rule: ScoringRule, p):
@@ -93,13 +95,25 @@ def _d(rule: ScoringRule, s, q):
         return np.where(pos, q * np.log(np.where(pos, q, 1.0) / s), 0.0)
 
 
-def _on_binary(term, rule: ScoringRule, *probs):
-    """``term`` summed over the coordinates of positive-class probabilities:
-    ``p`` alone under scalar Brier, else ``p`` then ``1 - p``."""
-    out = term(rule, *probs)
+def _coords(rule: ScoringRule, p, vectors):
+    """The coordinates ``rule`` sums over, one array each.
+
+    With ``vectors`` the last axis of ``p`` holds simplex vectors and the
+    coordinates are its columns; scalar Brier has no vector form and
+    rejects them.  Otherwise ``p`` holds positive-class probabilities:
+    ``(p,)`` under scalar Brier, ``(p, 1 - p)`` under every other rule.
+    """
     if rule.is_scalar:
-        return out
-    return out + term(rule, *(1.0 - p for p in probs))
+        if vectors:
+            raise ValueError("scalar Brier convention expects positive-class probabilities")
+        return (p,)
+    return tuple(p.T) if vectors else (p, 1.0 - p)
+
+
+def _summed(term, rule: ScoringRule, vectors, *probs):
+    """``term`` summed over the coordinates of ``probs``, one at a time."""
+    parts = [term(rule, *c) for c in zip(*(_coords(rule, p, vectors) for p in probs))]
+    return sum(parts[1:], parts[0])
 
 
 def _check_logloss_domain(s, q):
@@ -115,40 +129,39 @@ def divergence(rule: ScoringRule, s, q) -> float:
     positive reference mass is a domain error rather than a clamped
     finite value.
     """
-    if rule.is_scalar:
-        if np.ndim(s) != 0 or np.ndim(q) != 0:
-            raise ValueError("scalar Brier convention expects scalar inputs")
-        return _d(rule, _as_prob(s, "s"), _as_prob(q, "q"))
-    if rule.kind == "logloss" and np.ndim(s) == 0:
-        s = np.array([_as_prob(s, "s"), 1.0 - _as_prob(s, "s")])
-        q = np.array([_as_prob(q, "q"), 1.0 - _as_prob(q, "q")])
-    s = _as_simplex(s, "s")
-    q = _as_simplex(q, "q")
+    vectors = np.ndim(s) > 0
+    s = _probs(s, "s", vectors)
+    q = _probs(q, "q", vectors)
     if s.shape != q.shape:
         raise ValueError(f"dimension mismatch: {s.shape} vs {q.shape}")
     if rule.kind == "logloss":
-        _check_logloss_domain(s, q)
-    return float(np.sum(_d(rule, s, q)))
+        for cs, cq in zip(_coords(rule, s, vectors), _coords(rule, q, vectors)):
+            _check_logloss_domain(cs, cq)
+    return float(_summed(_d, rule, vectors, s, q))
 
 
 def negative_entropy(rule: ScoringRule, p):
     """Negative entropy ``h(p) = -s_phi(p, p)`` of the rule.
 
-    Convex on its domain.  For the scalar Brier convention ``p`` may be
-    an array; the formula applies elementwise.
+    Convex on its domain.  ``p`` is one point: a positive-class
+    probability or a simplex vector.  Scalar Brier reads every input as
+    positive-class probabilities, so there ``p`` may be an array and the
+    formula applies elementwise.
     """
-    if rule.is_scalar or (rule.kind == "logloss" and np.ndim(p) == 0):
-        out = _on_binary(_h, rule, np.asarray(p, dtype=np.float64))
-        return float(out) if out.ndim == 0 else out
-    return float(np.sum(_h(rule, _as_simplex(p))))
+    p = np.asarray(p, dtype=np.float64)
+    # a rule that reads positive-class p as two coordinates has a vector form
+    vectors = p.ndim > 0 and len(_coords(rule, p, False)) > 1
+    out = _summed(_h, rule, vectors, _probs(p, "p", vectors))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class WeightedProbSample:
     """Finite weighted collection of probability points.
 
-    ``points`` has shape ``(m,)`` (scalar convention) or ``(m, K)``;
-    ``weights`` are nonnegative and sum to one within 1e-12.
+    ``points`` has shape ``(m,)`` (positive-class probabilities) or
+    ``(m, K)`` (simplex vectors); ``weights`` are nonnegative and sum to
+    one within 1e-12.
     """
 
     points: np.ndarray
@@ -183,19 +196,11 @@ def h_variance(rule: ScoringRule, sample: WeightedProbSample) -> float:
     Nonnegative because ``h`` is convex; generalizes the variance (for
     the scalar Brier convention it *is* the classical variance).
     """
-    pts = sample.points
+    pts = np.clip(sample.points, 0.0, None)
     w = sample.weights
-    if pts.ndim == 1:
-        if rule.kind == "brier" and not rule.is_scalar:
-            raise ValueError("vector Brier convention expects (m, K) points")
-        mean = float(np.dot(w, pts))
-        h_vals = _on_binary(_h, rule, pts)
-    else:
-        if rule.is_scalar:
-            raise ValueError("scalar Brier convention expects (m,) points")
-        mean = pts.T @ w
-        h_vals = np.sum(_h(rule, np.clip(pts, 0.0, None)), axis=1)
-    return float(np.dot(w, h_vals) - negative_entropy(rule, mean))
+    vectors = pts.ndim == 2
+    h_vals = _summed(_h, rule, vectors, pts)
+    return float(np.dot(w, h_vals) - _summed(_h, rule, vectors, pts.T @ w))
 
 
 def binary_negative_entropy(rule: ScoringRule, p) -> np.ndarray:
@@ -205,7 +210,7 @@ def binary_negative_entropy(rule: ScoringRule, p) -> np.ndarray:
     the scalar one up to rounding; log-loss uses the two-outcome entropy
     with 0 log 0 = 0.
     """
-    return _on_binary(_h, rule, np.asarray(p, dtype=np.float64))
+    return _summed(_h, rule, False, np.asarray(p, dtype=np.float64))
 
 
 def binary_divergence(rule: ScoringRule, s, c) -> np.ndarray:
@@ -215,9 +220,7 @@ def binary_divergence(rule: ScoringRule, s, c) -> np.ndarray:
     :func:`binary_negative_entropy`.  Under log-loss a forecast on the
     boundary opposite positive reference mass yields ``inf``.
     """
-    s = np.asarray(s, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    return _on_binary(_d, rule, s, c)
+    return _summed(_d, rule, False, *(np.asarray(x, dtype=np.float64) for x in (s, c)))
 
 
 def _group_keys(rows: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ distortion can be attached to emit miscalibrated variants; it leaves
 level sets, and hence the grouping loss, unchanged.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -156,6 +156,9 @@ class RealisticSimulator(_Simulator):
         eig = np.asarray(self.sigma_eigenvalues, dtype=np.float64)
         if omega.shape != (self.d,) or perp.shape != (self.d,):
             raise ValueError("omega and omega_perp must have length d")
+        for key, v in (("omega", omega), ("omega_perp", perp)):
+            if not np.any(v):
+                raise ValueError(f"{key} must not be the zero vector")
         if abs(float(omega @ perp)) > 1e-10 * np.linalg.norm(omega) * np.linalg.norm(perp):
             raise ValueError("omega_perp must be orthogonal to omega")
         if eig.shape != (self.d,) or np.any(eig <= 0):
@@ -321,27 +324,22 @@ _KINDS = {"realistic": RealisticSimulator, "link1d": LinkSimulator1D}
 def simulator_to_spec(sim) -> dict:
     """``kind`` plus every dataclass field, tuples written as lists."""
     kind = {cls: k for k, cls in _KINDS.items()}[type(sim)]
-    fields = {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(sim).items()}
-    return {"kind": kind, **fields}
+    values = {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(sim).items()}
+    return {"kind": kind, **values}
 
 
 def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-_INTEGER = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-_NUMBERS = (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
-            "a list of numbers")
-_STRING = (lambda v: isinstance(v, str), "a string")
-_BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
-# per kind, the keys a spec may hold and the JSON type of each
-_SPEC_KEYS = {
-    "realistic": {
-        "d": _INTEGER, "omega": _NUMBERS, "omega_perp": _NUMBERS, "psi": _STRING,
-        "accuracy_preserving": _BOOLEAN, "sigma_eigenvalues": _NUMBERS,
-        "distortion": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    },
-    "link1d": {"link": _STRING, "accuracy_preserving": _BOOLEAN},
+# the JSON type a spec value must have, by the type of its field's default
+_JSON_TYPES = {
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    tuple: (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+            "a list of numbers"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    type(None): (lambda v: v is None or isinstance(v, str), "a string or null"),
 }
 
 
@@ -349,14 +347,15 @@ def simulator_from_spec(spec: dict):
     """Build a simulator from its JSON configuration.
 
     Only the keys ``simulator_to_spec`` writes for the kind are accepted,
-    each with its JSON type; anything else raises ``ValueError``.
+    each with the JSON type of its field's default; anything else raises
+    ``ValueError``.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("simulator spec must be an object with a 'kind' key")
     kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown simulator kind: {kind!r}")
-    types = _SPEC_KEYS[kind]
+    types = {f.name: _JSON_TYPES[type(f.default)] for f in fields(_KINDS[kind])}
     unknown = sorted(map(str, spec.keys() - {"kind", *types}))
     if unknown:
         raise ValueError(f"unknown {kind} simulator spec key(s): {', '.join(unknown)}")

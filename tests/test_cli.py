@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from grouploss.cli import EXIT_INPUT, EXIT_OK, EXIT_UNESTIMABLE, RunConfig, main, run_pipeline
+from grouploss.cli import (
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_UNESTIMABLE,
+    RunConfig,
+    _run_config,
+    build_parser,
+    main,
+    run_pipeline,
+)
 from grouploss.data import LabeledDataset, write_dataset_csv
 from grouploss.simulate import RealisticSimulator, default_realistic, sample_realistic
 
@@ -121,16 +130,22 @@ class TestEstimate:
             (["--partition", "kmeans:x"], "'kmeans:x'"),
             (["--reduction", "classwise:x"], "'classwise:x'"),
             (["--seed", "-1"], "seed must be >= 0"),
+            (["--rule", "x"], "rule must be brier or logloss, got 'x'"),
+            (["--recalibrate", "x"], "recalibrate must be none or isotonic, got 'x'"),
+            (["--out", ""], "--out '': the path is empty"),
+            (["--diagram-out", ""], "--diagram-out '': the path is empty"),
         ],
-        ids=["kmeans-x", "classwise-x", "seed-negative"],
+        ids=["kmeans-x", "classwise-x", "seed-negative", "rule-x", "recalibrate-x",
+             "out-empty", "diagram-out-empty"],
     )
     def test_bad_option_value_names_itself(self, tmp_path, capsys, option, message):
         csv = tmp_path / "data.csv"
         _two_region_csv(csv, n=200)
         assert main(["estimate", str(csv), *option]) == EXIT_INPUT
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error:") and message in err
         assert "invalid literal" not in err
+        assert out == ""
 
     def test_pipeline_bins_once(self, monkeypatch):
         from grouploss import cli
@@ -444,12 +459,21 @@ class TestSweep:
          "--out adir: Is a directory"),
         (["simulate", "--n", "100", "--oracle-n", "1000", "--summary-out", "adir"],
          "--summary-out adir: Is a directory"),
+        (["simulate", "--rule", "x"], "rule must be brier or logloss, got 'x'"),
+        (["sweep", "--axis", "bins", "--values", "5", "--rule", "x"],
+         "rule must be brier or logloss, got 'x'"),
+        (["simulate", "--out", ""], "--out '': the path is empty"),
+        (["simulate", "--summary-out", ""], "--summary-out '': the path is empty"),
+        (["sweep", "--axis", "bins", "--values", "5", "--out", ""],
+         "--out '': the path is empty"),
     ],
     ids=["sweep-bins-0", "sweep-n-5", "sweep-repeats-0", "sweep-oracle-n-0",
          "simulate-oracle-n-0", "simulate-n-negative", "sweep-kmeans-0",
          "sweep-seed-negative", "simulate-seed-negative", "sweep-out-missing-dir",
          "simulate-out-missing-dir", "simulate-summary-out-missing-dir", "sweep-values-x",
-         "sweep-out-is-dir", "simulate-out-is-dir", "simulate-summary-out-is-dir"],
+         "sweep-out-is-dir", "simulate-out-is-dir", "simulate-summary-out-is-dir",
+         "simulate-rule-x", "sweep-rule-x", "simulate-out-empty",
+         "simulate-summary-out-empty", "sweep-out-empty"],
 )
 def test_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # relative output paths land under tmp_path, where "missing/" does not
@@ -471,6 +495,10 @@ def test_split_fraction_is_echoed_but_not_settable():
 
 
 class TestParser:
+    def test_no_flags_give_the_default_config(self):
+        args = build_parser().parse_args(["estimate", "x.csv"])
+        assert _run_config(args) == RunConfig()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

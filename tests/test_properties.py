@@ -28,6 +28,7 @@ from grouploss.scoring import (
     binary_divergence,
     divergence,
     h_variance,
+    negative_entropy,
 )
 
 each_rule = pytest.mark.parametrize(
@@ -41,18 +42,32 @@ probs = st.floats(0.0, 1.0)
 @given(s=probs, c=probs)
 def test_binary_divergence_matches_divergence(rule, s, c):
     got = float(binary_divergence(rule, np.array([s]), np.array([c]))[0])
-    if rule.kind == "brier" and not rule.is_scalar:
-        args = (np.array([1.0 - s, s]), np.array([1.0 - c, c]))
-    else:
-        args = (s, c)
     try:
         with np.errstate(over="ignore"):
-            want = divergence(rule, *args)
+            want = divergence(rule, s, c)
     except ValueError:
         # log-loss: a zero forecast where the reference has mass
         assert rule.kind == "logloss" and got == math.inf
         return
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    if rule is BRIER:
+        # every point function reads a positive-class p as (p, 1 - p):
+        # the explicit vector form, and twice scalar Brier
+        def two(*ps):
+            return np.column_stack([ps, [1.0 - p for p in ps]])
+
+        half = np.array([0.5, 0.5])
+        cases = [
+            (want, divergence(BRIER, two(s)[0], two(c)[0]), divergence(BRIER_SCALAR, s, c)),
+            (negative_entropy(BRIER, s), negative_entropy(BRIER, two(s)[0]),
+             negative_entropy(BRIER_SCALAR, s)),
+            (h_variance(BRIER, WeightedProbSample(np.array([s, c]), half)),
+             h_variance(BRIER, WeightedProbSample(two(s, c), half)),
+             h_variance(BRIER_SCALAR, WeightedProbSample(np.array([s, c]), half))),
+        ]
+        for value, vector_form, scalar in cases:
+            assert value == pytest.approx(vector_form, abs=1e-15)
+            assert value == pytest.approx(2.0 * scalar, abs=1e-15)
 
 
 @st.composite

@@ -7,7 +7,6 @@ import pytest
 
 from grouploss.scoring import BRIER_SCALAR, LOG_LOSS
 from grouploss.simulate import (
-    _SPEC_KEYS,
     LinkSimulator1D,
     RealisticSimulator,
     default_realistic,
@@ -189,7 +188,15 @@ class TestSpecRoundTrip:
     @pytest.mark.parametrize("kind, cls", [("realistic", RealisticSimulator),
                                            ("link1d", LinkSimulator1D)])
     def test_spec_keys_are_the_dataclass_fields(self, kind, cls):
-        assert list(_SPEC_KEYS[kind]) == [f.name for f in fields(cls)]
+        # every field is accepted as a spec key, and nothing else is
+        full = simulator_to_spec(cls())
+        assert set(full) == {"kind", *(f.name for f in fields(cls))}
+        for key, value in full.items():
+            assert simulator_from_spec({"kind": kind, key: value}) == cls()
+        every_field = {f.name for c in (RealisticSimulator, LinkSimulator1D) for f in fields(c)}
+        for key in every_field - set(full) | {"bogus"}:
+            with pytest.raises(ValueError, match=f"unknown {kind} simulator spec key.*: {key}"):
+                simulator_from_spec({"kind": kind, key: None})
 
     def test_defaults_that_depend_on_d(self):
         sim = simulator_from_spec({"kind": "realistic", "d": 3})
@@ -224,3 +231,6 @@ class TestSpecRoundTrip:
             simulator_from_spec({"kind": "link1d", "link": {"name": "poly"}})
         with pytest.raises(ValueError, match="kind"):
             simulator_from_spec({"kind": ["realistic"]})
+        for key in ("omega", "omega_perp"):
+            with pytest.raises(ValueError, match=f"^{key} must not be the zero vector"):
+                simulator_from_spec({"kind": "realistic", key: [0, 0]})
