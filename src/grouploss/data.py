@@ -9,12 +9,17 @@ share the parent's feature matrix; they never copy it.
 
 import csv
 import math
+import os
+import stat
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 SCORE_ROW_ATOL = 1e-6
+_INT64 = np.iinfo(np.int64)
 WRITE_CHUNK_ROWS = 1 << 16
+SCAN_CHUNK_BYTES = 1 << 20
 
 
 class InputFormatError(ValueError):
@@ -245,6 +250,41 @@ def _records(fh):
         raise InputFormatError(f"line {line_end + 1}: {exc}") from None
 
 
+@dataclass(frozen=True)
+class _Header:
+    """Where a CSV's columns are: ``col`` maps each name to its field index."""
+
+    end: int
+    width: int
+    col: dict
+    score_cols: list
+    binary: bool
+    feature_cols: list
+
+
+def _read_header(records) -> _Header:
+    try:
+        _, header_end, header = next(records)
+    except StopIteration:
+        raise InputFormatError("line 1: empty file") from None
+    header = [h.strip() for h in header]
+    col = {name: i for i, name in enumerate(header)}
+    if "label" not in col:
+        raise InputFormatError("line 1: missing required column 'label'")
+    score_cols = _indexed_columns(col, "score_")
+    binary = not score_cols and "score" in col
+    if not score_cols and not binary:
+        raise InputFormatError("line 1: no score columns found")
+    if score_cols:
+        expected = [f"score_{i}" for i in range(len(score_cols))]
+        if score_cols != expected:
+            raise InputFormatError(
+                f"line 1: score columns must be contiguous score_0..score_{{K-1}}, got {score_cols}"
+            )
+    feature_cols = _indexed_columns(col, "feature_")
+    return _Header(header_end, len(header), col, score_cols, binary, feature_cols)
+
+
 def read_dataset_csv(path) -> LabeledDataset:
     """Load a dataset from CSV.
 
@@ -258,70 +298,140 @@ def read_dataset_csv(path) -> LabeledDataset:
     infinite scores and features, score entries below 0 or above 1 and
     fields the ``csv`` module rejects, raise :class:`InputFormatError`
     with the line number.
+
+    A regular file is parsed column-wise by ``np.loadtxt``.  Wherever
+    that fails (a malformed row, a quoted field, a non-numeric extra
+    column, a label numpy does not read as an integer), the row-wise
+    reader reads the file again from its start and gives the dataset or
+    the error.  Any other input (a pipe, a FIFO) is read once, row-wise.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        records = _records(fh)
-        try:
-            _, header_end, header = next(records)
-        except StopIteration:
-            raise InputFormatError("line 1: empty file") from None
-        header = [h.strip() for h in header]
-        col = {name: i for i, name in enumerate(header)}
-        if "label" not in col:
-            raise InputFormatError("line 1: missing required column 'label'")
-        score_cols = _indexed_columns(col, "score_")
-        binary = not score_cols and "score" in col
-        if not score_cols and not binary:
-            raise InputFormatError("line 1: no score columns found")
-        if score_cols:
-            expected = [f"score_{i}" for i in range(len(score_cols))]
-            if score_cols != expected:
-                raise InputFormatError(
-                    f"line 1: score columns must be contiguous score_0..score_{{K-1}}, got {score_cols}"
-                )
-        feature_cols = _indexed_columns(col, "feature_")
-        labels, scores, features, skipped_lines = [], [], [], []
-        for line_no, line_end, row in records:
-            if line_end > line_no:
-                skipped_lines.extend(range(line_no + 1, line_end + 1))
-            if not row:
-                skipped_lines.append(line_no)
-                continue
-            if len(row) != len(header):
-                raise InputFormatError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
+        if _plain_file(fh, csv.field_size_limit()):
+            head = _read_header(_records(fh))
             try:
-                labels.append(int(row[col["label"]]))
-            except ValueError:
-                raise InputFormatError(
-                    f"line {line_no}: column 'label' is not an integer: "
-                    f"{row[col['label']]!r}"
-                ) from None
-            if binary:
-                s = _parse_float(row[col["score"]], line_no, "score")
-                if not 0.0 <= s <= 1.0:
-                    raise InputFormatError(
-                        f"line {line_no}: score {s} outside [0, 1]"
-                    )
-                scores.append((1.0 - s, s))
-            else:
-                scores.append(
-                    tuple(
-                        _parse_float(row[col[c]], line_no, c) for c in score_cols
-                    )
-                )
-            features.append(
-                tuple(_parse_float(row[col[c]], line_no, c) for c in feature_cols)
+                return _read_columns(fh, head)
+            except (ValueError, Warning):  # every parse and validation failure
+                fh.seek(0)
+        return _read_rows(fh)
+
+
+def _plain_file(fh, limit: int) -> bool:
+    """Whether ``fh`` is a regular file with no line longer than ``limit``
+    bytes and no byte 0x1C-0x1F; a regular ``fh`` is left at its start.
+
+    numpy strips those ASCII separators around a number as whitespace,
+    and Python's ``int`` and ``float`` do not.  numpy has no field size
+    limit, and a field longer than the ``csv`` module's needs a line
+    longer than it.  Only a regular file can be read twice.
+    """
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return False
+    try:
+        run = 0  # bytes of the line that reaches into this chunk
+        while chunk := fh.buffer.read(SCAN_CHUNK_BYTES):
+            if any(sep in chunk for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                return False
+            start = 0
+            while (end := chunk.rfind(b"\n", start, start + limit + 1 - run)) >= 0:
+                start, run = end + 1, 0
+            run += len(chunk) - start
+            if run > limit:
+                return False
+        return True
+    finally:
+        fh.seek(0)
+
+
+def _read_columns(fh, head: _Header) -> LabeledDataset:
+    """Parse the CSV body after ``head`` with numpy, on a file ``_plain_file`` accepts.
+
+    On such text numpy reads a number only where Python's ``int`` or
+    ``float`` reads the same value.  It splits lines and fields as the
+    ``csv`` module does, except inside quotes; no number parses with a
+    quote in it, so a quoted field raises.  Rows of the wrong width
+    raise.  ``comments=None`` keeps ``#`` lines, which the row-wise
+    reader rejects.  Warnings (an empty body, a deprecated integer
+    parse) raise too.
+    """
+    label = head.col["label"]
+    dtype = [(f"c{i}", np.int64 if i == label else np.float64) for i in range(head.width)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    n = table.shape[0]
+    if n == 0:
+        raise ValueError("no data rows")
+
+    def columns(names):
+        out = np.empty((n, len(names)))
+        for j, name in enumerate(names):
+            out[:, j] = table[f"c{head.col[name]}"]
+        return out
+
+    if head.binary:
+        s = table[f"c{head.col['score']}"]
+        # a score outside [0, 1] leaves a negative entry, which LabeledDataset rejects
+        scores = np.column_stack((1.0 - s, s))
+    else:
+        scores = columns(head.score_cols)
+    # finiteness, the simplex and the label range are LabeledDataset's checks
+    labels = np.ascontiguousarray(table[f"c{label}"])
+    return LabeledDataset(columns(head.feature_cols), scores, labels)
+
+
+def _read_rows(fh) -> LabeledDataset:
+    """Row-wise reader of the open CSV ``fh``: the only source of the CSV error messages."""
+    records = _records(fh)
+    head = _read_header(records)
+    col, binary = head.col, head.binary
+    n_classes = 2 if binary else len(head.score_cols)
+    labels, scores, features, skipped_lines = [], [], [], []
+    for line_no, line_end, row in records:
+        if line_end > line_no:
+            skipped_lines.extend(range(line_no + 1, line_end + 1))
+        if not row:
+            skipped_lines.append(line_no)
+            continue
+        if len(row) != head.width:
+            raise InputFormatError(
+                f"line {line_no}: expected {head.width} fields, got {len(row)}"
             )
+        try:
+            label = int(row[col["label"]])
+        except ValueError:
+            raise InputFormatError(
+                f"line {line_no}: column 'label' is not an integer: "
+                f"{row[col['label']]!r}"
+            ) from None
+        if not _INT64.min <= label <= _INT64.max:
+            raise InputFormatError(
+                f"line {line_no}: label {label} out of range for {n_classes} classes"
+            )
+        labels.append(label)
+        if binary:
+            s = _parse_float(row[col["score"]], line_no, "score")
+            if not 0.0 <= s <= 1.0:
+                raise InputFormatError(
+                    f"line {line_no}: score {s} outside [0, 1]"
+                )
+            scores.append((1.0 - s, s))
+        else:
+            scores.append(
+                tuple(
+                    _parse_float(row[col[c]], line_no, c) for c in head.score_cols
+                )
+            )
+        features.append(
+            tuple(_parse_float(row[col[c]], line_no, c) for c in head.feature_cols)
+        )
     if not labels:
         raise InputFormatError("line 2: no data rows")
     n = len(labels)
-    feats = np.array(features, dtype=np.float64).reshape(n, len(feature_cols))
+    feats = np.array(features, dtype=np.float64).reshape(n, len(head.feature_cols))
     try:
         return LabeledDataset(feats, np.array(scores), np.array(labels))
     except DatasetRowError as exc:
-        line = header_end + 1 + exc.row
+        line = head.end + 1 + exc.row
         for skipped in skipped_lines:  # each line starting no record shifts it
             line += skipped <= line
         raise InputFormatError(f"line {line}: {exc.problem}") from None

@@ -67,18 +67,16 @@ class KMeans:
             else:
                 centers[j] = X[rng.choice(n, p=d2 / total)]
             d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+        x2, twice_x = _row_terms(X)  # they do not move with the centers
         for _ in range(KMEANS_MAX_ITER):
-            dist2 = _sq_distances(X, centers)
+            dist2 = _sq_distances(x2, twice_x, centers)
             assign = np.argmin(dist2, axis=1)
-            new_centers = centers.copy()
-            for j in range(k):
-                members = assign == j
-                if members.any():
-                    new_centers[j] = X[members].mean(axis=0)
-                else:
-                    # re-seed an empty cluster at the worst-served point
-                    worst = int(np.argmax(np.take_along_axis(dist2, assign[:, None], 1)))
-                    new_centers[j] = X[worst]
+            counts = np.bincount(assign, minlength=k)
+            new_centers = _cluster_means(X, assign, counts)
+            for j in np.flatnonzero(counts == 0):
+                # re-seed an empty cluster at the worst-served point
+                worst = int(np.argmax(np.take_along_axis(dist2, assign[:, None], 1)))
+                new_centers[j] = X[worst]
             movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
             centers = new_centers
             if movement < KMEANS_TOL:
@@ -151,13 +149,34 @@ def _tree(feature, threshold, left, right):
 ONE_REGION = _tree([-1], [0.0], [-1], [-1])
 
 
-def _sq_distances(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of each row to each center, ``(n, k)``."""
-    return (
-        np.sum(X * X, axis=1)[:, None]
-        - 2.0 * X @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
+def _row_terms(X: np.ndarray):
+    """The terms of ``_sq_distances`` that come from the rows of ``X`` alone."""
+    return np.sum(X * X, axis=1)[:, None], 2.0 * X
+
+
+def _sq_distances(x2: np.ndarray, twice_x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of each row to each center, ``(n, k)``,
+    from the rows' ``_row_terms``; fitting and assigning share it bit for bit."""
+    return x2 - twice_x @ centers.T + np.sum(centers * centers, axis=1)[None, :]
+
+
+def _cluster_means(X: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each cluster's rows of ``X``; rows of empty clusters are arbitrary.
+
+    Bit for bit ``X[assign == j].mean(axis=0)``: numpy reduces axis 0 of
+    a C-contiguous ``(m, d >= 2)`` block row by row, in the order
+    ``bincount`` adds, but sums a ``(m, 1)`` block pairwise.
+    """
+    k, d = counts.shape[0], X.shape[1]
+    if d == 1:
+        means = np.empty((k, 1))
+        for j in np.flatnonzero(counts):
+            means[j] = X[assign == j].mean(axis=0)
+        return means
+    sums = np.empty((k, d))
+    for f in range(d):
+        sums[:, f] = np.bincount(assign, weights=X[:, f], minlength=k)
+    return sums / np.maximum(counts, 1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -165,7 +184,7 @@ class CenterAssigner:
     centers: np.ndarray
 
     def assign(self, X: np.ndarray) -> np.ndarray:
-        return np.argmin(_sq_distances(X, self.centers), axis=1).astype(np.int64)
+        return np.argmin(_sq_distances(*_row_terms(X), self.centers), axis=1).astype(np.int64)
 
     @property
     def n_regions(self) -> int:

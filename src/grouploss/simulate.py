@@ -156,6 +156,9 @@ class RealisticSimulator(_Simulator):
         eig = np.asarray(self.sigma_eigenvalues, dtype=np.float64)
         if omega.shape != (self.d,) or perp.shape != (self.d,):
             raise ValueError("omega and omega_perp must have length d")
+        for key, v in (("omega", omega), ("omega_perp", perp), ("sigma_eigenvalues", eig)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{key} must be finite")
         for key, v in (("omega", omega), ("omega_perp", perp)):
             if not np.any(v):
                 raise ValueError(f"{key} must not be the zero vector")

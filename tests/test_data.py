@@ -1,5 +1,9 @@
 """Dataset construction, binary reductions, splitting, CSV round-trips."""
 
+import csv
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,14 @@ from grouploss.data import (
     top_label_reduce,
     write_dataset_csv,
 )
+
+
+def _outcome(path):
+    try:
+        ds = read_dataset_csv(path)
+    except InputFormatError as exc:
+        return type(exc), str(exc)
+    return ds.features, ds.scores, ds.labels
 
 
 def _toy_dataset():
@@ -214,16 +226,78 @@ class TestCsvIO:
             # the csv module's field size limit, in a record after a multi-line one
             ('label,score,note\n1,0.5,"a\nb"\n0,0.5,"' + "x" * 200_000 + '"\n',
              "line 4: field larger than field limit"),
+            # beyond int64: rejected before LabeledDataset converts it
+            ("label,score\n1,0.5\n99999999999999999999,0.5\n",
+             "line 3: label 99999999999999999999 out of range for 2 classes"),
         ],
         ids=["bad-header-index", "label-out-of-range", "off-simplex-row",
              "after-multiline-record", "label-after-multiline-record",
-             "negative-score-entry", "score-entry-above-one", "oversized-field"],
+             "negative-score-entry", "score-entry-above-one", "oversized-field",
+             "label-beyond-int64"],
     )
     def test_rejected_row_reports_its_line(self, tmp_path, text, message):
         path = tmp_path / "bad5.csv"
         path.write_text(text)
         with pytest.raises(InputFormatError, match=message):
             read_dataset_csv(path)
+
+    def test_plain_body_is_read_column_wise(self, tmp_path, monkeypatch):
+        def row_wise(fh):
+            raise AssertionError("row-wise reader called")
+
+        monkeypatch.setattr("grouploss.data._read_rows", row_wise)
+        path = tmp_path / "plain.csv"
+        path.write_bytes(b"label,score,feature_0,q_true\r\n1, 0.75,2.5,0\r\n\r\n+0,1,-1e3,1\r\n")
+        ds = read_dataset_csv(path)
+        np.testing.assert_array_equal(ds.scores, [[0.25, 0.75], [0.0, 1.0]])
+        np.testing.assert_array_equal(ds.features, [[2.5], [-1000.0]])
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+        # a quoted field, even a number, goes to the row-wise reader
+        path.write_text('label,score\n1,"0.5"\n')
+        with pytest.raises(AssertionError, match="row-wise"):
+            read_dataset_csv(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("tail", ["", '9,0.5,"1.5"\n'], ids=["valid", "bad-last-row"])
+    def test_pipe_gives_what_the_regular_file_gives(self, tmp_path, tail):
+        # as `estimate <(zcat data.csv.gz)`: a pipe can be read only once, and
+        # the text is far longer than one read-ahead chunk
+        text = "label,score,feature_0\n" + "1,0.25,1.5\n0,0.75,-2.5\n" * 2000 + tail
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        r, w = os.pipe()
+
+        def write():
+            with os.fdopen(w, "w") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            piped = _outcome(f"/dev/fd/{r}")
+        finally:
+            writer.join()
+            os.close(r)
+        regular = _outcome(path)
+        if tail:
+            assert piped == regular == (InputFormatError, "line 4002: label 9 out of range for 2 classes")
+        else:
+            assert piped[0].shape == (4000, 1)
+            for a, b in zip(piped, regular):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("text", ["1,0.5,0.00000000000000001\n",
+                                      "1,0.5,1\n" + "0" * 20 + ",0.5,1\n"])
+    def test_field_limit_holds_on_the_column_path(self, tmp_path, text):
+        # numpy has no field limit; a line longer than it takes the row-wise path
+        path = tmp_path / "long.csv"
+        path.write_text("label,score,feature_0\n" + text)
+        limit = csv.field_size_limit(16)
+        try:
+            with pytest.raises(InputFormatError, match=r"line \d: field larger than field limit \(16\)"):
+                read_dataset_csv(path)
+        finally:
+            csv.field_size_limit(limit)
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "bad3.csv"

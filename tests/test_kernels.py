@@ -57,6 +57,42 @@ def _lowess_grid_reference(s, y, grid, k):
     return out
 
 
+def _lowess_grid_numpy_reference(s, y, grid, k):
+    # The same fit with a fresh array per window pass.
+    n = s.shape[0]
+    out = np.empty(grid.shape[0])
+    lo = 0
+    for gi in range(grid.shape[0]):
+        g = grid[gi]
+        while lo + k < n and (s[lo + k] - g) < (g - s[lo]):
+            lo += 1
+        win_s = s[lo:lo + k]
+        win_y = y[lo:lo + k]
+        bw = max(g - win_s[0], win_s[-1] - g)
+        if bw <= 0.0:
+            out[gi] = win_y.mean()
+            continue
+        d = np.abs(win_s - g) / bw
+        w = (1.0 - d ** 3) ** 3
+        w[w < 0.0] = 0.0
+        sw = w.sum()
+        if sw <= 0.0:
+            out[gi] = win_y.mean()
+            continue
+        x = win_s - g
+        wx = w * x
+        swx = wx.sum()
+        swy = (w * win_y).sum()
+        swx2 = (wx * x).sum()
+        swxy = (wx * win_y).sum()
+        denom = sw * swx2 - swx * swx
+        if denom > kernels._DEGENERATE_REL * sw * swx2:
+            out[gi] = (swx2 * swy - swx * swxy) / denom
+        else:
+            out[gi] = swy / sw
+    return out
+
+
 def _best_split_reference(X, y, min_leaf):
     # Scalar scan of every threshold of every feature; a strictly larger
     # gain is required to replace the incumbent, so ties keep the lowest
@@ -114,9 +150,26 @@ def test_lowess_paths_agree():
         y = (rng.uniform(size=500) < scores).astype(float)
         grid = np.linspace(0, 1, 64)
         expected = _lowess_grid_reference(scores, y, grid, 150)
-        np.testing.assert_allclose(
-            kernels.lowess_grid(scores, y, grid, 150), expected, atol=1e-12
-        )
+        got = kernels.lowess_grid(scores, y, grid, 150)
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+        assert np.array_equal(got, _lowess_grid_numpy_reference(scores, y, grid, 150))
+
+
+@pytest.mark.parametrize("case", ["stock", "tied", "zero-bandwidth", "k-above-n"])
+def test_lowess_matches_numpy_reference_bitwise(case):
+    rng = np.random.default_rng(3)
+    s, k = {
+        "stock": (rng.uniform(size=20_000), 3_000),  # k in the thousands
+        "tied": (rng.integers(0, 40, size=20_000) / 39.0, 6_000),
+        # 6 rows per value: the window of 5 at each value has bw == 0
+        "zero-bandwidth": (np.repeat(np.linspace(0.0, 1.0, 5), 6), 5),
+        "k-above-n": (rng.uniform(size=50), 80),
+    }[case]
+    s = np.sort(s)
+    y = (rng.uniform(size=s.size) < s).astype(float)
+    for grid in (np.unique(s), np.linspace(s[0], s[-1], 300)):
+        assert np.array_equal(kernels.lowess_grid(s, y, grid, k),
+                              _lowess_grid_numpy_reference(s, y, grid, k))
 
 
 def test_best_split_paths_agree():

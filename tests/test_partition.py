@@ -9,6 +9,8 @@ from grouploss import kernels
 from grouploss.binning import make_bins
 from grouploss.data import BinaryView, SplitIndex
 from grouploss.partition import (
+    KMEANS_MAX_ITER,
+    KMEANS_TOL,
     MIN_SAMPLES_LEAF,
     MIN_SPLIT_GAIN,
     BalancedStump,
@@ -357,7 +359,56 @@ def test_split_between_neighbouring_doubles(fit, x, y):
     assert counts.min() >= MIN_SAMPLES_LEAF
 
 
+def _kmeans_centers_reference(X, k, rng):
+    # Lloyd step with one mask and one mean per cluster, after the same
+    # k-means++ seeding; an empty cluster moves to the worst-served row.
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[j] = X[rng.integers(n)]
+        else:
+            centers[j] = X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+    for _ in range(KMEANS_MAX_ITER):
+        dist2 = (
+            np.sum(X * X, axis=1)[:, None]
+            - 2.0 * X @ centers.T
+            + np.sum(centers * centers, axis=1)[None, :]
+        )
+        assign = np.argmin(dist2, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                new_centers[j] = X[members].mean(axis=0)
+            else:
+                worst = int(np.argmax(np.take_along_axis(dist2, assign[:, None], 1)))
+                new_centers[j] = X[worst]
+        movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
+        centers = new_centers
+        if movement < KMEANS_TOL:
+            break
+    return centers
+
+
 class TestKMeans:
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_matches_per_cluster_mean_reference(self, d):
+        rng = np.random.default_rng(20 + d)
+        cases = [(rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0), k)
+                 for n, k in [(40, 3), (700, 8), (5000, 8), (3000, 30)]]
+        # 3 distinct rows and 4 clusters: the fourth starts on a duplicate
+        # row, wins no ties and is re-seeded
+        cases.append((np.repeat(rng.normal(size=(3, d)), [5, 7, 9], axis=0), 4))
+        for X, k in cases:
+            expected = _kmeans_centers_reference(X, k, np.random.default_rng(7))
+            got = KMeans(k).fit(X, None, 30, np.random.default_rng(7)).centers
+            assert np.array_equal(got, expected)
+
     def test_two_separated_blobs(self):
         rng = np.random.default_rng(15)
         a = rng.normal(0.0, 1.0, size=(400, 2))

@@ -15,6 +15,7 @@ from grouploss.data import (
     BinaryView,
     LabeledDataset,
     SplitIndex,
+    _read_rows,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -224,3 +225,84 @@ def test_csv_round_trip(data):
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.scores, ds.scores)
     np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+# Edits a clean CSV gets: field texts that Python's int or float reads and
+# numpy may not (or back), padding, quoting, and lines of the wrong shape.
+_LABEL_TEXTS = ["2", "-1", "+1", "01", " 1", "1.0", "1e0", "1_0", "١",
+                "99999999999999999999", "x", ""]
+_NUMBER_TEXTS = ["nan", "inf", "-Infinity", "1e400", "1_0", "١", "0x1p-2", "", "x"]
+_PADS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003"]
+_LINES = ["", " ", "#", "# comment", '"', ","]
+
+
+@st.composite
+def csv_texts(draw):
+    """A valid CSV of the multiclass or binary layout with 0-3 edits."""
+    k = draw(st.sampled_from([0, 2, 3]))  # 0: the binary shortcut
+    d = draw(st.integers(0, 2))
+    names = ["label"] + ([f"score_{i}" for i in range(k)] if k else ["score"])
+    names += [f"feature_{j}" for j in range(d)] + (["note"] * draw(st.booleans()))
+    names = draw(st.permutations(names))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        p = draw(st.floats(0.0, 1.0))
+        fields = {"label": str(draw(st.integers(0, max(k, 2) - 1))),
+                  "note": draw(st.sampled_from(["a", "0.5", "1e-3"]))}
+        fields.update(zip([f"score_{i}" for i in range(k)] if k else ["score"],
+                          map(repr, [1.0 - p, p] + [0.0] * (k - 2) if k else [p])))
+        fields.update((f"feature_{j}", repr(draw(st.floats(-1e6, 1e6)))) for j in range(d))
+        rows.append([fields[name] for name in names])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        edit = draw(st.sampled_from(["text", "pad", "quote", "newline", "line", "width"]))
+        if edit == "text":
+            texts = _LABEL_TEXTS if j == names.index("label") else _NUMBER_TEXTS
+            rows[i][j] = draw(st.sampled_from(texts))
+        elif edit == "pad":
+            rows[i][j] = draw(st.sampled_from(_PADS)) + rows[i][j] + draw(st.sampled_from(_PADS))
+        elif edit == "quote":
+            rows[i][j] = f'"{rows[i][j]}"'
+        elif edit == "newline":  # a quoted field over two lines
+            rows[i][j] = f'"{rows[i][j]}\n"' if draw(st.booleans()) else '"a\nb"'
+        elif edit == "line":
+            rows.insert(i, [draw(st.sampled_from(_LINES))])
+        else:  # a missing or an extra field
+            drop = len(rows[i]) > 1 and draw(st.booleans())
+            rows[i] = rows[i][:-1] if drop else rows[i] + ["0"]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _read_row_wise(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _read_rows(fh)
+
+
+def _read_outcome(read, path):
+    try:
+        ds = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.features, ds.scores, ds.labels
+
+
+@settings(deadline=None, max_examples=400)
+@given(text=csv_texts())
+def test_column_and_row_readers_agree(text):
+    # bitwise-equal arrays, or the same error with the same message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        fast = _read_outcome(read_dataset_csv, path)
+        rows = _read_outcome(_read_row_wise, path)
+    assert type(fast[0]) is type(rows[0])
+    if isinstance(rows[0], np.ndarray):
+        for a, b in zip(fast, rows):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+            assert np.array_equal(a, b)
+    else:
+        assert fast == rows

@@ -1,5 +1,6 @@
 """Oracle simulators: calibration by construction, reference values."""
 
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -234,3 +235,10 @@ class TestSpecRoundTrip:
         for key in ("omega", "omega_perp"):
             with pytest.raises(ValueError, match=f"^{key} must not be the zero vector"):
                 simulator_from_spec({"kind": "realistic", key: [0, 0]})
+        # json reads the NaN and Infinity literals
+        for key, value in [("omega", "[NaN, 0]"), ("omega_perp", "[0, Infinity]"),
+                           ("sigma_eigenvalues", "[1, Infinity]"),
+                           ("sigma_eigenvalues", "[NaN, 1]")]:
+            spec = json.loads(f'{{"kind": "realistic", "{key}": {value}}}')
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                simulator_from_spec(spec)
