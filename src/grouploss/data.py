@@ -240,7 +240,7 @@ def _records(fh):
     the last one ended; a ``csv.Error`` becomes an :class:`InputFormatError`
     naming that line.
     """
-    reader = csv.reader(fh)
+    reader = csv.reader(_utf8_lines(fh))
     line_end = 0
     try:
         for row in reader:
@@ -248,6 +248,23 @@ def _records(fh):
             yield line_no, line_end, row
     except csv.Error as exc:
         raise InputFormatError(f"line {line_end + 1}: {exc}") from None
+
+
+def _utf8_lines(fh):
+    """The lines of ``fh``, rejecting a byte that is not UTF-8 with its line.
+
+    Files are decoded with ``errors="surrogateescape"``, which turns such
+    a byte into a lone surrogate instead of failing somewhere in a chunk
+    read ahead of the line being parsed.
+    """
+    for line_no, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise InputFormatError(f"line {line_no}: byte {byte:#04x} is not UTF-8") from None
+        yield line
 
 
 @dataclass(frozen=True)
@@ -288,7 +305,8 @@ def _read_header(records) -> _Header:
 def read_dataset_csv(path) -> LabeledDataset:
     """Load a dataset from CSV.
 
-    Two layouts are accepted (UTF-8, header row):
+    Two layouts are accepted (UTF-8, with or without a byte-order mark,
+    header row):
 
     * multiclass: ``label, score_0..score_{K-1}[, feature_0..feature_{d-1}]``
     * binary shortcut: ``label, score[, feature_*]`` where ``score`` is
@@ -296,8 +314,8 @@ def read_dataset_csv(path) -> LabeledDataset:
 
     Any extra columns are ignored.  Malformed rows, including NaN or
     infinite scores and features, score entries below 0 or above 1 and
-    fields the ``csv`` module rejects, raise :class:`InputFormatError`
-    with the line number.
+    fields the ``csv`` module rejects and bytes that are not UTF-8, raise
+    :class:`InputFormatError` with the line number.
 
     A regular file is parsed column-wise by ``np.loadtxt``.  Wherever
     that fails (a malformed row, a quoted field, a non-numeric extra
@@ -305,7 +323,8 @@ def read_dataset_csv(path) -> LabeledDataset:
     reader reads the file again from its start and gives the dataset or
     the error.  Any other input (a pipe, a FIFO) is read once, row-wise.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    # "utf-8-sig" drops a byte-order mark, as spreadsheet exports write it
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         if _plain_file(fh, csv.field_size_limit()):
             head = _read_header(_records(fh))
             try:

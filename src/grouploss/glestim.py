@@ -16,7 +16,8 @@ they satisfy ``explained = plugin - bias`` only to rounding (~1e-17).
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import betaincinv
@@ -325,7 +326,17 @@ class GroupingReport:
     metadata: dict
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self), sort_keys=True, indent=2) + "\n"
+        """``json.dumps(_jsonable(self), sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+        ``json.dumps`` indents in pure Python.  The bins, nearly all of the
+        text, are written here from one template per record instead; the
+        rest goes through ``json.dumps``.  Record fields hold the plain
+        scalars ``build_report`` puts there; any other value raises
+        ``TypeError``, as ``json.dumps`` does for types it cannot encode.
+        """
+        head = json.dumps(_jsonable(replace(self, bins=())), sort_keys=True, indent=2)
+        # "bins" sorts first among the fields
+        return head.replace('"bins": []', '"bins": ' + _json_bins(self.bins), 1) + "\n"
 
     def diagram_csv(self) -> str:
         lines = [
@@ -339,6 +350,80 @@ class GroupingReport:
                     f"{r.cp_lo!r},{r.cp_hi!r},{int(r.grayed)}"
                 )
         return "\n".join(lines) + "\n"
+
+
+def _record_template(cls, indent):
+    """Getters of a record's fields in sorted name order, and the record's
+    JSON text with ``%s`` for each value, as ``json.dumps`` writes it
+    ``indent`` spaces in."""
+    names = sorted(f.name for f in fields(cls))
+    pad = " " * (indent + 2)
+    lines = ",\n".join(f'{pad}"{name}": %s' for name in names)
+    return {name: attrgetter(name) for name in names}, "{\n" + lines + "\n" + " " * indent + "}"
+
+
+_REGION_FIELDS, _REGION_JSON = _record_template(RegionRecord, 8)
+_BIN_FIELDS, _BIN_JSON = _record_template(BinRecord, 4)
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_scalar(x) -> str:
+    """JSON text of ``_jsonable(x)`` for None, a bool, an int or a float."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    raise TypeError(f"not a plain JSON scalar: {type(x).__name__}")
+
+
+def _json_column(values) -> list:
+    """``_json_scalar`` of each value; a column of one type in one pass.
+
+    Region means and limits repeat a lot (small counts), so each distinct
+    float is written once.  ``-0.0 == 0.0``, so zeros are written one by one.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        text = {v: float.__repr__(v) for v in set(values)}
+        texts = list(map(text.__getitem__, values))
+        if 0.0 in text:
+            texts = [float.__repr__(v) if v == 0.0 else t for v, t in zip(values, texts)]
+        if all(map(math.isfinite, text)):
+            return texts
+    elif kinds == {int}:
+        return list(map(int.__repr__, values))
+    elif kinds == {bool}:
+        return list(map(_JSON_BOOL.__getitem__, values))
+    return list(map(_json_scalar, values))
+
+
+def _json_list(texts, indent) -> str:
+    """A JSON list of item texts, its closing bracket ``indent`` spaces in."""
+    if not texts:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(texts) + "\n" + " " * indent + "]"
+
+
+def _json_bins(bins) -> str:
+    """The JSON text of the ``bins`` field, the regions one field at a time."""
+    regions = [r for b in bins for r in b.regions]
+    columns = [_json_column(list(map(get, regions))) for get in _REGION_FIELDS.values()]
+    texts = [_REGION_JSON % row for row in zip(*columns)]
+    out, at = [], 0
+    for b in bins:
+        n = len(b.regions)
+        out.append(_BIN_JSON % tuple(
+            _json_list(texts[at:at + n], 6) if name == "regions" else _json_scalar(get(b))
+            for name, get in _BIN_FIELDS.items()))
+        at += n
+    return _json_list(out, 2)
 
 
 def _jsonable(x):

@@ -58,36 +58,92 @@ def best_split(X, y, min_leaf, order=None):
     """Greedy axis-aligned split minimizing squared loss, for 0/1 labels ``y``.
 
     ``order`` is each feature's ascending row order of ``X``, shape
-    ``(d, n)``; it is computed when not given.  All features are scanned
-    in one 2-D pass.  Returns ``(feature, threshold, gain)`` of the best
-    boundary between distinct values that leaves at least ``min_leaf``
-    rows on each side, whatever its gain, zero and negative included:
-    whether a split is worth taking is the caller's decision.  Returns
-    ``(-1, 0.0, 0.0)`` only when no boundary qualifies.  Gain ties keep
-    the lowest feature index, then the lowest threshold.  ``min_leaf``
-    must be at least 1.
+    ``(d, n)``; it is computed when not given.  Returns ``(feature,
+    threshold, gain)`` of the best boundary between distinct values that
+    leaves at least ``min_leaf`` rows on each side, whatever its gain,
+    zero and negative included: whether a split is worth taking is the
+    caller's decision.  Returns ``(-1, 0.0, 0.0)`` only when no boundary
+    qualifies.  Gain ties keep the lowest feature index, then the lowest
+    threshold.  ``min_leaf`` must be at least 1.  This is
+    ``best_splits`` on one segment.
     """
-    n, d = X.shape
-    if d == 0 or n < 2 * min_leaf:
-        return -1, 0.0, 0.0
+    n = X.shape[0]
     if order is None:
         order = np.argsort(X, axis=0, kind="stable").T
-    xs = X.T[np.arange(d)[:, None], order]
-    # Labels are 0/1, so every prefix sum at a boundary between distinct
-    # values is an exact integer, whatever the order within tied values.
-    cum = np.cumsum(y[order], axis=1)[:, :-1]
-    total = float(y.sum())
-    left_n = np.arange(1, n)
-    right = total - cum
-    gains = cum * cum / left_n + right * right / (n - left_n) - total * total / n
-    gains[xs[:, 1:] == xs[:, :-1]] = -np.inf
-    gains[:, :min_leaf - 1] = -np.inf
-    gains[:, n - min_leaf:] = -np.inf
-    # row-major argmax: lowest feature first, then lowest threshold
-    f, i = divmod(int(np.argmax(gains)), n - 1)
-    if gains[f, i] == -np.inf:
-        return -1, 0.0, 0.0
-    return f, split_threshold(float(xs[f, i]), float(xs[f, i + 1])), float(gains[f, i])
+    f, t, g = best_splits(X, y, order, np.array([n]), np.array([min_leaf]))
+    return int(f[0]), float(t[0]), float(g[0])
+
+
+def best_splits(X, y, order, sizes, min_leaf):
+    """``best_split`` of many row sets in one pass, for 0/1 labels ``y``.
+
+    The columns of ``order`` (shape ``(d, m)``, rows of ``X``) hold the
+    segments one after another: segment ``j`` has ``sizes[j]`` columns,
+    and each feature's row lists the segment's rows in ascending order
+    of that feature.  ``min_leaf`` is per segment, each at least 1.
+    Returns the arrays ``(feature, threshold, gain)``, one entry per
+    segment, with ``best_split``'s values and tie rule.  The gain is the
+    same elementwise expression on the same exact counts, so each entry
+    is bit for bit what a scan of that segment alone gives.
+    """
+    d, m = order.shape
+    k = sizes.shape[0]
+    if d == 0 or m == 0:
+        return np.full(k, -1), np.zeros(k), np.zeros(k)
+    if not sizes.all():  # scan the segments with rows
+        some = np.flatnonzero(sizes)
+        feature, threshold, gain = np.full(k, -1), np.zeros(k), np.zeros(k)
+        feature[some], threshold[some], gain[some] = best_splits(
+            X, y, order, sizes[some], min_leaf[some])
+        return feature, threshold, gain
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    cols = np.arange(m)
+    left_n = cols - starts.repeat(sizes)
+    left_n += 1
+    right_n = ends.repeat(sizes) - cols
+    right_n -= 1
+    too_small = np.minimum(left_n, right_n) < min_leaf.repeat(sizes)
+    # a segment's last column has no right side; too_small drops its gain
+    np.maximum(right_n, 1, out=right_n)
+    rows = np.asarray(order, dtype=np.intp)
+    at = rows * d
+    at += np.arange(d)[:, None]
+    xs = X.reshape(-1).take(at)
+    # Labels are 0/1, so every prefix sum is an exact integer, whatever the
+    # order within tied values, and a segment's own prefix sums are the
+    # running sum minus the segment's base.
+    cum = np.cumsum(y.take(rows), axis=1, dtype=np.float64)
+    run = cum[0].take(ends - 1)
+    base = np.concatenate(([0.0], run[:-1]))
+    total = run - base
+    right = run.repeat(sizes) - cum
+    cum -= base.repeat(sizes)
+    right *= right
+    right /= right_n
+    cum *= cum
+    cum /= left_n
+    cum += right
+    total *= total
+    total /= sizes
+    cum -= total.repeat(sizes)
+    gains = cum
+    gains[:, too_small] = -np.inf
+    gains[:, :-1][xs[:, 1:] == xs[:, :-1]] = -np.inf
+    # the first maximum in (feature, threshold) order: the lowest feature
+    # whose segment maximum is the largest, then its first column there
+    per_feature = np.maximum.reduceat(gains, starts, axis=1)
+    best = per_feature.max(axis=0)
+    f = (per_feature == best).argmax(axis=0)
+    at = f * m
+    hits = np.flatnonzero(gains.reshape(-1).take(at.repeat(sizes) + cols) == best.repeat(sizes))
+    at += hits.take(hits.searchsorted(starts))
+    lo = xs.reshape(-1).take(at)
+    hi = xs.reshape(-1).take(at + 1, mode="clip")
+    mid = 0.5 * (lo + hi)  # as split_threshold
+    found = best > -np.inf
+    return (np.where(found, f, -1), np.where(found, np.where(mid < hi, mid, lo), 0.0),
+            np.where(found, best, 0.0))
 
 
 def split_threshold(lo, hi):

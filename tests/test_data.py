@@ -27,6 +27,23 @@ def _outcome(path):
     return ds.features, ds.scores, ds.labels
 
 
+def _pipe_outcome(data: bytes):
+    # as `estimate <(zcat data.csv.gz)`: a pipe can be read only once
+    r, w = os.pipe()
+
+    def write():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return _outcome(f"/dev/fd/{r}")
+    finally:
+        writer.join()
+        os.close(r)
+
+
 def _toy_dataset():
     scores = np.array(
         [
@@ -260,24 +277,11 @@ class TestCsvIO:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("tail", ["", '9,0.5,"1.5"\n'], ids=["valid", "bad-last-row"])
     def test_pipe_gives_what_the_regular_file_gives(self, tmp_path, tail):
-        # as `estimate <(zcat data.csv.gz)`: a pipe can be read only once, and
         # the text is far longer than one read-ahead chunk
         text = "label,score,feature_0\n" + "1,0.25,1.5\n0,0.75,-2.5\n" * 2000 + tail
         path = tmp_path / "data.csv"
         path.write_text(text)
-        r, w = os.pipe()
-
-        def write():
-            with os.fdopen(w, "w") as fh:
-                fh.write(text)
-
-        writer = threading.Thread(target=write)
-        writer.start()
-        try:
-            piped = _outcome(f"/dev/fd/{r}")
-        finally:
-            writer.join()
-            os.close(r)
+        piped = _pipe_outcome(text.encode())
         regular = _outcome(path)
         if tail:
             assert piped == regular == (InputFormatError, "line 4002: label 9 out of range for 2 classes")
@@ -285,6 +289,44 @@ class TestCsvIO:
             assert piped[0].shape == (4000, 1)
             for a, b in zip(piped, regular):
                 np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("tail", ["", '1,0.5,"2.5"\n'], ids=["column-wise", "row-wise"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, monkeypatch, tail):
+        # spreadsheet "CSV UTF-8" exports start with the mark
+        text = ("label,score,feature_0\n" + "1,0.25,1.5\n0,0.75,-2.5\n" * 2000 + tail).encode()
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        want = _outcome(plain)
+        assert want[0].shape == (4000 + bool(tail), 1)
+        for got in (_outcome(marked), _pipe_outcome(b"\xef\xbb\xbf" + text)):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        if not tail:
+            def row_wise(fh):
+                raise AssertionError("row-wise reader called")
+
+            monkeypatch.setattr("grouploss.data._read_rows", row_wise)
+            np.testing.assert_array_equal(_outcome(marked)[0], want[0])
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"label,score,feature_0\n1,0.5,0.1\n0,0.4,0.2\xff\n", "line 3: byte 0xff is not UTF-8"),
+            # the physical line inside a quoted field that spans lines
+            (b'label,score,feature_0,note\n1,0.5,0.1,"a\r\nb\xfe"\n0,0.4,0.2,x\n',
+             "line 3: byte 0xfe is not UTF-8"),
+            # a multi-byte sequence cut short, in the header
+            (b"label,sc\xc3ore\n1,0.5\n", "line 1: byte 0xc3 is not UTF-8"),
+        ],
+        ids=["last-line", "inside-quoted-field", "header"],
+    )
+    def test_byte_not_utf8_names_its_line(self, tmp_path, data, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert _outcome(path) == _pipe_outcome(data) == (InputFormatError, message)
 
     @pytest.mark.parametrize("text", ["1,0.5,0.00000000000000001\n",
                                       "1,0.5,1\n" + "0" * 20 + ",0.5,1\n"])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from grouploss import kernels
-from grouploss.partition import Tree, _fit_stump, _grow_tree
+from grouploss.partition import Tree
+from test_partition import _fit_stump, _grow_tree
 
 
 def _lowess_grid_reference(s, y, grid, k):
@@ -266,7 +267,7 @@ def test_split_without_gain():
         assert (f, t) == (0, lowest)
         assert g == 0.0
         assert _grow_tree(X, constant, 10).n_regions == 1
-        assert Tree().fit(X, constant, 1, np.random.default_rng(0)).n_regions == 1
+        assert Tree().fit(X, constant, np.arange(10), np.array([0, 10]), 1, 0)[0].n_regions == 1
         assert _fit_stump(X, constant).n_regions == 2
 
 

@@ -16,12 +16,22 @@ from grouploss.partition import (
     BalancedStump,
     KMeans,
     Tree,
-    _fit_stump,
-    _grow_tree,
+    _grow_trees,
     assign_regions,
     fit_partition,
     parse_strategy,
 )
+
+
+def _grow_tree(X, y, max_leaves):
+    # the tree of one bin holding every row
+    n = X.shape[0]
+    return _grow_trees(X, y, np.arange(n), np.array([0, n]), [max_leaves])[0]
+
+
+def _fit_stump(X, y):
+    n = X.shape[0]
+    return BalancedStump().fit(X, y, np.arange(n), np.array([0, n]), 1, 0)[0]
 
 
 def _best_split_reference(X, y, min_leaf):
@@ -332,7 +342,7 @@ def test_fit_on_an_unsplittable_bin_gives_one_region(strategy):
     # identical rows: no split and no second center exists
     X = np.ones((10, 2))
     y = (np.arange(10) % 2).astype(float)
-    assigner = strategy.fit(X, y, 2, np.random.default_rng(0))
+    assigner = strategy.fit(X, y, np.arange(10), np.array([0, 10]), 2, 0)[0]
     assert assigner.n_regions == 1
     np.testing.assert_array_equal(assigner.assign(np.random.default_rng(1).normal(size=(7, 2))),
                                   np.zeros(7, dtype=np.int64))
@@ -405,8 +415,9 @@ class TestKMeans:
         # row, wins no ties and is re-seeded
         cases.append((np.repeat(rng.normal(size=(3, d)), [5, 7, 9], axis=0), 4))
         for X, k in cases:
-            expected = _kmeans_centers_reference(X, k, np.random.default_rng(7))
-            got = KMeans(k).fit(X, None, 30, np.random.default_rng(7)).centers
+            expected = _kmeans_centers_reference(X, k, np.random.default_rng([7, 0]))
+            n = X.shape[0]
+            got = KMeans(k).fit(X, None, np.arange(n), np.array([0, n]), 30, 7)[0].centers
             assert np.array_equal(got, expected)
 
     def test_two_separated_blobs(self):

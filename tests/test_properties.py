@@ -1,6 +1,7 @@
 """Property tests for the kernels the estimator and the oracle share, for
 invariants of the partition and the region table, and for CSV round trips."""
 
+import json
 import math
 import os
 import tempfile
@@ -19,8 +20,18 @@ from grouploss.data import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from grouploss.glestim import RegionStats, gl_explained_debiased, region_stats
-from grouploss.partition import _grow_tree
+from grouploss import kernels
+from grouploss.glestim import (
+    BinningBounds,
+    BinRecord,
+    GroupingReport,
+    RegionRecord,
+    RegionStats,
+    _jsonable,
+    gl_explained_debiased,
+    region_stats,
+)
+from grouploss.partition import BalancedStump, _grow_trees
 from grouploss.scoring import (
     BRIER,
     BRIER_SCALAR,
@@ -30,6 +41,14 @@ from grouploss.scoring import (
     divergence,
     h_variance,
     negative_entropy,
+)
+
+from test_kernels import _best_split_reference
+from test_partition import (
+    _assert_same_tree,
+    _fit_stump_reference,
+    _grow_tree,
+    _grow_tree_reference,
 )
 
 each_rule = pytest.mark.parametrize(
@@ -162,6 +181,146 @@ def test_leaf_caps_nest(data, cap):
     fine = _grow_tree(X, y, cap + 1).assign(X)
     for region in np.unique(fine):
         assert np.unique(coarse[fine == region]).size == 1
+
+
+@st.composite
+def binned_rows(draw):
+    """Features, 0/1 labels and some of the rows grouped into 0-5 bins.
+
+    Values lie on a grid of eighths, so midpoints are exact, and may be
+    few (ties) or repeat whole rows; bins hold 0 to 40 rows, some of them
+    one label only.
+    """
+    d = draw(st.integers(1, 4))
+    grid = st.integers(-2, 2) if draw(st.booleans()) else st.integers(-800, 800)
+    sizes = draw(st.lists(st.integers(0, 40) | st.integers(0, 3), max_size=5))
+    n = sum(sizes) + draw(st.integers(0, 5))  # rows in no bin too
+    X = np.array(draw(st.lists(grid, min_size=n * d, max_size=n * d)), dtype=float).reshape(n, d) / 8
+    if n and draw(st.booleans()):  # duplicated rows
+        X = X[np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))]
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    rows = np.array(draw(st.permutations(range(n))), dtype=np.int64)[:sum(sizes)]
+    offsets = np.cumsum([0] + sizes)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        if draw(st.booleans()):  # a pure bin
+            y[rows[lo:hi]] = draw(st.integers(0, 1))
+    return X, y, rows, offsets
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=binned_rows(), caps=st.data())
+def test_trees_grown_together_match_each_bin_alone(data, caps):
+    X, y, rows, offsets = data
+    sizes = np.diff(offsets)
+    caps = [caps.draw(st.integers(1, max(int(m), 1))) for m in sizes]
+    trees = _grow_trees(X, y, rows, offsets, caps)
+    assert len(trees) == len(caps)
+    for tree, lo, hi, cap in zip(trees, offsets[:-1], offsets[1:], caps):
+        bin_rows = rows[lo:hi]
+        _assert_same_tree(tree, _grow_tree_reference(X[bin_rows], y[bin_rows], cap))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=binned_rows(), leaves=st.data())
+def test_segmented_scan_matches_each_segment_alone(data, leaves):
+    X, y, rows, offsets = data
+    sizes = np.diff(offsets)
+    min_leaf = np.array([leaves.draw(st.integers(1, 4)) for _ in sizes], dtype=np.int64)
+    order = np.concatenate(
+        [rows[lo:hi][np.argsort(X[rows[lo:hi]], axis=0, kind="stable").T]
+         for lo, hi in zip(offsets[:-1], offsets[1:])] + [np.empty((X.shape[1], 0), np.int64)],
+        axis=1)
+    feats, threshs, gains = kernels.best_splits(X, y, order, sizes, min_leaf)
+    for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        Xj, yj = X[rows[lo:hi]], y[rows[lo:hi]]
+        alone = kernels.best_split(Xj, yj, int(min_leaf[j]))
+        assert (feats[j], threshs[j], gains[j]) == alone
+        f, t, g = _best_split_reference(Xj, yj, int(min_leaf[j]))
+        assert feats[j] == f
+        if f >= 0:
+            assert threshs[j] == t and gains[j] == pytest.approx(g, abs=1e-10)
+    stumps = BalancedStump().fit(X, y, rows, offsets, 30, 0)
+    for stump, lo, hi in zip(stumps, offsets[:-1], offsets[1:]):
+        _assert_same_tree(stump, _fit_stump_reference(X[rows[lo:hi]], y[rows[lo:hi]]))
+
+
+def _assign_reference(tree, X):
+    # the depth-first walk that sends each node's rows to its children
+    out = np.empty(X.shape[0], dtype=np.int64)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if tree.feature[node] < 0:
+            out[rows] = tree.leaf_region[node]
+            continue
+        mask = X[rows, tree.feature[node]] <= tree.threshold[node]
+        stack.append((tree.right[node], rows[~mask]))
+        stack.append((tree.left[node], rows[mask]))
+    return out
+
+
+@settings(deadline=None)
+@given(data=tree_inputs(), cap=st.integers(1, 30), queries=st.data())
+def test_level_wise_assignment_matches_the_walk(data, cap, queries):
+    X, y = data
+    tree = _grow_tree(X, y, cap)
+    # the fitted rows, values on either side of each threshold, and new rows
+    Q = np.concatenate([X, X + 0.5, X - 0.5, np.array(queries.draw(st.lists(
+        st.lists(st.floats(-1e3, 1e3), min_size=X.shape[1], max_size=X.shape[1]),
+        max_size=5))).reshape(-1, X.shape[1])])
+    np.testing.assert_array_equal(tree.assign(Q), _assign_reference(tree, Q))
+    assert tree.assign(Q[:0]).shape == (0,)
+
+
+json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | st.floats().map(np.float64)
+json_scalars = json_floats | st.integers(-10**20, 10**20) | st.booleans() | st.none()
+
+
+@st.composite
+def reports(draw):
+    """Grouping reports of random values, non-finite floats among them."""
+    def region(i):
+        return RegionRecord(i, draw(json_floats), draw(st.integers(0, 10**6)), draw(json_floats),
+                            draw(json_floats), draw(st.booleans()))
+
+    bins = tuple(
+        BinRecord(b, draw(json_floats), draw(json_floats), draw(json_floats), draw(json_floats),
+                  draw(st.integers(0, 10**6)), draw(st.booleans()),
+                  tuple(region(i) for i in range(draw(st.integers(0, 4)))))
+        for b in range(draw(st.integers(0, 4))))
+    bounds = draw(st.none() | st.builds(BinningBounds, *[json_floats] * 6))
+    names = [f.name for f in GroupingReport.__dataclass_fields__.values()]
+    values = {name: draw(json_scalars) for name in names}
+    values.update(
+        config={"rule": draw(st.text()), "n_bins": draw(st.integers()), "x": draw(json_floats)},
+        metadata={"provenance": draw(st.text()), "é": draw(json_scalars)},
+        unestimable_bins=tuple(draw(st.lists(st.integers(0, 20)))),
+        low_confidence_bins=tuple(draw(st.lists(st.integers(0, 20)))),
+        bounds=bounds, bins=bins)
+    return GroupingReport(**values)
+
+
+@settings(deadline=None, max_examples=300)
+@given(report=reports())
+def test_report_json_matches_the_json_module(report):
+    assert report.to_json() == json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+
+
+def test_report_json_keeps_signed_zeros_apart():
+    # equal floats share one text, but -0.0 == 0.0 are written apart
+    values = [0.0, -0.0, 0.5, 0.5, -0.0, math.nan, math.inf, 0.0]
+    regions = tuple(RegionRecord(i, v, 3, -v, v, i % 2 == 0) for i, v in enumerate(values))
+    for regions in (regions, regions[:5]):  # with and without non-finite values
+        report = GroupingReport(
+            config={}, n_rows=1, n_train=1, n_test=1, cl_binned=0.0, cl_infinite=False,
+            gl_plugin=-0.0, gl_bias=0.0, gl_explained=0.0, gl_induced=0.0, gl_lower_bound=0.0,
+            gl_explained_clipped=0.0, gl_lower_bound_clipped=0.0, debiased=True,
+            unestimable_bins=(), low_confidence_bins=(0,), estimable_test_fraction=1.0,
+            dropped_test_fraction=0.0, bounds=None, mse_lower_bound=None,
+            bins=(BinRecord(0, -0.0, 0.5, 0.25, 0.0, 8, True, regions),), metadata={})
+        text = report.to_json()
+        assert text == json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        assert '"cp_lo": -0.0' in text and '"cp_lo": 0.0' in text
 
 
 @st.composite
