@@ -1,5 +1,6 @@
-"""Hot numeric inner loops: calibration-curve fit, tree split scan and
-isotonic pooling, each as one plain numpy/Python implementation."""
+"""Hot numeric inner loops, each as one plain numpy/Python implementation:
+the calibration-curve fit, isotonic pooling, and ``best_splits``, the one
+split scan of the tree and the stump, which holds the one threshold rule."""
 
 import numpy as np
 
@@ -54,45 +55,27 @@ def lowess_grid(s, y, grid, k):
     return out
 
 
-def best_split(X, y, min_leaf, order=None):
-    """Greedy axis-aligned split minimizing squared loss, for 0/1 labels ``y``.
-
-    ``order`` is each feature's ascending row order of ``X``, shape
-    ``(d, n)``; it is computed when not given.  Returns ``(feature,
-    threshold, gain)`` of the best boundary between distinct values that
-    leaves at least ``min_leaf`` rows on each side, whatever its gain,
-    zero and negative included: whether a split is worth taking is the
-    caller's decision.  Returns ``(-1, 0.0, 0.0)`` only when no boundary
-    qualifies.  Gain ties keep the lowest feature index, then the lowest
-    threshold.  ``min_leaf`` must be at least 1.  This is
-    ``best_splits`` on one segment.
-    """
-    n = X.shape[0]
-    if order is None:
-        order = np.argsort(X, axis=0, kind="stable").T
-    f, t, g = best_splits(X, y, order, np.array([n]), np.array([min_leaf]))
-    return int(f[0]), float(t[0]), float(g[0])
-
-
 def best_splits(X, y, order, sizes, min_leaf):
-    """``best_split`` of many row sets in one pass, for 0/1 labels ``y``.
+    """Greedy axis-aligned split minimizing squared loss of each of many
+    row sets, in one pass, for 0/1 labels ``y``.
 
     The columns of ``order`` (shape ``(d, m)``, rows of ``X``) hold the
     segments one after another: segment ``j`` has ``sizes[j]`` columns,
     and each feature's row lists the segment's rows in ascending order
-    of that feature.  ``min_leaf`` is per segment, each at least 1.
-    Returns the arrays ``(feature, threshold, gain)``, one entry per
-    segment, with ``best_split``'s values and tie rule.  The gain is the
-    same elementwise expression on the same exact counts, so each entry
-    is bit for bit what a scan of that segment alone gives.
+    of that feature.  Returns the arrays ``(feature, threshold, gain)``:
+    per segment, the best boundary between distinct values that leaves
+    at least ``min_leaf[j] >= 1`` rows on each side, whatever its gain
+    (taking it is the caller's decision), or ``(-1, 0.0, -inf)`` if none
+    does.  Ties keep the lowest feature, then the lowest threshold.  Each
+    entry is bit for bit what a scan of that segment alone gives.
     """
     d, m = order.shape
     k = sizes.shape[0]
     if d == 0 or m == 0:
-        return np.full(k, -1), np.zeros(k), np.zeros(k)
+        return np.full(k, -1), np.zeros(k), np.full(k, -np.inf)
     if not sizes.all():  # scan the segments with rows
         some = np.flatnonzero(sizes)
-        feature, threshold, gain = np.full(k, -1), np.zeros(k), np.zeros(k)
+        feature, threshold, gain = np.full(k, -1), np.zeros(k), np.full(k, -np.inf)
         feature[some], threshold[some], gain[some] = best_splits(
             X, y, order, sizes[some], min_leaf[some])
         return feature, threshold, gain
@@ -140,20 +123,11 @@ def best_splits(X, y, order, sizes, min_leaf):
     at += hits.take(hits.searchsorted(starts))
     lo = xs.reshape(-1).take(at)
     hi = xs.reshape(-1).take(at + 1, mode="clip")
-    mid = 0.5 * (lo + hi)  # as split_threshold
+    # halved first, so no finite values overflow; if the midpoint rounds
+    # up to ``hi`` (neighbouring doubles), ``lo`` still separates them
+    mid = 0.5 * lo + 0.5 * hi
     found = best > -np.inf
-    return (np.where(found, f, -1), np.where(found, np.where(mid < hi, mid, lo), 0.0),
-            np.where(found, best, 0.0))
-
-
-def split_threshold(lo, hi):
-    """Threshold between adjacent distinct values ``lo < hi``.
-
-    The midpoint, unless it rounds up to ``hi`` (as for neighbouring
-    doubles): then ``lo``, so ``x <= threshold`` still separates them.
-    """
-    mid = 0.5 * (lo + hi)
-    return mid if mid < hi else lo
+    return np.where(found, f, -1), np.where(found, np.where(mid < hi, mid, lo), 0.0), best
 
 
 def pav(values, weights):

@@ -33,23 +33,17 @@ class Tree:
 
     def fit(self, X, y, rows, offsets, region_ratio, seed):
         caps = np.maximum(np.diff(offsets) // region_ratio, 1)
-        return _grow_trees(X, y, rows, offsets, caps)
+        return _grow_trees(X, y, rows, offsets, caps, MIN_SAMPLES_LEAF, MIN_SPLIT_GAIN)
 
 
 @dataclass(frozen=True)
 class BalancedStump:
-    """One split with at least floor(n/2) train samples on each side."""
+    """One split with at least floor(n/2) train samples on each side: the
+    tree grower capped at two leaves, taking any qualifying boundary."""
 
     def fit(self, X, y, rows, offsets, region_ratio, seed):
-        sizes = np.diff(offsets)
-        order = _presorted(X, rows, offsets)
-        feats, threshs = np.empty_like(sizes), np.empty(sizes.shape[0])
-        for lo, hi in _chunks(sizes, X.shape[1]):
-            feats[lo:hi], threshs[lo:hi], _ = kernels.best_splits(
-                X, y, order[:, offsets[lo]:offsets[hi]], sizes[lo:hi],
-                np.maximum(sizes[lo:hi] // 2, 1))
-        return [ONE_REGION if f < 0 else _tree([f, -1, -1], [t, 0.0, 0.0], [1, -1, -1], [2, -1, -1])
-                for f, t in zip(feats.tolist(), threshs.tolist())]
+        min_leaf = np.maximum(np.diff(offsets) // 2, 1)
+        return _grow_trees(X, y, rows, offsets, np.full(min_leaf.shape[0], 2), min_leaf, -np.inf)
 
 
 @dataclass(frozen=True)
@@ -63,6 +57,11 @@ class KMeans:
             raise ValueError(f"k-means needs k >= 1, got {self.k}")
 
     def fit(self, X, y, rows, offsets, region_ratio, seed):
+        # every squared distance (fit and assign) and seeding total is at
+        # most 4 * X.size * amax**2; past that they overflow to inf silently
+        amax = max(float(X.max(initial=0.0)), -float(X.min(initial=0.0)))
+        if not 4.0 * X.size * amax * amax < np.inf:
+            raise ValueError(f"k-means: features up to {amax:.3g} overflow squared distances")
         assigners = []
         for b in range(offsets.shape[0] - 1):
             Xb = X[rows[offsets[b]:offsets[b + 1]]]
@@ -217,11 +216,14 @@ class PartitionModel:
     assigners: tuple
 
 
-def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndarray, caps):
+def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndarray, caps,
+                min_leaf, min_gain):
     """Best-first CART growth of one tree per group of rows, all in lockstep.
 
     Group ``g`` owns ``rows[offsets[g]:offsets[g + 1]]`` and grows to at
-    most ``caps[g]`` leaves, always splitting its largest-gain candidate.
+    most ``caps[g]`` leaves, always splitting its largest-gain candidate:
+    a boundary with ``min_leaf`` rows (one or per group) on each side and
+    gain above ``min_gain``.  A group at its cap is scanned no more.
     The groups are independent, so each round splits the top candidate
     of every group at once and scans all the new children in one
     ``kernels.best_splits`` call; each tree is the one that group grows
@@ -235,6 +237,7 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndar
     """
     n_groups, d = len(caps), X.shape[1]
     caps = list(caps)
+    min_leaf = np.broadcast_to(min_leaf, (n_groups,))
     order = _presorted(X, rows, offsets)
     went_left = np.zeros(X.shape[0], dtype=bool)
     trees = [([-1], [0.0], [-1], [-1]) for _ in range(n_groups)]
@@ -243,12 +246,11 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndar
 
     def consider(groups, nodes, starts, sizes, block):
         """Scan the leaves whose columns ``block`` holds; queue their splits."""
-        feats, threshs, gains = kernels.best_splits(
-            X, y, block, sizes, np.full(sizes.shape[0], MIN_SAMPLES_LEAF))
+        feats, threshs, gains = kernels.best_splits(X, y, block, sizes, min_leaf.take(groups))
         for g, node, start, size, f, t, gain in zip(
                 groups.tolist(), nodes.tolist(), starts.tolist(), sizes.tolist(),
                 feats.tolist(), threshs.tolist(), gains.tolist()):
-            if gain > MIN_SPLIT_GAIN:
+            if gain > min_gain:
                 heapq.heappush(candidates[g], (-gain, node, f, t, start, size))
 
     roots = np.flatnonzero(np.asarray(caps) > 1)
@@ -270,7 +272,8 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndar
                 left += [-1, -1]
                 right += [-1, -1]
                 n_leaves[g] += 1
-                popped.append((g, left[node], f, t, start, size))
+                if n_leaves[g] < caps[g]:
+                    popped.append((g, left[node], f, t, start, size))
         if not popped:
             break
         for lo, hi in _chunks([p[-1] for p in popped], d):

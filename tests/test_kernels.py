@@ -5,7 +5,7 @@ import pytest
 
 from grouploss import kernels
 from grouploss.partition import Tree
-from test_partition import _fit_stump, _grow_tree
+from test_partition import _fit_stump, _grow_tree, _midpoint
 
 
 def _lowess_grid_reference(s, y, grid, k):
@@ -129,13 +129,21 @@ def _best_split_reference(X, y, min_leaf):
             if gain > best_gain:
                 best_gain = gain
                 best_feat = f
-                best_thresh = 0.5 * (lv + rv)
+                best_thresh = _midpoint(lv, rv)
     return best_feat, best_thresh, best_gain
+
+
+def _best_split(X, y, min_leaf, order=None):
+    # kernels.best_splits on one segment of all rows
+    if order is None:
+        order = np.argsort(X, axis=0, kind="stable").T
+    f, t, g = kernels.best_splits(X, y, order, np.array([X.shape[0]]), np.array([min_leaf]))
+    return int(f[0]), float(t[0]), float(g[0])
 
 
 def _assert_split_matches_reference(X, y, min_leaf):
     fa, ta, ga = _best_split_reference(X, y, min_leaf)
-    fb, tb, gb = kernels.best_split(X, y, min_leaf)
+    fb, tb, gb = _best_split(X, y, min_leaf)
     assert fa == fb
     if fa >= 0:
         assert ta == tb
@@ -198,16 +206,16 @@ def test_best_split_paths_agree():
     y = (x >= 7).astype(float)
     for twin in (x, -x):  # both features gain the same
         assert _assert_split_matches_reference(np.column_stack([x, twin]), y, 2) == (0, 6.5)
-        assert kernels.best_split(np.column_stack([twin, x]), y, 2)[0] == 0
+        assert _best_split(np.column_stack([twin, x]), y, 2)[0] == 0
 
 
 def test_best_split_respects_min_leaf():
     X = np.arange(5, dtype=float)[:, None]
     y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-    f, t, g = kernels.best_split(X, y, 3)
+    f, t, g = _best_split(X, y, 3)
     assert f == -1  # no split leaves 3 samples on both sides of 5
 
-    f, t, g = kernels.best_split(X, y, 2)
+    f, t, g = _best_split(X, y, 2)
     assert f == 0 and 1.0 < t < 3.0 and g > 0
 
 
@@ -222,12 +230,12 @@ def test_best_split_given_order_matches_computed():
             else:
                 X = rng.integers(0, distinct, size=(n, d)).astype(float)
             y = rng.integers(0, 2, n).astype(float)
-            expected = kernels.best_split(X, y, 2)
+            expected = _best_split(X, y, 2)
             stable = np.argsort(X, axis=0, kind="stable").T
-            assert kernels.best_split(X, y, 2, stable) == expected
+            assert _best_split(X, y, 2, stable) == expected
             # any ascending order will do: tied rows in reverse
             reverse = np.array([np.lexsort((-np.arange(n), X[:, f])) for f in range(d)])
-            assert kernels.best_split(X, y, 2, reverse) == expected
+            assert _best_split(X, y, 2, reverse) == expected
 
 
 @pytest.mark.parametrize(
@@ -258,12 +266,12 @@ def test_split_without_gain():
     # MIN_SPLIT_GAIN decides whether a split is worth taking.
     rng = np.random.default_rng(5)
     y = np.array([0.0, 1.0] * 5)
-    assert kernels.best_split(np.full((10, 3), 2.0), y, 1) == (-1, 0.0, 0.0)
+    assert _best_split(np.full((10, 3), 2.0), y, 1) == (-1, 0.0, -np.inf)
     X = rng.normal(size=(10, 3))
-    assert kernels.best_split(X, y, 6) == (-1, 0.0, 0.0)
-    lowest = kernels.split_threshold(*np.sort(X[:, 0])[:2])
+    assert _best_split(X, y, 6) == (-1, 0.0, -np.inf)
+    lowest = _midpoint(*np.sort(X[:, 0])[:2])
     for constant in (np.zeros(10), np.ones(10)):  # every gain is exactly 0
-        f, t, g = kernels.best_split(X, constant, 1)
+        f, t, g = _best_split(X, constant, 1)
         assert (f, t) == (0, lowest)
         assert g == 0.0
         assert _grow_tree(X, constant, 10).n_regions == 1

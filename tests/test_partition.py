@@ -26,12 +26,20 @@ from grouploss.partition import (
 def _grow_tree(X, y, max_leaves):
     # the tree of one bin holding every row
     n = X.shape[0]
-    return _grow_trees(X, y, np.arange(n), np.array([0, n]), [max_leaves])[0]
+    return _grow_trees(X, y, np.arange(n), np.array([0, n]), [max_leaves], MIN_SAMPLES_LEAF,
+                       MIN_SPLIT_GAIN)[0]
 
 
 def _fit_stump(X, y):
     n = X.shape[0]
     return BalancedStump().fit(X, y, np.arange(n), np.array([0, n]), 1, 0)[0]
+
+
+def _midpoint(lo, hi):
+    # the threshold between values lo < hi: their midpoint, halved first so
+    # finite values cannot overflow, or lo where it rounds up to hi
+    mid = 0.5 * lo + 0.5 * hi
+    return mid if mid < hi else lo
 
 
 def _best_split_reference(X, y, min_leaf):
@@ -61,7 +69,7 @@ def _best_split_reference(X, y, min_leaf):
         if gains[i] > best_gain:
             best_gain = float(gains[i])
             best_feat = f
-            best_thresh = 0.5 * float(xs[i] + xs[i + 1])
+            best_thresh = _midpoint(float(xs[i]), float(xs[i + 1]))
     return best_feat, best_thresh, best_gain
 
 
@@ -127,7 +135,7 @@ def _fit_stump_reference(X, y):
             rsum = total - lsum
             gain = lsum * lsum / l + rsum * rsum / (n - l)
             if best is None or gain > best[0]:
-                best = (gain, f, kernels.split_threshold(float(xs[l - 1]), float(xs[l])))
+                best = (gain, f, _midpoint(float(xs[l - 1]), float(xs[l])))
     if best is None:
         return one_region
     _, f, thresh = best
@@ -350,15 +358,26 @@ def test_fit_on_an_unsplittable_bin_gives_one_region(strategy):
 
 # neighbouring doubles, whose midpoint rounds up to the larger one
 _A, _B = 1 + 2**-52, 1 + 2**-51
+# values whose sum overflows, to -inf and to +inf
+_LOW, _HIGH = [-1.7e308, -1.7e308, -1e308, -1e308], [1e308, 1e308, 1.7e308, 1.7e308]
+
+
+def _grow_two_leaves(X, y):
+    return _grow_tree(X, y, 2)
 
 
 @pytest.mark.parametrize(
     "fit, x, y",
     [
-        (lambda X, y: _grow_tree(X, y, 2), [_A, _A, _B, _B, _B], [0, 0, 1, 1, 1]),
+        (_grow_two_leaves, [_A, _A, _B, _B, _B], [0, 0, 1, 1, 1]),
         (_fit_stump, [_A, _A, _B, _B], [0, 0, 1, 1]),
+        (_grow_two_leaves, _LOW, [0, 0, 1, 1]),
+        (_fit_stump, _LOW, [0, 0, 1, 1]),
+        (_grow_two_leaves, _HIGH, [0, 0, 1, 1]),
+        (_fit_stump, _HIGH, [0, 0, 1, 1]),
     ],
-    ids=["tree", "stump"],
+    ids=["tree", "stump", "tree-sum-below-min", "stump-sum-below-min", "tree-sum-above-max",
+         "stump-sum-above-max"],
 )
 def test_split_between_neighbouring_doubles(fit, x, y):
     X = np.array(x)[:, None]
@@ -367,6 +386,30 @@ def test_split_between_neighbouring_doubles(fit, x, y):
     assert model.n_regions == 2
     assert (counts > 0).all()
     assert counts.min() >= MIN_SAMPLES_LEAF
+
+
+def test_stump_scans_one_segment_per_bin(monkeypatch):
+    # a stump never splits its children, so it never scans them
+    segments = []
+    scan = kernels.best_splits
+
+    def counting_scan(X, y, order, sizes, min_leaf):
+        # the scan calls itself on the segments with rows: count only this call
+        segments.append(sizes.shape[0])
+        monkeypatch.setattr(kernels, "best_splits", scan)
+        try:
+            return scan(X, y, order, sizes, min_leaf)
+        finally:
+            monkeypatch.setattr(kernels, "best_splits", counting_scan)
+
+    monkeypatch.setattr(kernels, "best_splits", counting_scan)
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(400, 3))
+    y = rng.integers(0, 2, 400).astype(float)
+    offsets = np.array([0, 0, 1, 3, 60, 400])  # empty, one-row and larger bins
+    stumps = BalancedStump().fit(X, y, rng.permutation(400), offsets, 30, 0)
+    assert sum(segments) == 5
+    assert [stump.n_regions for stump in stumps] == [1, 1, 2, 2, 2]
 
 
 def _kmeans_centers_reference(X, k, rng):
@@ -452,6 +495,18 @@ class TestKMeans:
         model = fit_partition(bview, bv.features, bv.label, split, KMeans(k=5), 30, seed=19)
         assign = model.assigners[0].assign(bv.features)
         assert assign.max() < 3
+
+    def test_rejects_features_whose_squared_distances_overflow(self):
+        # two clusters about 1e149 apart near 1e160: every squared row norm
+        # is inf, which would put all rows in one cluster
+        base = np.repeat([[0.0], [1.0]], 50, axis=0) + np.random.default_rng(21).normal(
+            size=(100, 2)) * 1e-3
+        X = 1e160 * (1 + base * 1e-12)
+        rows, offsets = np.arange(100), np.array([0, 100])
+        with pytest.raises(ValueError, match="k-means"):
+            KMeans(2).fit(X, None, rows, offsets, 30, 0)
+        # 4 * 200 values * (1e150)**2 is finite: accepted
+        assert KMeans(2).fit(X / 1e10, None, rows, offsets, 30, 0)[0].n_regions == 2
 
 
 class TestAssignRegions:

@@ -31,7 +31,7 @@ from grouploss.glestim import (
     gl_explained_debiased,
     region_stats,
 )
-from grouploss.partition import BalancedStump, _grow_trees
+from grouploss.partition import MIN_SAMPLES_LEAF, MIN_SPLIT_GAIN, BalancedStump, Tree, _grow_trees
 from grouploss.scoring import (
     BRIER,
     BRIER_SCALAR,
@@ -43,7 +43,7 @@ from grouploss.scoring import (
     negative_entropy,
 )
 
-from test_kernels import _best_split_reference
+from test_kernels import _best_split, _best_split_reference
 from test_partition import (
     _assert_same_tree,
     _fit_stump_reference,
@@ -183,19 +183,26 @@ def test_leaf_caps_nest(data, cap):
         assert np.unique(coarse[fine == region]).size == 1
 
 
+# values whose sum overflows, whose halves round to zero, or that tie at zero
+_EXTREMES = [sign * v for v in (1.7976931348623157e308, 1e308, 5e-324, 0.0) for sign in (1, -1)]
+
+
 @st.composite
 def binned_rows(draw):
     """Features, 0/1 labels and some of the rows grouped into 0-5 bins.
 
     Values lie on a grid of eighths, so midpoints are exact, and may be
-    few (ties) or repeat whole rows; bins hold 0 to 40 rows, some of them
-    one label only.
+    few (ties) or repeat whole rows; in some draws they also take the
+    ``_EXTREMES``.  Bins hold 0 to 40 rows, some of them one label only.
     """
     d = draw(st.integers(1, 4))
     grid = st.integers(-2, 2) if draw(st.booleans()) else st.integers(-800, 800)
+    values = grid.map(lambda i: i / 8)
+    if draw(st.booleans()):
+        values = values | st.sampled_from(_EXTREMES)
     sizes = draw(st.lists(st.integers(0, 40) | st.integers(0, 3), max_size=5))
     n = sum(sizes) + draw(st.integers(0, 5))  # rows in no bin too
-    X = np.array(draw(st.lists(grid, min_size=n * d, max_size=n * d)), dtype=float).reshape(n, d) / 8
+    X = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d)), dtype=float).reshape(n, d)
     if n and draw(st.booleans()):  # duplicated rows
         X = X[np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))]
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
@@ -213,7 +220,7 @@ def test_trees_grown_together_match_each_bin_alone(data, caps):
     X, y, rows, offsets = data
     sizes = np.diff(offsets)
     caps = [caps.draw(st.integers(1, max(int(m), 1))) for m in sizes]
-    trees = _grow_trees(X, y, rows, offsets, caps)
+    trees = _grow_trees(X, y, rows, offsets, caps, MIN_SAMPLES_LEAF, MIN_SPLIT_GAIN)
     assert len(trees) == len(caps)
     for tree, lo, hi, cap in zip(trees, offsets[:-1], offsets[1:], caps):
         bin_rows = rows[lo:hi]
@@ -233,7 +240,7 @@ def test_segmented_scan_matches_each_segment_alone(data, leaves):
     feats, threshs, gains = kernels.best_splits(X, y, order, sizes, min_leaf)
     for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
         Xj, yj = X[rows[lo:hi]], y[rows[lo:hi]]
-        alone = kernels.best_split(Xj, yj, int(min_leaf[j]))
+        alone = _best_split(Xj, yj, int(min_leaf[j]))
         assert (feats[j], threshs[j], gains[j]) == alone
         f, t, g = _best_split_reference(Xj, yj, int(min_leaf[j]))
         assert feats[j] == f
@@ -242,6 +249,24 @@ def test_segmented_scan_matches_each_segment_alone(data, leaves):
     stumps = BalancedStump().fit(X, y, rows, offsets, 30, 0)
     for stump, lo, hi in zip(stumps, offsets[:-1], offsets[1:]):
         _assert_same_tree(stump, _fit_stump_reference(X[rows[lo:hi]], y[rows[lo:hi]]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=binned_rows(), ratio=st.integers(1, 8))
+def test_train_rows_land_in_the_leaves_the_scan_made(data, ratio):
+    # Each bin's train rows, sent back through its fitted tree or stump,
+    # give every leaf at least min_leaf rows, as the scan counted them:
+    # a threshold outside the scanned boundary leaves a leaf short.
+    X, y, rows, offsets = data
+    sizes = np.diff(offsets)
+    for strategy, min_leaf in ((Tree(), np.full(sizes.shape, MIN_SAMPLES_LEAF)),
+                               (BalancedStump(), sizes // 2)):
+        assigners = strategy.fit(X, y, rows, offsets, ratio, 0)
+        for assigner, lo, hi, m in zip(assigners, offsets[:-1], offsets[1:], min_leaf):
+            counts = np.bincount(assigner.assign(X[rows[lo:hi]]), minlength=assigner.n_regions)
+            assert counts.shape[0] == assigner.n_regions
+            if assigner.n_regions > 1:
+                assert counts.min() >= m
 
 
 def _assign_reference(tree, X):
