@@ -339,17 +339,33 @@ class GroupingReport:
         return head.replace('"bins": []', '"bins": ' + _json_bins(self.bins), 1) + "\n"
 
     def diagram_csv(self) -> str:
-        lines = [
-            "bin_index,s_lo,s_hi,S_B,c_hat,n_bin,region_index,mu_hat,n_region,cp_lo,cp_hi,grayed"
-        ]
-        for b in self.bins:
-            for r in b.regions:
-                lines.append(
-                    f"{b.bin_index},{b.s_lo!r},{b.s_hi!r},{b.s_mean!r},{b.c_hat!r},"
-                    f"{b.n_bin},{r.region_index},{r.mu_hat!r},{r.n_region},"
-                    f"{r.cp_lo!r},{r.cp_hi!r},{int(r.grayed)}"
-                )
-        return "\n".join(lines) + "\n"
+        """The grouping-diagram table, one line per region under
+        ``_DIAGRAM_HEADER``, each float as ``repr`` writes it (``nan`` and
+        ``inf`` included).  Written a column at a time, like ``to_json``."""
+        bins = self.bins
+        regions = [r for b in bins for r in b.regions]
+        bin_texts = [",".join(row) for row in zip(
+            map(format, _column(bins, "bin_index")),
+            *(_csv_column(_column(bins, name)) for name in ("s_lo", "s_hi", "s_mean", "c_hat")),
+            map(format, _column(bins, "n_bin")),
+        )]
+        tails = [",".join(row) for row in zip(
+            map(format, _column(regions, "region_index")),
+            _csv_column(_column(regions, "mu_hat")),
+            map(format, _column(regions, "n_region")),
+            _csv_column(_column(regions, "cp_lo")),
+            _csv_column(_column(regions, "cp_hi")),
+            [format(int(g)) for g in _column(regions, "grayed")],
+        )]
+        heads = [text for text, b in zip(bin_texts, bins) for _ in b.regions]
+        return "\n".join([_DIAGRAM_HEADER, *map(",".join, zip(heads, tails))]) + "\n"
+
+
+_DIAGRAM_HEADER = "bin_index,s_lo,s_hi,S_B,c_hat,n_bin,region_index,mu_hat,n_region,cp_lo,cp_hi,grayed"
+
+
+def _column(records, name) -> list:
+    return list(map(attrgetter(name), records))
 
 
 def _record_template(cls, indent):
@@ -382,25 +398,40 @@ def _json_scalar(x) -> str:
     raise TypeError(f"not a plain JSON scalar: {type(x).__name__}")
 
 
+def _float_texts(values, distinct) -> list:
+    """``float.__repr__`` of each of the floats ``values``, whose set is
+    ``distinct``; each distinct value is written once.  ``-0.0 == 0.0``, so
+    zeros are written one by one."""
+    text = {v: float.__repr__(v) for v in distinct}
+    texts = list(map(text.__getitem__, values))
+    if 0.0 in text:
+        texts = [float.__repr__(v) if v == 0.0 else t for v, t in zip(values, texts)]
+    return texts
+
+
 def _json_column(values) -> list:
     """``_json_scalar`` of each value; a column of one type in one pass.
 
     Region means and limits repeat a lot (small counts), so each distinct
-    float is written once.  ``-0.0 == 0.0``, so zeros are written one by one.
+    float is written once.
     """
     kinds = set(map(type, values))
     if kinds == {float}:
-        text = {v: float.__repr__(v) for v in set(values)}
-        texts = list(map(text.__getitem__, values))
-        if 0.0 in text:
-            texts = [float.__repr__(v) if v == 0.0 else t for v, t in zip(values, texts)]
-        if all(map(math.isfinite, text)):
-            return texts
+        distinct = set(values)
+        if all(map(math.isfinite, distinct)):
+            return _float_texts(values, distinct)
     elif kinds == {int}:
         return list(map(int.__repr__, values))
     elif kinds == {bool}:
         return list(map(_JSON_BOOL.__getitem__, values))
     return list(map(_json_scalar, values))
+
+
+def _csv_column(values) -> list:
+    """``repr`` of each value, as ``f"{value!r}"`` writes it."""
+    if set(map(type, values)) == {float}:
+        return _float_texts(values, set(values))
+    return list(map(repr, values))
 
 
 def _json_list(texts, indent) -> str:

@@ -162,6 +162,27 @@ class TestEstimate:
         report = run_pipeline(ds, RunConfig(seed=3))
         assert len(calls) == 1 and calls[0].size == report.n_test
 
+    def test_threaded_curve_gives_the_same_bytes(self, monkeypatch):
+        # a window above the threshold: one worker and two write the same report
+        from grouploss import kernels
+
+        workers = []
+        fit = kernels._lowess_grid
+
+        def counting_fit(s, y, grid, k, n_workers):
+            workers.append(n_workers)
+            return fit(s, y, grid, k, n_workers)
+
+        monkeypatch.setattr(kernels, "_lowess_grid", counting_fit)
+        ds, _ = sample_realistic(default_realistic(), 42_000, seed=4)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+            report = run_pipeline(ds, RunConfig(seed=4))
+            outputs.append((report.to_json(), report.diagram_csv()))
+        assert workers == [1, 2]
+        assert outputs[0] == outputs[1]
+
     def test_every_bin_unestimable_exits_3(self, tmp_path):
         n = 12
         scores = np.full(n, 0.5)

@@ -1,7 +1,13 @@
 """The vectorized kernels must agree with plain scalar reference loops."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouploss import kernels
 from grouploss.partition import Tree
@@ -58,8 +64,22 @@ def _lowess_grid_reference(s, y, grid, k):
     return out
 
 
-def _lowess_grid_numpy_reference(s, y, grid, k):
-    # The same fit with a fresh array per window pass.
+def _slide_starts(s, grid, k):
+    # each grid point's window start, slid up from the previous point's
+    n = s.shape[0]
+    starts = []
+    lo = 0
+    for g in grid:
+        while lo + k < n and (s[lo + k] - g) < (g - s[lo]):
+            lo += 1
+        starts.append(lo)
+    return starts
+
+
+def _lowess_grid_numpy_reference(s, y, grid, k, branches=None):
+    # The same fit with a fresh array per window pass; each point's branch
+    # ("mean", "degenerate" or "linear") is appended to ``branches``.
+    branches = [] if branches is None else branches
     n = s.shape[0]
     out = np.empty(grid.shape[0])
     lo = 0
@@ -72,6 +92,7 @@ def _lowess_grid_numpy_reference(s, y, grid, k):
         bw = max(g - win_s[0], win_s[-1] - g)
         if bw <= 0.0:
             out[gi] = win_y.mean()
+            branches.append("mean")
             continue
         d = np.abs(win_s - g) / bw
         w = (1.0 - d ** 3) ** 3
@@ -79,6 +100,7 @@ def _lowess_grid_numpy_reference(s, y, grid, k):
         sw = w.sum()
         if sw <= 0.0:
             out[gi] = win_y.mean()
+            branches.append("mean")
             continue
         x = win_s - g
         wx = w * x
@@ -89,8 +111,10 @@ def _lowess_grid_numpy_reference(s, y, grid, k):
         denom = sw * swx2 - swx * swx
         if denom > kernels._DEGENERATE_REL * sw * swx2:
             out[gi] = (swx2 * swy - swx * swxy) / denom
+            branches.append("linear")
         else:
             out[gi] = swy / sw
+            branches.append("degenerate")
     return out
 
 
@@ -164,7 +188,8 @@ def test_lowess_paths_agree():
         assert np.array_equal(got, _lowess_grid_numpy_reference(scores, y, grid, 150))
 
 
-@pytest.mark.parametrize("case", ["stock", "tied", "zero-bandwidth", "k-above-n"])
+@pytest.mark.parametrize(
+    "case", ["stock", "tied", "zero-bandwidth", "k-above-n", "degenerate", "one-point", "two-points"])
 def test_lowess_matches_numpy_reference_bitwise(case):
     rng = np.random.default_rng(3)
     s, k = {
@@ -173,12 +198,116 @@ def test_lowess_matches_numpy_reference_bitwise(case):
         # 6 rows per value: the window of 5 at each value has bw == 0
         "zero-bandwidth": (np.repeat(np.linspace(0.0, 1.0, 5), 6), 5),
         "k-above-n": (rng.uniform(size=50), 80),
+        # at 0 and 1 the window holds ten tied rows and two rows at distance
+        # bw, whose weight is 0: all weight sits on x == 0
+        "degenerate": (np.repeat([0.0, 1.0], 10), 12),
+        "one-point": (rng.uniform(size=300), 90),
+        "two-points": (rng.uniform(size=300), 90),
     }[case]
     s = np.sort(s)
     y = (rng.uniform(size=s.size) < s).astype(float)
-    for grid in (np.unique(s), np.linspace(s[0], s[-1], 300)):
-        assert np.array_equal(kernels.lowess_grid(s, y, grid, k),
-                              _lowess_grid_numpy_reference(s, y, grid, k))
+    grids = (np.unique(s), np.linspace(s[0], s[-1], 300))
+    if case.endswith("points"):  # fewer grid points than workers
+        grids = (s[[150]], s[[0, -1]]) if case == "one-point" else (s[[3, 250]], s[[0, 0]])
+    branches = []
+    for grid in grids:
+        expected = _lowess_grid_numpy_reference(s, y, grid, k, branches)
+        assert np.array_equal(kernels.lowess_grid(s, y, grid, k), expected)
+        for workers in (1, 2, 3):
+            assert np.array_equal(kernels._lowess_grid(s, y, grid, k, workers), expected)
+    if case == "degenerate":
+        assert "degenerate" in branches
+    if case == "zero-bandwidth":
+        assert "mean" in branches
+
+
+def test_lowess_threads_above_the_window_threshold(monkeypatch):
+    calls = []
+    fit = kernels._lowess_grid
+
+    def counting_fit(s, y, grid, k, workers):
+        calls.append(workers)
+        return fit(s, y, grid, k, workers)
+
+    monkeypatch.setattr(kernels, "_lowess_grid", counting_fit)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 16)
+    rng = np.random.default_rng(6)
+    s = np.sort(rng.uniform(size=kernels.THREADED_MIN_K + 10))
+    y = (rng.uniform(size=s.size) < s).astype(float)
+    grid = np.linspace(s[0], s[-1], 5)
+    threaded = kernels.lowess_grid(s, y, grid, kernels.THREADED_MIN_K)
+    serial = kernels.lowess_grid(s, y, grid, kernels.THREADED_MIN_K - 1)
+    assert calls == [kernels.MAX_WORKERS, 1]
+    assert np.array_equal(threaded, fit(s, y, grid, kernels.THREADED_MIN_K, 1))
+    assert np.array_equal(serial, _lowess_grid_numpy_reference(s, y, grid, kernels.THREADED_MIN_K - 1))
+
+
+def test_lowess_workers_under_fast_switching():
+    # more workers than CPUs, switching threads as often as the interpreter can
+    rng = np.random.default_rng(8)
+    s = np.sort(rng.integers(0, 300, size=3_000) / 299.0)
+    y = (rng.uniform(size=s.size) < s).astype(float)
+    grid = np.unique(s)
+    expected = _lowess_grid_numpy_reference(s, y, grid, 900)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (4, 8):
+            assert np.array_equal(kernels._lowess_grid(s, y, grid, 900, workers), expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("failing_run", [None, "worker", "caller"])
+def test_lowess_threads_end_with_the_call(monkeypatch, failing_run):
+    rng = np.random.default_rng(7)
+    s = np.sort(rng.uniform(size=400))
+    y = (rng.uniform(size=400) < s).astype(float)
+    grid = np.linspace(0.0, 1.0, 40)
+    fit_points = kernels._fit_points
+
+    def slow_fit(s, y, grid, k, starts, out, first, stop):
+        if first > 0:  # the workers outlast the calling thread's run
+            time.sleep(0.05)
+        if failing_run is not None and (first == 0) == (failing_run == "caller"):
+            raise RuntimeError(failing_run)
+        fit_points(s, y, grid, k, starts, out, first, stop)
+
+    monkeypatch.setattr(kernels, "_fit_points", slow_fit)
+    before = threading.active_count()
+    if failing_run is None:
+        expected = _lowess_grid_numpy_reference(s, y, grid, 100)
+        assert np.array_equal(kernels._lowess_grid(s, y, grid, 100, 3), expected)
+    else:
+        with pytest.raises(RuntimeError, match=failing_run):
+            kernels._lowess_grid(s, y, grid, 100, 3)
+    assert threading.active_count() == before
+
+
+sorted_scores = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
+    # tied, on decimal steps whose differences round
+    st.lists(st.integers(0, 6).map(lambda v: v / 10.0), min_size=1, max_size=60),
+).map(lambda v: np.sort(np.array(v)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(s=sorted_scores, data=st.data())
+def test_window_starts_match_the_slide(s, data):
+    n = s.shape[0]
+    k = data.draw(st.integers(1, n + 3), label="k")  # k >= n included
+    grid = np.sort(np.array(data.draw(st.lists(
+        st.sampled_from(s.tolist()) | st.floats(s[0] - 1.0, s[-1] + 1.0), max_size=30),
+        label="grid")))
+    for points in (grid, np.unique(s)):
+        assert kernels._window_starts(s, points, k).tolist() == _slide_starts(s, points, k)
+
+
+def test_window_starts_use_the_slides_comparison():
+    # 0.3 - 0.2 < 0.2 - 0.1 in floats, but 0.1 + 0.3 < 2 * 0.2 is false
+    s = np.array([0.1, 0.2, 0.3])
+    assert _slide_starts(s, [0.2], 2) == [1]
+    assert kernels._window_starts(s, np.array([0.2]), 2).tolist() == [1]
 
 
 def test_best_split_paths_agree():

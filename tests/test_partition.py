@@ -394,13 +394,8 @@ def test_stump_scans_one_segment_per_bin(monkeypatch):
     scan = kernels.best_splits
 
     def counting_scan(X, y, order, sizes, min_leaf):
-        # the scan calls itself on the segments with rows: count only this call
         segments.append(sizes.shape[0])
-        monkeypatch.setattr(kernels, "best_splits", scan)
-        try:
-            return scan(X, y, order, sizes, min_leaf)
-        finally:
-            monkeypatch.setattr(kernels, "best_splits", counting_scan)
+        return scan(X, y, order, sizes, min_leaf)
 
     monkeypatch.setattr(kernels, "best_splits", counting_scan)
     rng = np.random.default_rng(15)

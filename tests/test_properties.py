@@ -331,10 +331,30 @@ def test_report_json_matches_the_json_module(report):
     assert report.to_json() == json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
+def _diagram_csv_reference(report):
+    # the row-wise writer: one f-string per region
+    lines = ["bin_index,s_lo,s_hi,S_B,c_hat,n_bin,region_index,mu_hat,n_region,cp_lo,cp_hi,grayed"]
+    for b in report.bins:
+        for r in b.regions:
+            lines.append(
+                f"{b.bin_index},{b.s_lo!r},{b.s_hi!r},{b.s_mean!r},{b.c_hat!r},"
+                f"{b.n_bin},{r.region_index},{r.mu_hat!r},{r.n_region},"
+                f"{r.cp_lo!r},{r.cp_hi!r},{int(r.grayed)}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=300)
+@given(report=reports())
+def test_diagram_csv_matches_the_row_writer(report):
+    assert report.diagram_csv() == _diagram_csv_reference(report)
+
+
 def test_report_json_keeps_signed_zeros_apart():
     # equal floats share one text, but -0.0 == 0.0 are written apart
     values = [0.0, -0.0, 0.5, 0.5, -0.0, math.nan, math.inf, 0.0]
     regions = tuple(RegionRecord(i, v, 3, -v, v, i % 2 == 0) for i, v in enumerate(values))
+    csvs = []
     for regions in (regions, regions[:5]):  # with and without non-finite values
         report = GroupingReport(
             config={}, n_rows=1, n_train=1, n_test=1, cl_binned=0.0, cl_infinite=False,
@@ -346,6 +366,10 @@ def test_report_json_keeps_signed_zeros_apart():
         text = report.to_json()
         assert text == json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
         assert '"cp_lo": -0.0' in text and '"cp_lo": 0.0' in text
+        csvs.append(report.diagram_csv())
+        assert csvs[-1] == _diagram_csv_reference(report)
+        assert "0,-0.0,0.5,0.25,0.0,8,1,-0.0,3,0.0,-0.0,0" in csvs[-1]
+    assert "8,5,nan,3,nan,nan,0" in csvs[0] and "8,6,inf,3,-inf,inf,1" in csvs[0]
 
 
 @st.composite
