@@ -68,9 +68,12 @@ def fit_calibration_curve(
         support = np.array([s[0]])
         values = np.array([float(np.clip(y.mean(), 0.0, 1.0))])
         return CalibrationCurve(support, values, bandwidth_fraction, n)
-    unique = np.unique(s)
-    if unique.size <= MAX_SUPPORT_POINTS:
-        support = unique
+    # s is sorted: a value is new where it differs from its left neighbour
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    if np.count_nonzero(new) <= MAX_SUPPORT_POINTS:
+        support = s[new]
     else:
         support = np.linspace(s[0], s[-1], MAX_SUPPORT_POINTS)
     k = min(max(math.ceil(bandwidth_fraction * n), 2), n)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .binning import make_bins
 from .calibration import (
     calibration_loss_binned,
@@ -250,6 +250,52 @@ def _sweep_values(text):
     return values
 
 
+def _sweep_repeat(sim, n, cfg):
+    """One repeat of a sweep: whether it is degraded, and its lower bound,
+    plug-in, explained and induced terms."""
+    ds, _ = sample_realistic(sim, n, cfg.seed)
+    report = run_pipeline(ds, cfg)
+    # a repeat is degraded once regions too small to estimate hold a
+    # visible share of the test mass (the ratio-below-2 regime)
+    degraded = bool(report.unestimable_bins) or report.dropped_test_fraction > 0.03
+    return degraded, (report.gl_lower_bound, report.gl_plugin,
+                      report.gl_explained, report.gl_induced)
+
+
+def _sweep_oracle(sim, cfg, n_mc):
+    """The sweep's Monte-Carlo reference grouping loss.
+
+    A task of its own rather than ``true_gl_monte_carlo`` itself: a
+    wrapper installed under that name could not be pickled by it.
+    """
+    return true_gl_monte_carlo(sim, cfg.scoring_rule(), n_mc, cfg.seed)
+
+
+def _run_tasks(tasks, workers):
+    """``fn(*args)`` for each ``(fn, args)`` of ``tasks``, in task order.
+
+    With more than one worker, on a platform that can fork, the tasks run
+    in that many forked processes; otherwise one after another in this
+    one.  Either way the first task in task order that raises has its
+    exception re-raised; the pool first cancels the pending tasks and
+    waits for every worker to exit.  A task's function and arguments are
+    pickled, the function by its name: it must be a module-level function
+    that nothing rebinds.
+    """
+    import multiprocessing
+
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(*args) for fn, args in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, *args) for fn, args in tasks]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_sweep(args) -> int:
     _require_out_dirs(args, "out")
     _require_positive(args, "n", "repeats", "oracle_n")
@@ -260,30 +306,25 @@ def cmd_sweep(args) -> int:
     base = _run_config(args)
     key = _FLAG_FIELDS.get(args.axis, args.axis)
     cfgs = [replace(base, **{key: value}) for value in values]
+    tasks = [
+        (_sweep_repeat, (sim, args.n, replace(cfg, seed=_derived_seed(base.seed, vi, r))))
+        for vi, cfg in enumerate(cfgs) for r in range(args.repeats)
+    ]
+    # the oracle has its own seed, so it can come last: a failing sweep
+    # cancels it unless a worker has started it, and a serial one exits
+    # before paying for it
+    tasks.append((_sweep_oracle, (sim, base, args.oracle_n)))
+    results = _run_tasks(tasks, min(kernels._usable_cpus(), kernels.MAX_WORKERS, len(tasks)))
+    oracle = results.pop()
     rows = []
-    for vi, (value, cfg) in enumerate(zip(values, cfgs)):
-        lb, plugin, explained, induced = [], [], [], []
-        dropped_any = False
-        for r in range(args.repeats):
-            seed_r = _derived_seed(base.seed, vi, r)
-            ds, _ = sample_realistic(sim, args.n, seed_r)
-            report = run_pipeline(ds, replace(cfg, seed=seed_r))
-            # a repeat is degraded once regions too small to estimate hold a
-            # visible share of the test mass (the ratio-below-2 regime)
-            if report.unestimable_bins or report.dropped_test_fraction > 0.03:
-                dropped_any = True
-            if math.isfinite(report.gl_lower_bound):
-                lb.append(report.gl_lower_bound)
-                plugin.append(report.gl_plugin)
-                explained.append(report.gl_explained)
-                induced.append(report.gl_induced)
+    for vi, value in enumerate(values):
+        repeats = results[vi * args.repeats:(vi + 1) * args.repeats]
+        used = [terms for _, terms in repeats if math.isfinite(terms[0])]
         moments = ",".join(
-            f"{m!r},{sd!r}" for m, sd in map(_mean_sd, (lb, plugin, explained, induced))
+            f"{m!r},{sd!r}" for m, sd in (_mean_sd([t[i] for t in used]) for i in range(4))
         )
-        rows.append((f"{args.axis},{value},{moments}", f"{len(lb)},{int(dropped_any)}"))
-    # the oracle has its own seed, so it can wait for the pipelines: a sweep
-    # that fails exits before paying for it
-    oracle = true_gl_monte_carlo(sim, base.scoring_rule(), args.oracle_n, base.seed)
+        degraded = any(d for d, _ in repeats)
+        rows.append((f"{args.axis},{value},{moments}", f"{len(used)},{int(degraded)}"))
     lines = [
         "axis,value,gl_lb,gl_lb_sd,gl_plugin,gl_plugin_sd,"
         "gl_explained,gl_explained_sd,gl_induced,gl_induced_sd,"

@@ -13,7 +13,8 @@ import numpy as np
 # k = 3,000 and broke even near k = 10,000, and at k = 12,000 they took
 # 0.18 s against 0.21 s.
 THREADED_MIN_K = 12_000
-# Most threads ``lowess_grid`` starts; each holds four k-length buffers.
+# Most threads ``lowess_grid`` starts, each holding four k-length buffers,
+# and most processes ``grouploss sweep`` forks.
 MAX_WORKERS = 4
 
 # Relative guard below which a local linear system is treated as degenerate

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from grouploss import kernels
 from grouploss.binning import make_bins
 from grouploss.calibration import (
+    MAX_SUPPORT_POINTS,
     calibration_loss_binned,
     fit_calibration_curve,
     isotonic_fit,
@@ -80,6 +82,35 @@ class TestCalibrationCurve:
     def test_bad_fraction(self):
         with pytest.raises(ValueError, match="bandwidth_fraction"):
             fit_calibration_curve(np.linspace(0, 1, 20), np.zeros(20), 1.5)
+
+    @pytest.mark.parametrize("case", ["tied", "many-distinct", "signed-zeros"])
+    def test_support_agrees_with_np_unique(self, case):
+        # the support is found on the sorted scores; the curve it gives, and
+        # so everything a report reads of it, matches one fitted on np.unique
+        rng = np.random.default_rng(5)
+        n = 3000
+        if case == "tied":
+            scores = rng.choice(np.linspace(0.0, 1.0, 37), size=n)
+        elif case == "many-distinct":
+            scores = rng.uniform(size=n)
+        else:
+            scores = rng.choice(np.array([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0]), size=n)
+        labels = (rng.uniform(size=n) < np.abs(scores)).astype(float)
+        curve = fit_calibration_curve(scores, labels, 0.3)
+
+        s = np.sort(scores, kind="stable")
+        y = labels[np.argsort(scores, kind="stable")]
+        unique = np.unique(s)
+        if unique.size > MAX_SUPPORT_POINTS:
+            unique = np.linspace(s[0], s[-1], MAX_SUPPORT_POINTS)
+        # np.unique keeps whichever zero its own sort puts first: the curve
+        # is the same with either
+        for support in (unique, np.where(unique == 0, -0.0, unique),
+                        np.where(unique == 0, 0.0, unique)):
+            values = np.clip(kernels.lowess_grid(s, y, support, int(np.ceil(0.3 * n))), 0, 1)
+            assert np.array_equal(curve.support, support)
+            assert curve.values.tobytes() == values.tobytes()
+            assert curve(scores).tobytes() == np.interp(scores, support, values).tobytes()
 
 
 class TestIsotonic:

@@ -1,10 +1,13 @@
 """End-to-end command-line behaviour: outputs, determinism, exit codes."""
 
+import functools
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from grouploss import cli, kernels
 from grouploss.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -148,8 +151,6 @@ class TestEstimate:
         assert out == ""
 
     def test_pipeline_bins_once(self, monkeypatch):
-        from grouploss import cli
-
         calls = []
         make_bins = cli.make_bins
 
@@ -164,8 +165,6 @@ class TestEstimate:
 
     def test_threaded_curve_gives_the_same_bytes(self, monkeypatch):
         # a window above the threshold: one worker and two write the same report
-        from grouploss import kernels
-
         workers = []
         fit = kernels._lowess_grid
 
@@ -452,6 +451,93 @@ class TestSweep:
         spec.write_text(json.dumps({"kind": "realistic"}))
         with pytest.raises(SystemExit):
             main(["sweep", str(spec), "--axis", "banana", "--values", "1"])
+
+
+class TestSweepWorkers:
+    """The sweep's repeats and oracle on 1, 2 or 3 forked workers."""
+
+    run_tasks = staticmethod(cli._run_tasks)
+
+    def _sweep(self, tmp_path, monkeypatch, workers, name="sweep.csv", values="10,30"):
+        """Exit code and CSV text of a sweep run on ``workers`` workers."""
+        used = []
+
+        def forced(tasks, _workers):
+            used.append(workers)
+            return self.run_tasks(tasks, workers)
+
+        monkeypatch.setattr(cli, "_run_tasks", forced)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "realistic"}))
+        out = tmp_path / name
+        code = main(["sweep", str(spec), "--axis", "region_ratio", "--values", values,
+                     "--n", "2000", "--repeats", "2", "--seed", "3", "--oracle-n", "20000",
+                     "--out", str(out)])
+        assert used == [workers]
+        return code, out.read_text() if out.exists() else None
+
+    def test_worker_counts_give_the_same_bytes(self, tmp_path, monkeypatch):
+        outputs = [self._sweep(tmp_path, monkeypatch, w, f"{w}.csv") for w in (1, 2, 3)]
+        assert outputs[0][0] == EXIT_OK
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_is_capped(self, tmp_path, monkeypatch):
+        counts = []
+
+        def counted(tasks, workers):
+            counts.append((len(tasks), workers))
+            return self.run_tasks(tasks, 1)
+
+        monkeypatch.setattr(cli, "_run_tasks", counted)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "realistic"}))
+        for repeats in ("1", "3"):
+            assert main(["sweep", str(spec), "--axis", "bins", "--values", "5",
+                         "--n", "1000", "--repeats", repeats, "--oracle-n", "1000",
+                         "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        # one repeat and the oracle, then three repeats and the oracle
+        assert counts == [(2, 2), (4, kernels.MAX_WORKERS)]
+
+    def test_failing_repeat_gives_the_serial_message(self, tmp_path, monkeypatch, capsys):
+        # ratios 30 and 100 fail with different messages; 30 is first in task
+        # order, so its message is the one every worker count reports
+        pipeline = cli.run_pipeline
+
+        def failing(ds, cfg):
+            if cfg.region_ratio > 10:
+                raise ValueError(f"ratio {cfg.region_ratio} fails")
+            return pipeline(ds, cfg)
+
+        monkeypatch.setattr(cli, "run_pipeline", failing)
+        errors = []
+        for workers in (1, 2, 3):
+            capsys.readouterr()
+            result = self._sweep(tmp_path, monkeypatch, workers, values="10,30,100")
+            assert result == (EXIT_INPUT, None)
+            errors.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert errors == ["error: ratio 30 fails\n"] * 3
+
+    def test_wrapped_names_still_run(self, tmp_path, monkeypatch):
+        # a wrapper with the wrapped function's name, as a tracer installs,
+        # cannot be pickled by that name; the workers must look it up instead
+        _, plain = self._sweep(tmp_path, monkeypatch, 2, "plain.csv")
+        calls = tmp_path / "calls.txt"
+
+        def wrap(fn):
+            @functools.wraps(fn)
+            def wrapper(*args):
+                with open(calls, "a", encoding="utf-8") as fh:
+                    fh.write(fn.__name__ + "\n")
+                return fn(*args)
+            return wrapper
+
+        for name in ("run_pipeline", "true_gl_monte_carlo"):
+            monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+        assert self._sweep(tmp_path, monkeypatch, 2, "wrapped.csv") == (EXIT_OK, plain)
+        assert sorted(calls.read_text().split()) == ["run_pipeline"] * 4 + ["true_gl_monte_carlo"]
 
 
 @pytest.mark.parametrize(
