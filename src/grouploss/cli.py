@@ -7,10 +7,12 @@ command with identical inputs yields byte-identical outputs.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -130,13 +132,12 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
         bv = bv.with_scores(iso(bv.score))
     # bin_of covers every row; the per-bin statistics cover the test half
     bview = make_bins(bv, cfg.n_bins, rows=split.test_rows)
-    curve = fit_calibration_curve(bv.score, bv.label, cfg.bandwidth_fraction)
-    induced = gl_induced_estimate(curve, bview, bv.score, rule)
-    model = fit_partition(
-        bview, bv.features, bv.label, split,
-        parse_strategy(cfg.partition), cfg.region_ratio, cfg.seed,
-    )
-    assignments = assign_regions(model, bview, bv.features)
+    # the partition does not need the curve: a forked child fits it while
+    # this process fits the curve
+    with _in_child(_partition_stage, bview, bv.features, bv.label, split, cfg) as partition:
+        curve = fit_calibration_curve(bv.score, bv.label, cfg.bandwidth_fraction)
+        induced = gl_induced_estimate(curve, bview, bv.score, rule)
+        assignments = partition()
     stats = region_stats(assignments, bview, bv.label, split)
     glx = gl_explained_debiased(stats, rule)
     cl = calibration_loss_binned(bview, rule)
@@ -146,6 +147,16 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
         n_rows=bv.n, n_train=split.train_rows.size,
         metadata={"provenance": bv.provenance, "gl_induced_rows": "all"},
     )
+
+
+def _partition_stage(bview, features, labels, split, cfg):
+    """Each row's region: the partition fitted on the train half, applied
+    to the rows ``bview`` covers."""
+    model = fit_partition(
+        bview, features, labels, split,
+        parse_strategy(cfg.partition), cfg.region_ratio, cfg.seed,
+    )
+    return assign_regions(model, bview, features)
 
 
 def _write_text(path, text):
@@ -271,6 +282,77 @@ def _sweep_oracle(sim, cfg, n_mc):
     return true_gl_monte_carlo(sim, cfg.scoring_rule(), n_mc, cfg.seed)
 
 
+def _forks(workers):
+    """Whether work for ``workers`` CPUs goes to forked processes: more
+    than one, on a platform that can fork."""
+    import multiprocessing
+
+    return workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
+@contextlib.contextmanager
+def _in_child(fn, *args):
+    """Start ``fn(*args)`` in one forked child; yield the function that
+    waits for it and returns its result.
+
+    The child sends its result, or the exception it raised, back through
+    a pipe; the exception is raised again here with its type and message,
+    and a child that exits without a result raises ``RuntimeError``.
+    The child is joined before the block is left, and terminated first if
+    the block leaves without its result.  ``fn`` runs here instead, when
+    its result is asked for, where ``_forks`` says no to the usable CPUs
+    (one CPU, or no fork), in a process multiprocessing started (a sweep
+    worker, whose CPU is already in use), and while another thread runs
+    (the child would inherit any lock that thread holds).  Either way, an
+    error the block raises first is the one reported.
+    """
+    import multiprocessing
+
+    if (not _forks(kernels._usable_cpus()) or multiprocessing.parent_process() is not None
+            or threading.active_count() > 1):
+        yield lambda: fn(*args)
+        return
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    # unlike a bare os.fork, start() flushes the standard streams first
+    child = ctx.Process(target=_child_main, args=(sender, fn, args))
+    child.start()
+    sender.close()
+    _in_child.forks += 1
+
+    def result():
+        try:
+            ok, value = receiver.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(
+                f"the forked {fn.__name__} exited with code {child.exitcode} "
+                "without a result") from None
+        child.join()
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        if child.exitcode is None:
+            child.terminate()
+        child.join()
+        receiver.close()
+
+
+_in_child.forks = 0  # children forked by this process, read by the tests
+
+
+def _child_main(sender, fn, args):
+    try:
+        reply = True, fn(*args)
+    except Exception as exc:
+        reply = False, exc
+    sender.send(reply)
+
+
 def _run_tasks(tasks, workers):
     """``fn(*args)`` for each ``(fn, args)`` of ``tasks``, in task order.
 
@@ -282,10 +364,9 @@ def _run_tasks(tasks, workers):
     pickled, the function by its name: it must be a module-level function
     that nothing rebinds.
     """
-    import multiprocessing
-
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if not _forks(workers):
         return [fn(*args) for fn, args in tasks]
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))

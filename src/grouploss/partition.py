@@ -326,18 +326,17 @@ def _presorted(X: np.ndarray, rows: np.ndarray, offsets: np.ndarray) -> np.ndarr
     """Each feature's ascending order of each group's rows, shape ``(d, N)``.
 
     Group ``g`` fills columns ``offsets[g]:offsets[g + 1]``; tied values
-    keep their order in ``rows`` (a stable sort per feature and group).
+    keep their order in ``rows`` (a stable sort of each group's slice).
     """
-    group = np.repeat(np.arange(offsets.shape[0] - 1).astype(np.min_scalar_type(offsets.shape[0])),
-                      np.diff(offsets))
     d = X.shape[1]
     # half the memory of intp, and row * d + feature still fits
     order = np.empty((d, rows.shape[0]), dtype=np.int32 if X.size < 2**31 else np.intp)
     flat = rows * d
+    bounds = offsets.tolist()
     for f in range(d):
         values = X.reshape(-1).take(flat + f)
-        by_value = np.argsort(values, kind="stable")
-        order[f] = rows.take(by_value.take(np.argsort(group.take(by_value), kind="stable")))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            order[f, lo:hi] = rows[lo:hi].take(np.argsort(values[lo:hi], kind="stable"))
     return order
 
 

@@ -3,6 +3,10 @@
 import functools
 import json
 import multiprocessing
+import os
+import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -538,6 +542,150 @@ class TestSweepWorkers:
             monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
         assert self._sweep(tmp_path, monkeypatch, 2, "wrapped.csv") == (EXIT_OK, plain)
         assert sorted(calls.read_text().split()) == ["run_pipeline"] * 4 + ["true_gl_monte_carlo"]
+
+
+def _stage_pids():
+    """Run in a sweep worker: the pid a ``_in_child`` stage ran in, this
+    process's pid, and how many children the stage forked."""
+    forks = cli._in_child.forks
+    with cli._in_child(os.getpid) as stage:
+        pid = stage()
+    return pid, os.getpid(), cli._in_child.forks - forks
+
+
+def _no_curve(*args):
+    raise ValueError("the curve fails")
+
+
+class TestPartitionChild:
+    """The partition stage in a forked child while the curve runs here."""
+
+    D4 = RealisticSimulator(d=4, omega=(1.0, 0.0, 0.0, 0.0), omega_perp=(0.0, 1.0, 0.0, 0.0),
+                            sigma_eigenvalues=(1.0,) * 4)
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform cannot fork")
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+
+    def _errors(self, monkeypatch, ds, cfg):
+        """The type and message ``run_pipeline`` raises on one CPU, then on two."""
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+            with pytest.raises(Exception) as info:
+                run_pipeline(ds, cfg)
+            errors.append((type(info.value), str(info.value)))
+            assert multiprocessing.active_children() == []
+        return errors
+
+    @pytest.mark.parametrize("partition", ["tree", "stump", "kmeans:4"])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_cpu_counts_give_the_same_bytes(self, two_cpus, monkeypatch, partition, d):
+        ds, _ = sample_realistic(default_realistic() if d == 2 else self.D4, 3000, seed=5)
+        outputs, forks = [], []
+        for cpus in (1, 2):
+            monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+            before = cli._in_child.forks
+            report = run_pipeline(ds, RunConfig(partition=partition, seed=5))
+            forks.append(cli._in_child.forks - before)
+            outputs.append(report.to_json() + report.diagram_csv())
+        assert forks == [0, 1]
+        assert outputs[0] == outputs[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("scale, message", [
+        (1e160, r"k-means: features up to [\d.]+e\+160 overflow squared distances"),
+        (None, "partitioning requires a nonempty feature matrix"),
+    ], ids=["kmeans-overflow", "no-features"])
+    def test_a_child_error_keeps_its_type_and_message(self, two_cpus, monkeypatch, scale,
+                                                       message):
+        ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
+        features = ds.features[:, :0] if scale is None else ds.features * scale
+        ds = LabeledDataset(features, ds.scores, ds.labels)
+        before = cli._in_child.forks
+        errors = self._errors(monkeypatch, ds, RunConfig(partition="kmeans:4"))
+        assert cli._in_child.forks == before + 1
+        assert errors[0] == errors[1]
+        assert errors[0][0] is ValueError and re.fullmatch(message, errors[0][1])
+
+    def test_estimate_exits_2_on_a_child_error(self, two_cpus, tmp_path, capsys):
+        ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
+        csv = tmp_path / "huge.csv"
+        write_dataset_csv(csv, LabeledDataset(ds.features * 1e160, ds.scores, ds.labels))
+        before = cli._in_child.forks
+        code = main(["estimate", str(csv), "--partition", "kmeans:4",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_INPUT and cli._in_child.forks == before + 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k-means") and "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_the_curve_error_is_reported_first(self, two_cpus, monkeypatch):
+        # both stages fail; the serial order fits the curve first
+        monkeypatch.setattr(cli, "fit_calibration_curve", _no_curve)
+        ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
+        ds = LabeledDataset(ds.features[:, :0], ds.scores, ds.labels)
+        assert self._errors(monkeypatch, ds, RunConfig()) == [(ValueError, "the curve fails")] * 2
+
+    def test_a_failing_curve_terminates_the_child(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(cli, "fit_calibration_curve", _no_curve)
+        monkeypatch.setattr(cli, "fit_partition", lambda *args: time.sleep(60))
+        ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="the curve fails"):
+            run_pipeline(ds, RunConfig())
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_raises_runtime_error(self, two_cpus, monkeypatch):
+        def die(*args):
+            # only ever called in the child: in this process it would end the tests
+            assert multiprocessing.parent_process() is not None
+            os._exit(7)
+
+        monkeypatch.setattr(cli, "fit_partition", die)
+        ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
+        with pytest.raises(RuntimeError, match="exited with code 7 without a result"):
+            run_pipeline(ds, RunConfig())
+        assert multiprocessing.active_children() == []
+
+    def test_the_child_is_forked_before_the_curve_starts(self, two_cpus, monkeypatch):
+        forks = []
+        fit = cli.fit_calibration_curve
+
+        def curve(*args):
+            forks.append(cli._in_child.forks)
+            return fit(*args)
+
+        monkeypatch.setattr(cli, "fit_calibration_curve", curve)
+        ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
+        before = cli._in_child.forks
+        run_pipeline(ds, RunConfig())
+        assert forks == [before + 1]
+
+    def test_another_thread_keeps_the_stage_in_process(self, two_cpus):
+        ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            before = cli._in_child.forks
+            alone = run_pipeline(ds, RunConfig(seed=6)).to_json()
+            assert cli._in_child.forks == before
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert run_pipeline(ds, RunConfig(seed=6)).to_json() == alone
+        assert cli._in_child.forks == before + 1
+
+    def test_a_sweep_worker_runs_the_stage_in_process(self, two_cpus):
+        [(pid, worker, forks)] = cli._run_tasks([(_stage_pids, ())], 2)
+        assert pid == worker != os.getpid()
+        assert forks == 0
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouploss import kernels
 from grouploss.binning import make_bins
@@ -17,6 +19,7 @@ from grouploss.partition import (
     KMeans,
     Tree,
     _grow_trees,
+    _presorted,
     assign_regions,
     fit_partition,
     parse_strategy,
@@ -386,6 +389,38 @@ def test_split_between_neighbouring_doubles(fit, x, y):
     assert model.n_regions == 2
     assert (counts > 0).all()
     assert counts.min() >= MIN_SAMPLES_LEAF
+
+
+def _presorted_reference(X, rows, offsets):
+    # the former presort: one stable sort of each feature over all rows,
+    # then a stable sort of that order by group
+    group = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+    d = X.shape[1]
+    order = np.empty((d, rows.shape[0]), dtype=np.int32 if X.size < 2**31 else np.intp)
+    for f in range(d):
+        by_value = np.argsort(X[rows, f], kind="stable")
+        order[f] = rows.take(by_value.take(np.argsort(group.take(by_value), kind="stable")))
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_presort_per_group_matches_two_full_sorts(data):
+    # few distinct values (signed zeros among them) give ties; groups may
+    # be empty or hold one row; the rows are a shuffled subset of X's
+    sizes = data.draw(st.lists(st.integers(0, 6), max_size=8), label="sizes")
+    n_rows = sum(sizes)
+    n = n_rows + data.draw(st.integers(0, 4), label="unused rows")
+    d = data.draw(st.integers(1, 3), label="d")
+    values = st.sampled_from([-2.5, -0.0, 0.0, 1.0, 1.0 + 2**-52, 7.0])
+    X = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d)), dtype=float)
+    X = X.reshape(n, d)
+    rows = np.array(data.draw(st.permutations(range(n)))[:n_rows], dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+    expected = _presorted_reference(X, rows, offsets)
+    order = _presorted(X, rows, offsets)
+    assert order.dtype == expected.dtype
+    assert np.array_equal(order, expected)
 
 
 def test_stump_scans_one_segment_per_bin(monkeypatch):
