@@ -41,7 +41,6 @@ from .glestim import (
 from .partition import (
     BalancedStump,
     KMeans,
-    PartitionModel,
     Tree,
     assign_regions,
     fit_partition,

@@ -74,10 +74,12 @@ class RunConfig:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValueError(f"rule must be brier or logloss, got {self.rule!r}")
-        if self.n_bins < 1:
-            raise ValueError("bins must be >= 1")
-        if self.region_ratio < 1:
-            raise ValueError("region-ratio must be >= 1")
+        for flag, value in (("bins", self.n_bins), ("region-ratio", self.region_ratio)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1")
+            # numpy takes both as int64
+            if value > np.iinfo(np.int64).max:
+                raise ValueError(f"{flag} must be < 2**63, got {value}")
         parse_strategy(self.partition)
         if self.recalibrate not in ("none", "isotonic"):
             raise ValueError(f"recalibrate must be none or isotonic, got {self.recalibrate!r}")
@@ -193,7 +195,8 @@ def _run_config(args) -> RunConfig:
 
 def cmd_estimate(args) -> int:
     _require_out_dirs(args, "out", "diagram_out")
-    report = run_pipeline(read_dataset_csv(args.input), _run_config(args))
+    cfg = _run_config(args)
+    report = run_pipeline(read_dataset_csv(args.input), cfg)
     _write_text(args.out, report.to_json())
     if args.diagram_out is not None:
         _write_text(args.diagram_out, report.diagram_csv())

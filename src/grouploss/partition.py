@@ -8,7 +8,10 @@ a leaf-count cap derived from the region ratio, a single balanced-split
 stump, and seeded Lloyd k-means.  Each strategy's
 ``fit(X, y, rows, offsets, region_ratio, seed)`` partitions every bin's
 train rows at once (bin ``b`` owns ``rows[offsets[b]:offsets[b + 1]]``)
-and returns one assigner per bin, with ``assign(X)`` and ``n_regions``.
+and returns one fitted partition of every bin: ``n_regions``, one count
+per bin, and ``assign(X, rows, bins)``, the region of each row ``rows``
+of ``X`` within its bin ``bins``.  The tree and the stump fit a
+``Forest``, k-means fits ``Centers``.
 """
 
 import heapq
@@ -62,13 +65,13 @@ class KMeans:
         amax = max(float(X.max(initial=0.0)), -float(X.min(initial=0.0)))
         if not 4.0 * X.size * amax * amax < np.inf:
             raise ValueError(f"k-means: features up to {amax:.3g} overflow squared distances")
-        assigners = []
+        centers_by_bin = []
         for b in range(offsets.shape[0] - 1):
             Xb = X[rows[offsets[b]:offsets[b + 1]]]
             n = Xb.shape[0]
             k = min(self.k, n)
             if k < 2:
-                assigners.append(ONE_REGION)
+                centers_by_bin.append(None)
                 continue
             rng = np.random.default_rng([seed, b])
             centers = np.empty((k, Xb.shape[1]))
@@ -95,8 +98,9 @@ class KMeans:
                 centers = new_centers
                 if movement < KMEANS_TOL:
                     break
-            assigners.append(CenterAssigner(centers))
-        return assigners
+            centers_by_bin.append(centers)
+        n_regions = [1 if c is None else c.shape[0] for c in centers_by_bin]
+        return Centers(tuple(centers_by_bin), np.array(n_regions, dtype=np.int64))
 
 
 def parse_strategy(name: str):
@@ -115,58 +119,35 @@ def parse_strategy(name: str):
 
 
 @dataclass(frozen=True)
-class TreeAssigner:
-    """Flattened binary tree; feature == -1 marks a leaf node."""
+class Forest:
+    """One flattened binary tree per bin, node ``b`` the root of bin ``b``'s
+    tree; feature == -1 marks a leaf node."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     leaf_region: np.ndarray
-    n_regions: int
+    n_regions: np.ndarray
 
-    def assign(self, X: np.ndarray) -> np.ndarray:
-        """Each row's region; all rows descend one level per step."""
+    def assign(self, X: np.ndarray, rows: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """Region of each row ``rows`` of ``X`` in the tree of its bin ``bins``;
+        the rows of every bin descend one level per step together."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         d = X.shape[1]
-        out = np.empty(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while rows.size:
+        out = np.empty(rows.shape[0], dtype=np.int64)
+        at = np.arange(rows.shape[0])
+        flat, node = rows * d, bins
+        while at.size:
             feature = self.feature.take(node)
             leaf = feature < 0
             if leaf.any():
-                out[rows[leaf]] = self.leaf_region.take(node[leaf])
+                out[at[leaf]] = self.leaf_region.take(node[leaf])
                 inner = ~leaf
-                rows, node, feature = rows[inner], node[inner], feature[inner]
-            goes_left = X.reshape(-1).take(rows * d + feature) <= self.threshold.take(node)
+                at, flat, node, feature = at[inner], flat[inner], node[inner], feature[inner]
+            goes_left = X.reshape(-1).take(flat + feature) <= self.threshold.take(node)
             node = np.where(goes_left, self.left.take(node), self.right.take(node))
         return out
-
-
-def _tree(feature, threshold, left, right):
-    """The ``TreeAssigner`` of per-node lists, node 0 the root.
-
-    Leaves are numbered in preorder, which keeps region ids contiguous
-    and stable.
-    """
-    leaf_region = np.full(len(feature), -1, dtype=np.int64)
-    stack, next_region = [0], 0
-    while stack:
-        node = stack.pop()
-        if feature[node] < 0:
-            leaf_region[node] = next_region
-            next_region += 1
-        else:
-            stack.append(right[node])
-            stack.append(left[node])
-    return TreeAssigner(np.array(feature, dtype=np.int64), np.array(threshold, dtype=float),
-                        np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
-                        leaf_region, next_region)
-
-
-# an unsplit bin: the one-leaf tree a cap of one leaf gives
-ONE_REGION = _tree([-1], [0.0], [-1], [-1])
 
 
 def _row_terms(X: np.ndarray):
@@ -200,25 +181,31 @@ def _cluster_means(X: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.
 
 
 @dataclass(frozen=True)
-class CenterAssigner:
-    centers: np.ndarray
+class Centers:
+    """Each bin's k-means centers; ``None`` for a bin of one region."""
 
-    def assign(self, X: np.ndarray) -> np.ndarray:
-        return np.argmin(_sq_distances(*_row_terms(X), self.centers), axis=1).astype(np.int64)
+    centers: tuple
+    n_regions: np.ndarray
 
-    @property
-    def n_regions(self) -> int:
-        return self.centers.shape[0]
+    def assign(self, X: np.ndarray, rows: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """Nearest center of its bin ``bins`` for each row ``rows`` of ``X``.
 
-
-@dataclass(frozen=True)
-class PartitionModel:
-    assigners: tuple
+        Each bin's distances come from that bin's rows alone, as in the
+        fit, so their bits do not depend on how a larger product is summed.
+        """
+        out = np.zeros(rows.shape[0], dtype=np.int64)
+        for b in np.flatnonzero(self.n_regions > 1).tolist():
+            at = np.flatnonzero(bins == b)
+            if at.size:
+                out[at] = np.argmin(_sq_distances(*_row_terms(X[rows[at]]), self.centers[b]),
+                                    axis=1)
+        return out
 
 
 def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndarray, caps,
                 min_leaf, min_gain):
-    """Best-first CART growth of one tree per group of rows, all in lockstep.
+    """Best-first CART growth of one tree per group of rows, all in lockstep,
+    into one ``Forest``.
 
     Group ``g`` owns ``rows[offsets[g]:offsets[g + 1]]`` and grows to at
     most ``caps[g]`` leaves, always splitting its largest-gain candidate:
@@ -233,14 +220,18 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndar
     keeps both sides sorted.  Deterministic tie handling: the split scan
     keeps the lowest feature and threshold, the heap breaks equal gains
     by node creation order.  Leaf caps therefore nest, so growing a
-    larger tree only refines a smaller one.
+    larger tree only refines a smaller one.  Node ``g`` is group ``g``'s
+    root and children are numbered in creation order over the forest,
+    which keeps each group's creation order; each tree numbers its
+    leaves in preorder, which keeps region ids contiguous and stable.
     """
     n_groups, d = len(caps), X.shape[1]
     caps = list(caps)
     min_leaf = np.broadcast_to(min_leaf, (n_groups,))
     order = _presorted(X, rows, offsets)
     went_left = np.zeros(X.shape[0], dtype=bool)
-    trees = [([-1], [0.0], [-1], [-1]) for _ in range(n_groups)]
+    feature, threshold = [-1] * n_groups, [0.0] * n_groups
+    left, right = [-1] * n_groups, [-1] * n_groups
     candidates = [[] for _ in range(n_groups)]
     n_leaves = [1] * n_groups
 
@@ -257,14 +248,12 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndar
     for lo, hi in _chunks(np.diff(offsets)[roots], d):
         groups = roots[lo:hi]
         starts, sizes = offsets[groups], offsets[groups + 1] - offsets[groups]
-        consider(groups, np.zeros_like(groups), starts, sizes,
-                 order.take(_ranges(starts, sizes), axis=1))
+        consider(groups, groups, starts, sizes, order.take(_ranges(starts, sizes), axis=1))
     while True:
         popped = []
         for g in range(n_groups):
             if candidates[g] and n_leaves[g] < caps[g]:
                 _, node, f, t, start, size = heapq.heappop(candidates[g])
-                feature, threshold, left, right = trees[g]
                 feature[node], threshold[node] = f, t
                 left[node], right[node] = len(feature), len(feature) + 1
                 feature += [-1, -1]
@@ -293,7 +282,19 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndar
             order[:, _ranges(starts, sizes)] = children
             consider(np.concatenate((groups, groups)), np.concatenate((lefts, lefts + 1)),
                      starts, sizes, children)
-    return [_tree(*tree) for tree in trees]
+    leaf_region = np.full(len(feature), -1, dtype=np.int64)
+    n_regions = [0] * n_groups
+    stack = [(g, g) for g in reversed(range(n_groups))]
+    while stack:
+        node, g = stack.pop()
+        if feature[node] < 0:
+            leaf_region[node] = n_regions[g]
+            n_regions[g] += 1
+        else:
+            stack += [(right[node], g), (left[node], g)]
+    return Forest(np.array(feature, dtype=np.int64), np.array(threshold, dtype=float),
+                  np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+                  leaf_region, np.array(n_regions, dtype=np.int64))
 
 
 # Indices in the ``(d, m)`` block one batched pass works on, unless one
@@ -348,7 +349,7 @@ def fit_partition(
     strategy,
     region_ratio: int,
     seed: int,
-) -> PartitionModel:
+):
     """Fit one partition per occupied bin on that bin's train rows.
 
     Bins with fewer than 2 train rows fall back to a single region.
@@ -363,7 +364,7 @@ def fit_partition(
         raise ValueError("region_ratio must be >= 1")
     labels = np.asarray(labels, dtype=np.float64)
     rows, offsets = _rows_by_bin(bview, split)
-    return PartitionModel(tuple(strategy.fit(features, labels, rows, offsets, region_ratio, seed)))
+    return strategy.fit(features, labels, rows, offsets, region_ratio, seed)
 
 
 def _rows_by_bin(bview: BinnedView, split: SplitIndex):
@@ -374,7 +375,7 @@ def _rows_by_bin(bview: BinnedView, split: SplitIndex):
     return split.train_rows[np.argsort(train_bins, kind="stable")], offsets
 
 
-def assign_regions(model: PartitionModel, bview: BinnedView, features: np.ndarray) -> np.ndarray:
+def assign_regions(model, bview: BinnedView, features: np.ndarray) -> np.ndarray:
     """Region index within its bin for each row ``bview`` covers.
 
     The result spans every row of ``features``; rows outside
@@ -382,9 +383,5 @@ def assign_regions(model: PartitionModel, bview: BinnedView, features: np.ndarra
     """
     features = np.asarray(features, dtype=np.float64)
     out = np.full(bview.bin_of.shape[0], -1, dtype=np.int64)
-    bins = bview.bin_of[bview.rows]
-    for b, assigner in enumerate(model.assigners):
-        rows = bview.rows[bins == b]
-        if rows.size:
-            out[rows] = assigner.assign(features[rows])
+    out[bview.rows] = model.assign(features, bview.rows, bview.bin_of[bview.rows])
     return out

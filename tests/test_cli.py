@@ -721,6 +721,12 @@ class TestPartitionChild:
         (["simulate", "--summary-out", ""], "--summary-out '': the path is empty"),
         (["sweep", "--axis", "bins", "--values", "5", "--out", ""],
          "--out '': the path is empty"),
+        # beyond int64, which numpy takes them as
+        (["estimate", "--bins", "100000000000000000000000"], "bins must be < 2**63"),
+        (["estimate", "--region-ratio", "100000000000000000000000000000"],
+         "region-ratio must be < 2**63"),
+        (["sweep", "--axis", "region_ratio", "--values", "10,100000000000000000000000000000"],
+         "region-ratio must be < 2**63"),
     ],
     ids=["sweep-bins-0", "sweep-n-5", "sweep-repeats-0", "sweep-oracle-n-0",
          "simulate-oracle-n-0", "simulate-n-negative", "sweep-kmeans-0",
@@ -728,7 +734,8 @@ class TestPartitionChild:
          "simulate-out-missing-dir", "simulate-summary-out-missing-dir", "sweep-values-x",
          "sweep-out-is-dir", "simulate-out-is-dir", "simulate-summary-out-is-dir",
          "simulate-rule-x", "sweep-rule-x", "simulate-out-empty",
-         "simulate-summary-out-empty", "sweep-out-empty"],
+         "simulate-summary-out-empty", "sweep-out-empty", "estimate-bins-beyond-int64",
+         "estimate-region-ratio-beyond-int64", "sweep-region-ratio-beyond-int64"],
 )
 def test_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # relative output paths land under tmp_path, where "missing/" does not

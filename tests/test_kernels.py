@@ -403,9 +403,9 @@ def test_split_without_gain():
         f, t, g = _best_split(X, constant, 1)
         assert (f, t) == (0, lowest)
         assert g == 0.0
-        assert _grow_tree(X, constant, 10).n_regions == 1
-        assert Tree().fit(X, constant, np.arange(10), np.array([0, 10]), 1, 0)[0].n_regions == 1
-        assert _fit_stump(X, constant).n_regions == 2
+        assert _grow_tree(X, constant, 10).n_regions[0] == 1
+        assert Tree().fit(X, constant, np.arange(10), np.array([0, 10]), 1, 0).n_regions[0] == 1
+        assert _fit_stump(X, constant).n_regions[0] == 2
 
 
 def test_pav_monotone_and_mean_preserving():

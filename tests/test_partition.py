@@ -27,15 +27,21 @@ from grouploss.partition import (
 
 
 def _grow_tree(X, y, max_leaves):
-    # the tree of one bin holding every row
+    # the one-bin forest of a bin holding every row
     n = X.shape[0]
     return _grow_trees(X, y, np.arange(n), np.array([0, n]), [max_leaves], MIN_SAMPLES_LEAF,
-                       MIN_SPLIT_GAIN)[0]
+                       MIN_SPLIT_GAIN)
 
 
 def _fit_stump(X, y):
     n = X.shape[0]
-    return BalancedStump().fit(X, y, np.arange(n), np.array([0, n]), 1, 0)[0]
+    return BalancedStump().fit(X, y, np.arange(n), np.array([0, n]), 1, 0)
+
+
+def _assign_to_bin_0(model, X):
+    # every row of X through bin 0's partition
+    n = X.shape[0]
+    return model.assign(X, np.arange(n), np.zeros(n, dtype=np.int64))
 
 
 def _midpoint(lo, hi):
@@ -145,11 +151,25 @@ def _fit_stump_reference(X, y):
     return [f, -1, -1], [thresh, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [-1, 0, 1], 2
 
 
-def _assert_same_tree(tree, reference):
-    # reference: (feature, threshold, left, right, leaf_region, n_regions)
-    for name, expected in zip(("feature", "threshold", "left", "right", "leaf_region"), reference):
-        np.testing.assert_array_equal(getattr(tree, name), expected)
-    assert tree.n_regions == reference[-1]
+def _preorder(feature, threshold, left, right, leaf_region, root):
+    # (feature, threshold, leaf region) of each node of the tree at root,
+    # in preorder, which does not depend on how the nodes are numbered
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append((int(feature[node]), float(threshold[node]), int(leaf_region[node])))
+        if feature[node] >= 0:
+            stack += [right[node], left[node]]
+    return nodes
+
+
+def _assert_same_tree(forest, reference, b=0):
+    # reference: (feature, threshold, left, right, leaf_region, n_regions) of
+    # bin b's tree alone, node 0 its root
+    names = ("feature", "threshold", "left", "right", "leaf_region")
+    assert (_preorder(*(getattr(forest, name) for name in names), b)
+            == _preorder(*reference[:5], 0))
+    assert forest.n_regions[b] == reference[-1]
 
 
 def _single_bin_setup(features, labels, n_train=None):
@@ -180,7 +200,7 @@ class TestTree:
         features = rng.normal(size=(100, 3))
         bv, bview, split = _single_bin_setup(features, np.ones(100, dtype=int))
         model = fit_partition(bview, bv.features, bv.label, split, Tree(), 10, seed=1)
-        assert model.assigners[0].n_regions == 1
+        assert model.n_regions[0] == 1
 
     def test_region_cap_floor_arithmetic(self):
         # 90 train rows at ratio 30 allow at most 3 regions
@@ -189,7 +209,7 @@ class TestTree:
         order = np.argsort(x[:, 0] % 90, kind="stable")
         bv, bview, split = _single_bin_setup(x[order], y[order].astype(int), n_train=90)
         model = fit_partition(bview, bv.features, bv.label, split, Tree(), 30, seed=2)
-        assert model.assigners[0].n_regions == 3
+        assert model.n_regions[0] == 3
 
     def test_min_samples_leaf(self):
         rng = np.random.default_rng(3)
@@ -209,7 +229,7 @@ class TestTree:
         explained = []
         for cap in (1, 2, 3, 5, 8, 12):
             tree = _grow_tree(X, y, cap)
-            assign = tree.assign(X)
+            assign = _assign_to_bin_0(tree, X)
             explained.append(
                 _plugin_between_variance(assign, y, np.arange(240))
             )
@@ -221,7 +241,7 @@ class TestTree:
         q = np.where(X[:, 0] > 0, 0.85, 0.15)
         y = (rng.uniform(size=300) < q).astype(float)
         tree = _grow_tree(X, y, 4)
-        assign = tree.assign(X)
+        assign = _assign_to_bin_0(tree, X)
         fitted = _plugin_between_variance(assign, y, np.arange(300))
         randoms = []
         for trial in range(30):
@@ -234,7 +254,7 @@ class TestTree:
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 2, size=40).astype(float)
         tree = _grow_tree(X, y, 2)
-        assert tree.n_regions == 2
+        assert tree.n_regions[0] == 2
         root_feat = int(tree.feature[0])
         root_thresh = float(tree.threshold[0])
         best_sse, best = np.inf, None
@@ -293,10 +313,9 @@ class TestBalancedStump:
         order = rng.permutation(100)
         bv, bview, split = _single_bin_setup(x[order][:, None], y[order], n_train=100)
         model = fit_partition(bview, bv.features, bv.label, split, BalancedStump(), 30, seed=9)
-        assigner = model.assigners[0]
-        assert assigner.n_regions == 2
-        assert abs(float(assigner.threshold[0])) < 0.1
-        assign = assigner.assign(bv.features)
+        assert model.n_regions[0] == 2
+        assert abs(float(model.threshold[0])) < 0.1
+        assign = _assign_to_bin_0(model, bv.features)
         for r in (0, 1):
             region_labels = bv.label[assign == r]
             assert region_labels.min() == region_labels.max()
@@ -308,7 +327,7 @@ class TestBalancedStump:
             y = rng.integers(0, 2, n)
             bv, bview, split = _single_bin_setup(X, y, n_train=n)
             model = fit_partition(bview, bv.features, bv.label, split, BalancedStump(), 30, seed=11)
-            assign = model.assigners[0].assign(bv.features)
+            assign = _assign_to_bin_0(model, bv.features)
             counts = np.bincount(assign, minlength=2)
             assert counts.min() >= n // 2
 
@@ -318,9 +337,7 @@ class TestBalancedStump:
         y = rng.integers(0, 2, 30).astype(float)
         bv, bview, split = _single_bin_setup(X, y.astype(int), n_train=30)
         model = fit_partition(bview, bv.features, bv.label, split, BalancedStump(), 30, seed=13)
-        assigner = model.assigners[0]
-        got_sse = None
-        assign = assigner.assign(bv.features)
+        assign = _assign_to_bin_0(model, bv.features)
         got_sse = sum(
             ((y[assign == r] - y[assign == r].mean()) ** 2).sum() for r in (0, 1)
         )
@@ -344,7 +361,7 @@ class TestBalancedStump:
         y = np.arange(10) % 2
         bv, bview, split = _single_bin_setup(X, y, n_train=10)
         model = fit_partition(bview, bv.features, bv.label, split, BalancedStump(), 30, seed=14)
-        assert model.assigners[0].n_regions == 1
+        assert model.n_regions[0] == 1
 
 
 @pytest.mark.parametrize("strategy", [Tree(), BalancedStump(), KMeans(1)],
@@ -353,10 +370,11 @@ def test_fit_on_an_unsplittable_bin_gives_one_region(strategy):
     # identical rows: no split and no second center exists
     X = np.ones((10, 2))
     y = (np.arange(10) % 2).astype(float)
-    assigner = strategy.fit(X, y, np.arange(10), np.array([0, 10]), 2, 0)[0]
-    assert assigner.n_regions == 1
-    np.testing.assert_array_equal(assigner.assign(np.random.default_rng(1).normal(size=(7, 2))),
-                                  np.zeros(7, dtype=np.int64))
+    model = strategy.fit(X, y, np.arange(10), np.array([0, 10]), 2, 0)
+    assert model.n_regions.tolist() == [1]
+    np.testing.assert_array_equal(
+        _assign_to_bin_0(model, np.random.default_rng(1).normal(size=(7, 2))),
+        np.zeros(7, dtype=np.int64))
 
 
 # neighbouring doubles, whose midpoint rounds up to the larger one
@@ -385,8 +403,8 @@ def _grow_two_leaves(X, y):
 def test_split_between_neighbouring_doubles(fit, x, y):
     X = np.array(x)[:, None]
     model = fit(X, np.array(y, dtype=float))
-    counts = np.bincount(model.assign(X), minlength=model.n_regions)
-    assert model.n_regions == 2
+    counts = np.bincount(_assign_to_bin_0(model, X), minlength=model.n_regions[0])
+    assert model.n_regions[0] == 2
     assert (counts > 0).all()
     assert counts.min() >= MIN_SAMPLES_LEAF
 
@@ -439,7 +457,7 @@ def test_stump_scans_one_segment_per_bin(monkeypatch):
     offsets = np.array([0, 0, 1, 3, 60, 400])  # empty, one-row and larger bins
     stumps = BalancedStump().fit(X, y, rng.permutation(400), offsets, 30, 0)
     assert sum(segments) == 5
-    assert [stump.n_regions for stump in stumps] == [1, 1, 2, 2, 2]
+    assert stumps.n_regions.tolist() == [1, 1, 2, 2, 2]
 
 
 def _kmeans_centers_reference(X, k, rng):
@@ -490,7 +508,7 @@ class TestKMeans:
         for X, k in cases:
             expected = _kmeans_centers_reference(X, k, np.random.default_rng([7, 0]))
             n = X.shape[0]
-            got = KMeans(k).fit(X, None, np.arange(n), np.array([0, n]), 30, 7)[0].centers
+            got = KMeans(k).fit(X, None, np.arange(n), np.array([0, n]), 30, 7).centers[0]
             assert np.array_equal(got, expected)
 
     def test_two_separated_blobs(self):
@@ -502,7 +520,7 @@ class TestKMeans:
         order = rng.permutation(800)
         bv, bview, split = _single_bin_setup(X[order], y, n_train=800)
         model = fit_partition(bview, bv.features, bv.label, split, KMeans(k=2), 30, seed=16)
-        assign = model.assigners[0].assign(bv.features)
+        assign = _assign_to_bin_0(model, bv.features)
         truth = (bv.features[:, 0] > 5.0).astype(int)
         agreement = max((assign == truth).mean(), (assign != truth).mean())
         assert agreement >= 0.99
@@ -515,7 +533,7 @@ class TestKMeans:
         m1 = fit_partition(bview, bv.features, bv.label, split, KMeans(k=3), 30, seed=18)
         m2 = fit_partition(bview, bv.features, bv.label, split, KMeans(k=3), 30, seed=18)
         np.testing.assert_array_equal(
-            m1.assigners[0].assign(bv.features), m2.assigners[0].assign(bv.features)
+            _assign_to_bin_0(m1, bv.features), _assign_to_bin_0(m2, bv.features)
         )
 
     def test_k_clipped_to_sample_count(self):
@@ -523,7 +541,7 @@ class TestKMeans:
         y = np.array([0, 1, 0])
         bv, bview, split = _single_bin_setup(X, y, n_train=3)
         model = fit_partition(bview, bv.features, bv.label, split, KMeans(k=5), 30, seed=19)
-        assign = model.assigners[0].assign(bv.features)
+        assign = _assign_to_bin_0(model, bv.features)
         assert assign.max() < 3
 
     def test_rejects_features_whose_squared_distances_overflow(self):
@@ -536,7 +554,7 @@ class TestKMeans:
         with pytest.raises(ValueError, match="k-means"):
             KMeans(2).fit(X, None, rows, offsets, 30, 0)
         # 4 * 200 values * (1e150)**2 is finite: accepted
-        assert KMeans(2).fit(X / 1e10, None, rows, offsets, 30, 0)[0].n_regions == 2
+        assert KMeans(2).fit(X / 1e10, None, rows, offsets, 30, 0).n_regions[0] == 2
 
 
 class TestAssignRegions:
@@ -556,7 +574,7 @@ class TestAssignRegions:
         for b in range(15):
             rows = bview.bin_of == b
             if rows.any():
-                assert assign[rows].max() < model.assigners[b].n_regions
+                assert assign[rows].max() < model.n_regions[b]
 
     def test_rows_outside_the_view_get_minus_one(self):
         rng = np.random.default_rng(24)
@@ -580,7 +598,7 @@ class TestAssignRegions:
         bview = make_bins(bv, 10)
         split = SplitIndex(np.array([0, 1, 2]), np.array([3, 4]), 10)
         model = fit_partition(bview, features, bv.label, split, Tree(), 2, seed=22)
-        assert model.assigners[0].n_regions == 1
+        assert model.n_regions[0] == 1
 
     def test_no_features_rejected(self):
         bv = BinaryView(np.zeros((4, 0)), np.full(4, 0.5), np.array([0, 1, 0, 1]))

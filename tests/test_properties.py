@@ -31,7 +31,16 @@ from grouploss.glestim import (
     gl_explained_debiased,
     region_stats,
 )
-from grouploss.partition import MIN_SAMPLES_LEAF, MIN_SPLIT_GAIN, BalancedStump, Tree, _grow_trees
+from grouploss.partition import (
+    MIN_SAMPLES_LEAF,
+    MIN_SPLIT_GAIN,
+    BalancedStump,
+    KMeans,
+    Tree,
+    _grow_trees,
+    _row_terms,
+    _sq_distances,
+)
 from grouploss.scoring import (
     BRIER,
     BRIER_SCALAR,
@@ -46,6 +55,7 @@ from grouploss.scoring import (
 from test_kernels import _best_split, _best_split_reference
 from test_partition import (
     _assert_same_tree,
+    _assign_to_bin_0,
     _fit_stump_reference,
     _grow_tree,
     _grow_tree_reference,
@@ -177,8 +187,8 @@ def tree_inputs(draw):
 @given(data=tree_inputs(), cap=st.integers(1, 12))
 def test_leaf_caps_nest(data, cap):
     X, y = data
-    coarse = _grow_tree(X, y, cap).assign(X)
-    fine = _grow_tree(X, y, cap + 1).assign(X)
+    coarse = _assign_to_bin_0(_grow_tree(X, y, cap), X)
+    fine = _assign_to_bin_0(_grow_tree(X, y, cap + 1), X)
     for region in np.unique(fine):
         assert np.unique(coarse[fine == region]).size == 1
 
@@ -188,17 +198,18 @@ _EXTREMES = [sign * v for v in (1.7976931348623157e308, 1e308, 5e-324, 0.0) for 
 
 
 @st.composite
-def binned_rows(draw):
+def binned_rows(draw, extremes=True):
     """Features, 0/1 labels and some of the rows grouped into 0-5 bins.
 
     Values lie on a grid of eighths, so midpoints are exact, and may be
     few (ties) or repeat whole rows; in some draws they also take the
-    ``_EXTREMES``.  Bins hold 0 to 40 rows, some of them one label only.
+    ``_EXTREMES`` (unless ``extremes`` is false).  Bins hold 0 to 40
+    rows, some of them one label only.
     """
     d = draw(st.integers(1, 4))
     grid = st.integers(-2, 2) if draw(st.booleans()) else st.integers(-800, 800)
     values = grid.map(lambda i: i / 8)
-    if draw(st.booleans()):
+    if extremes and draw(st.booleans()):
         values = values | st.sampled_from(_EXTREMES)
     sizes = draw(st.lists(st.integers(0, 40) | st.integers(0, 3), max_size=5))
     n = sum(sizes) + draw(st.integers(0, 5))  # rows in no bin too
@@ -220,11 +231,11 @@ def test_trees_grown_together_match_each_bin_alone(data, caps):
     X, y, rows, offsets = data
     sizes = np.diff(offsets)
     caps = [caps.draw(st.integers(1, max(int(m), 1))) for m in sizes]
-    trees = _grow_trees(X, y, rows, offsets, caps, MIN_SAMPLES_LEAF, MIN_SPLIT_GAIN)
-    assert len(trees) == len(caps)
-    for tree, lo, hi, cap in zip(trees, offsets[:-1], offsets[1:], caps):
+    forest = _grow_trees(X, y, rows, offsets, caps, MIN_SAMPLES_LEAF, MIN_SPLIT_GAIN)
+    assert forest.n_regions.shape == (len(caps),)
+    for b, (lo, hi, cap) in enumerate(zip(offsets[:-1], offsets[1:], caps)):
         bin_rows = rows[lo:hi]
-        _assert_same_tree(tree, _grow_tree_reference(X[bin_rows], y[bin_rows], cap))
+        _assert_same_tree(forest, _grow_tree_reference(X[bin_rows], y[bin_rows], cap), b)
 
 
 @settings(deadline=None, max_examples=200)
@@ -247,8 +258,8 @@ def test_segmented_scan_matches_each_segment_alone(data, leaves):
         if f >= 0:
             assert threshs[j] == t and gains[j] == pytest.approx(g, abs=1e-10)
     stumps = BalancedStump().fit(X, y, rows, offsets, 30, 0)
-    for stump, lo, hi in zip(stumps, offsets[:-1], offsets[1:]):
-        _assert_same_tree(stump, _fit_stump_reference(X[rows[lo:hi]], y[rows[lo:hi]]))
+    for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        _assert_same_tree(stumps, _fit_stump_reference(X[rows[lo:hi]], y[rows[lo:hi]]), b)
 
 
 @settings(deadline=None, max_examples=200)
@@ -261,40 +272,83 @@ def test_train_rows_land_in_the_leaves_the_scan_made(data, ratio):
     sizes = np.diff(offsets)
     for strategy, min_leaf in ((Tree(), np.full(sizes.shape, MIN_SAMPLES_LEAF)),
                                (BalancedStump(), sizes // 2)):
-        assigners = strategy.fit(X, y, rows, offsets, ratio, 0)
-        for assigner, lo, hi, m in zip(assigners, offsets[:-1], offsets[1:], min_leaf):
-            counts = np.bincount(assigner.assign(X[rows[lo:hi]]), minlength=assigner.n_regions)
-            assert counts.shape[0] == assigner.n_regions
-            if assigner.n_regions > 1:
+        model = strategy.fit(X, y, rows, offsets, ratio, 0)
+        for b, (lo, hi, m) in enumerate(zip(offsets[:-1], offsets[1:], min_leaf)):
+            regions = model.assign(X, rows[lo:hi], np.full(hi - lo, b))
+            counts = np.bincount(regions, minlength=model.n_regions[b])
+            assert counts.shape[0] == model.n_regions[b]
+            if model.n_regions[b] > 1:
                 assert counts.min() >= m
 
 
-def _assign_reference(tree, X):
-    # the depth-first walk that sends each node's rows to its children
+def _assign_reference(forest, X, root):
+    # the depth-first walk that sends each node's rows to its children,
+    # from the root of one bin's tree
     out = np.empty(X.shape[0], dtype=np.int64)
-    stack = [(0, np.arange(X.shape[0]))]
+    stack = [(root, np.arange(X.shape[0]))]
     while stack:
         node, rows = stack.pop()
-        if tree.feature[node] < 0:
-            out[rows] = tree.leaf_region[node]
+        if forest.feature[node] < 0:
+            out[rows] = forest.leaf_region[node]
             continue
-        mask = X[rows, tree.feature[node]] <= tree.threshold[node]
-        stack.append((tree.right[node], rows[~mask]))
-        stack.append((tree.left[node], rows[mask]))
+        mask = X[rows, forest.feature[node]] <= forest.threshold[node]
+        stack.append((forest.right[node], rows[~mask]))
+        stack.append((forest.left[node], rows[mask]))
     return out
 
 
-@settings(deadline=None)
-@given(data=tree_inputs(), cap=st.integers(1, 30), queries=st.data())
-def test_level_wise_assignment_matches_the_walk(data, cap, queries):
-    X, y = data
-    tree = _grow_tree(X, y, cap)
-    # the fitted rows, values on either side of each threshold, and new rows
-    Q = np.concatenate([X, X + 0.5, X - 0.5, np.array(queries.draw(st.lists(
+def _query_rows(X, n_bins, draw):
+    # the fitted rows, values on either side of each threshold, and new
+    # rows, in a drawn order, each sent to a drawn bin of n_bins (none
+    # where there is no bin)
+    Q = np.concatenate([X, X + 0.5, X - 0.5, np.array(draw(st.lists(
         st.lists(st.floats(-1e3, 1e3), min_size=X.shape[1], max_size=X.shape[1]),
         max_size=5))).reshape(-1, X.shape[1])])
-    np.testing.assert_array_equal(tree.assign(Q), _assign_reference(tree, Q))
-    assert tree.assign(Q[:0]).shape == (0,)
+    rows = np.array(draw(st.permutations(range(Q.shape[0]))), dtype=np.int64)
+    if not n_bins:
+        rows = rows[:0]
+    bins = np.array(draw(st.lists(st.integers(0, max(n_bins - 1, 0)), min_size=rows.size,
+                                  max_size=rows.size)), dtype=np.int64)
+    return Q, rows, bins
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=binned_rows(), draws=st.data())
+def test_level_wise_assignment_matches_the_walk(data, draws):
+    # one assign over query rows of every bin: empty, one-row and cap-1
+    # bins among them
+    X, y, rows, offsets = data
+    n_bins = offsets.shape[0] - 1
+    caps = [draws.draw(st.integers(1, max(int(m), 1))) for m in np.diff(offsets)]
+    forest = _grow_trees(X, y, rows, offsets, caps, MIN_SAMPLES_LEAF, MIN_SPLIT_GAIN)
+    Q, q_rows, q_bins = _query_rows(X, n_bins, draws.draw)
+    got = forest.assign(Q, q_rows, q_bins)
+    assert got.shape == q_rows.shape
+    for b in range(n_bins):
+        at = q_bins == b
+        np.testing.assert_array_equal(got[at], _assign_reference(forest, Q[q_rows[at]], b))
+    assert forest.assign(Q, q_rows[:0], q_bins[:0]).shape == (0,)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=binned_rows(extremes=False), k=st.integers(1, 5), draws=st.data())
+def test_kmeans_assignment_matches_each_bin_alone(data, k, draws):
+    # one assign over query rows of every bin, bins of 0 and 1 train rows
+    # among them, against each bin's nearest center on its rows alone
+    X, y, rows, offsets = data
+    n_bins = offsets.shape[0] - 1
+    model = KMeans(k).fit(X, y, rows, offsets, 30, 0)
+    assert model.n_regions.tolist() == [max(min(k, int(m)), 1) for m in np.diff(offsets)]
+    Q, q_rows, q_bins = _query_rows(X, n_bins, draws.draw)
+    got = model.assign(Q, q_rows, q_bins)
+    for b in range(n_bins):
+        at = q_bins == b
+        if model.n_regions[b] < 2:
+            assert (got[at] == 0).all()
+        else:
+            expected = np.argmin(_sq_distances(*_row_terms(Q[q_rows[at]]), model.centers[b]),
+                                 axis=1)
+            np.testing.assert_array_equal(got[at], expected)
 
 
 json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | st.floats().map(np.float64)
