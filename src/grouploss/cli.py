@@ -7,17 +7,15 @@ command with identical inputs yields byte-identical outputs.
 """
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import sys
-import threading
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .binning import make_bins
 from .calibration import (
     calibration_loss_binned,
@@ -33,6 +31,7 @@ from .data import (
     top_label_reduce,
     write_dataset_csv,
 )
+from .forking import in_child, run_tasks, workers
 from .glestim import (
     GroupingReport,
     binning_bounds,
@@ -136,7 +135,7 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
     bview = make_bins(bv, cfg.n_bins, rows=split.test_rows)
     # the partition does not need the curve: a forked child fits it while
     # this process fits the curve
-    with _in_child(_partition_stage, bview, bv.features, bv.label, split, cfg) as partition:
+    with in_child(_partition_stage, bview, bv.features, bv.label, split, cfg) as partition:
         curve = fit_calibration_curve(bv.score, bv.label, cfg.bandwidth_fraction)
         induced = gl_induced_estimate(curve, bview, bv.score, rule)
         assignments = partition()
@@ -285,101 +284,6 @@ def _sweep_oracle(sim, cfg, n_mc):
     return true_gl_monte_carlo(sim, cfg.scoring_rule(), n_mc, cfg.seed)
 
 
-def _forks(workers):
-    """Whether work for ``workers`` CPUs goes to forked processes: more
-    than one, on a platform that can fork."""
-    import multiprocessing
-
-    return workers > 1 and "fork" in multiprocessing.get_all_start_methods()
-
-
-@contextlib.contextmanager
-def _in_child(fn, *args):
-    """Start ``fn(*args)`` in one forked child; yield the function that
-    waits for it and returns its result.
-
-    The child sends its result, or the exception it raised, back through
-    a pipe; the exception is raised again here with its type and message,
-    and a child that exits without a result raises ``RuntimeError``.
-    The child is joined before the block is left, and terminated first if
-    the block leaves without its result.  ``fn`` runs here instead, when
-    its result is asked for, where ``_forks`` says no to the usable CPUs
-    (one CPU, or no fork), in a process multiprocessing started (a sweep
-    worker, whose CPU is already in use), and while another thread runs
-    (the child would inherit any lock that thread holds).  Either way, an
-    error the block raises first is the one reported.
-    """
-    import multiprocessing
-
-    if (not _forks(kernels._usable_cpus()) or multiprocessing.parent_process() is not None
-            or threading.active_count() > 1):
-        yield lambda: fn(*args)
-        return
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    # unlike a bare os.fork, start() flushes the standard streams first
-    child = ctx.Process(target=_child_main, args=(sender, fn, args))
-    child.start()
-    sender.close()
-    _in_child.forks += 1
-
-    def result():
-        try:
-            ok, value = receiver.recv()
-        except EOFError:
-            child.join()
-            raise RuntimeError(
-                f"the forked {fn.__name__} exited with code {child.exitcode} "
-                "without a result") from None
-        child.join()
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield result
-    finally:
-        if child.exitcode is None:
-            child.terminate()
-        child.join()
-        receiver.close()
-
-
-_in_child.forks = 0  # children forked by this process, read by the tests
-
-
-def _child_main(sender, fn, args):
-    try:
-        reply = True, fn(*args)
-    except Exception as exc:
-        reply = False, exc
-    sender.send(reply)
-
-
-def _run_tasks(tasks, workers):
-    """``fn(*args)`` for each ``(fn, args)`` of ``tasks``, in task order.
-
-    With more than one worker, on a platform that can fork, the tasks run
-    in that many forked processes; otherwise one after another in this
-    one.  Either way the first task in task order that raises has its
-    exception re-raised; the pool first cancels the pending tasks and
-    waits for every worker to exit.  A task's function and arguments are
-    pickled, the function by its name: it must be a module-level function
-    that nothing rebinds.
-    """
-    if not _forks(workers):
-        return [fn(*args) for fn, args in tasks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [pool.submit(fn, *args) for fn, args in tasks]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def cmd_sweep(args) -> int:
     _require_out_dirs(args, "out")
     _require_positive(args, "n", "repeats", "oracle_n")
@@ -398,7 +302,7 @@ def cmd_sweep(args) -> int:
     # cancels it unless a worker has started it, and a serial one exits
     # before paying for it
     tasks.append((_sweep_oracle, (sim, base, args.oracle_n)))
-    results = _run_tasks(tasks, min(kernels._usable_cpus(), kernels.MAX_WORKERS, len(tasks)))
+    results = run_tasks(tasks, workers(len(tasks)))
     oracle = results.pop()
     rows = []
     for vi, value in enumerate(values):

@@ -191,18 +191,29 @@ def stratified_split(bv: BinaryView, n_bins: int, seed: int) -> SplitIndex:
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     rng = np.random.default_rng(seed)
-    bins = bin_index_of(bv.score, n_bins)
+    order, offsets = group_by_bin(bin_index_of(bv.score, n_bins), n_bins)
     train, test = [], []
-    for b in range(n_bins):
-        rows = np.flatnonzero(bins == b)
-        if rows.size == 0:
-            continue
+    # occupied bins in ascending order, as the permutations are drawn
+    for b in np.flatnonzero(np.diff(offsets)).tolist():
+        rows = order[offsets[b]:offsets[b + 1]]
         rows = rows[rng.permutation(rows.size)]
         train.append(rows[0::2])
         test.append(rows[1::2])
     train = np.sort(np.concatenate(train)) if train else np.empty(0, np.int64)
     test = np.sort(np.concatenate(test)) if test else np.empty(0, np.int64)
     return SplitIndex(train, test, n_bins)
+
+
+def group_by_bin(bins: np.ndarray, n_bins: int):
+    """The positions of ``bins`` (each in ``[0, n_bins)``) grouped by bin,
+    and each bin's offsets: bin ``b`` holds ``order[offsets[b]:offsets[b + 1]]``,
+    ascending.
+
+    One stable sort, where a scan per bin would read every row once per
+    bin; on 8- or 16-bit keys numpy's stable sort is a radix sort.
+    """
+    order = np.argsort(bins.astype(np.min_scalar_type(n_bins - 1)), kind="stable")
+    return order, np.append(0, np.bincount(bins, minlength=n_bins).cumsum())
 
 
 def _parse_float(text: str, line_no: int, column: str) -> float:

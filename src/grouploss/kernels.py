@@ -2,20 +2,11 @@
 the calibration-curve fit, isotonic pooling, and ``best_splits``, the one
 split scan of the tree and the stump, which holds the one threshold rule."""
 
-import os
-import threading
+import contextlib
 
 import numpy as np
 
-# Window size from which ``lowess_grid`` splits its grid across threads.
-# Below it each window's numpy calls are too short for the threads to
-# overlap much: on 2 CPUs two threads took 0.10 s against 0.06 s at
-# k = 3,000 and broke even near k = 10,000, and at k = 12,000 they took
-# 0.18 s against 0.21 s.
-THREADED_MIN_K = 12_000
-# Most threads ``lowess_grid`` starts, each holding four k-length buffers,
-# and most processes ``grouploss sweep`` forks.
-MAX_WORKERS = 4
+from . import forking
 
 # Relative guard below which a local linear system is treated as degenerate
 # and the weighted mean is returned instead.
@@ -25,22 +16,22 @@ _DEGENERATE_REL = 1e-10
 def lowess_grid(s, y, grid, k):
     """Local linear tricube fit at each grid point over its k nearest scores.
 
-    ``s`` is ascending with ``y`` aligned; ``grid`` is ascending.  From a
-    window of ``THREADED_MIN_K`` the grid points are split across up to
-    ``MAX_WORKERS`` threads, one per usable CPU; each point runs the same
-    numpy calls on the same window either way, so the result does not
-    depend on the thread count.
+    ``s`` is ascending with ``y`` aligned; ``grid`` is ascending.  The grid
+    is cut into one contiguous run per worker (``forking.workers``): this
+    process fits the first run and a forked child each other one.  Each
+    point runs the same numpy calls on the same window wherever it runs,
+    so the result does not depend on the number of runs.
     """
-    workers = min(_usable_cpus(), MAX_WORKERS) if k >= THREADED_MIN_K else 1
-    return _lowess_grid(s, y, grid, k, workers)
-
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    m = grid.shape[0]
+    starts = _window_starts(s, grid, k).tolist()
+    parts = max(forking.workers(m), 1)
+    cuts = [m * i // parts for i in range(parts + 1)]
+    # leaving the stack, on return or on any error, joins every child
+    with contextlib.ExitStack() as children:
+        rest = [children.enter_context(forking.in_child(_fit_run, s, y, grid, k, starts, a, b))
+                for a, b in zip(cuts[1:-1], cuts[2:])]
+        first = _fit_run(s, y, grid, k, starts, 0, cuts[1])
+        return np.concatenate([first] + [result() for result in rest])
 
 
 def _window_starts(s, grid, k):
@@ -65,54 +56,22 @@ def _window_starts(s, grid, k):
     return lo
 
 
-def _lowess_grid(s, y, grid, k, workers):
-    """``lowess_grid`` on ``workers`` threads, each fitting a contiguous run
-    of grid points; the calling thread fits the first run and joins the
-    others before it returns or raises."""
-    m = grid.shape[0]
-    out = np.empty(m)
-    starts = _window_starts(s, grid, k).tolist()
-    parts = max(min(workers, m), 1)
-    cuts = [m * i // parts for i in range(parts + 1)]
-    runs = [(s, y, grid, k, starts, out, a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-    errors = []
-
-    def fit(*run):
-        try:
-            _fit_points(*run)
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
-
-    started = []
-    try:
-        for run in runs[1:]:
-            thread = threading.Thread(target=fit, args=run)
-            thread.start()
-            started.append(thread)
-        _fit_points(*runs[0])
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return out
-
-
-def _fit_points(s, y, grid, k, starts, out, first, stop):
+def _fit_run(s, y, grid, k, starts, first, stop):
     """The fit at grid points ``first:stop``, each over ``k`` rows from its start."""
     n = s.shape[0]
+    out = np.empty(stop - first)
     # every window has min(k, n) rows; its passes reuse these buffers, four
     # arrays rather than one (4, m) block, which measured about 2 MB more
     # peak RSS on large-n-2e5
     x, w, wx, tmp = (np.empty(min(k, n)) for _ in range(4))
-    for gi in range(first, stop):
+    for i, gi in enumerate(range(first, stop)):
         g = grid[gi]
         lo = starts[gi]
         win_s = s[lo:lo + k]
         win_y = y[lo:lo + k]
         bw = max(g - win_s[0], win_s[-1] - g)
         if bw <= 0.0:
-            out[gi] = win_y.mean()
+            out[i] = win_y.mean()
             continue
         np.subtract(win_s, g, out=x)
         # |x| <= bw holds in floating point too, so no weight is negative
@@ -123,7 +82,7 @@ def _fit_points(s, y, grid, k, starts, out, first, stop):
         np.power(w, 3, out=w)
         sw = w.sum()
         if sw <= 0.0:
-            out[gi] = win_y.mean()
+            out[i] = win_y.mean()
             continue
         np.multiply(w, x, out=wx)
         swx = wx.sum()
@@ -132,9 +91,10 @@ def _fit_points(s, y, grid, k, starts, out, first, stop):
         swxy = np.multiply(wx, win_y, out=tmp).sum()
         denom = sw * swx2 - swx * swx
         if denom > _DEGENERATE_REL * sw * swx2:
-            out[gi] = (swx2 * swy - swx * swxy) / denom
+            out[i] = (swx2 * swy - swx * swxy) / denom
         else:
-            out[gi] = swy / sw
+            out[i] = swy / sw
+    return out
 
 
 def best_splits(X, y, order, sizes, min_leaf):

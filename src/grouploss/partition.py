@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .binning import BinnedView
-from .data import SplitIndex
+from .data import SplitIndex, group_by_bin
 
 MIN_SPLIT_GAIN = 1e-12
 MIN_SAMPLES_LEAF = 2
@@ -194,8 +194,9 @@ class Centers:
         fit, so their bits do not depend on how a larger product is summed.
         """
         out = np.zeros(rows.shape[0], dtype=np.int64)
+        order, offsets = group_by_bin(bins, self.n_regions.size)
         for b in np.flatnonzero(self.n_regions > 1).tolist():
-            at = np.flatnonzero(bins == b)
+            at = order[offsets[b]:offsets[b + 1]]
             if at.size:
                 out[at] = np.argmin(_sq_distances(*_row_terms(X[rows[at]]), self.centers[b]),
                                     axis=1)
@@ -370,9 +371,8 @@ def fit_partition(
 def _rows_by_bin(bview: BinnedView, split: SplitIndex):
     """Train rows grouped by bin, in their order in ``split.train_rows``,
     and the offsets of each bin's run."""
-    train_bins = bview.bin_of[split.train_rows]
-    offsets = np.append(0, np.bincount(train_bins, minlength=bview.n_bins).cumsum())
-    return split.train_rows[np.argsort(train_bins, kind="stable")], offsets
+    order, offsets = group_by_bin(bview.bin_of[split.train_rows], bview.n_bins)
+    return split.train_rows[order], offsets
 
 
 def assign_regions(model, bview: BinnedView, features: np.ndarray) -> np.ndarray:

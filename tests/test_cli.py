@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from grouploss import cli, kernels
+from grouploss import cli, forking
 from grouploss.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -167,23 +167,19 @@ class TestEstimate:
         report = run_pipeline(ds, RunConfig(seed=3))
         assert len(calls) == 1 and calls[0].size == report.n_test
 
-    def test_threaded_curve_gives_the_same_bytes(self, monkeypatch):
-        # a window above the threshold: one worker and two write the same report
-        workers = []
-        fit = kernels._lowess_grid
-
-        def counting_fit(s, y, grid, k, n_workers):
-            workers.append(n_workers)
-            return fit(s, y, grid, k, n_workers)
-
-        monkeypatch.setattr(kernels, "_lowess_grid", counting_fit)
+    def test_split_curve_gives_the_same_bytes(self, monkeypatch):
+        # a window of 12,600 rows: one process and the curve split over a
+        # forked child (beside the partition's) write the same report
         ds, _ = sample_realistic(default_realistic(), 42_000, seed=4)
-        outputs = []
+        outputs, forks = [], []
         for cpus in (1, 2):
-            monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+            before = forking.in_child.forks
             report = run_pipeline(ds, RunConfig(seed=4))
+            forks.append(forking.in_child.forks - before)
             outputs.append((report.to_json(), report.diagram_csv()))
-        assert workers == [1, 2]
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert forks == [0, 2]
         assert outputs[0] == outputs[1]
 
     def test_every_bin_unestimable_exits_3(self, tmp_path):
@@ -460,7 +456,7 @@ class TestSweep:
 class TestSweepWorkers:
     """The sweep's repeats and oracle on 1, 2 or 3 forked workers."""
 
-    run_tasks = staticmethod(cli._run_tasks)
+    run_tasks = staticmethod(forking.run_tasks)
 
     def _sweep(self, tmp_path, monkeypatch, workers, name="sweep.csv", values="10,30"):
         """Exit code and CSV text of a sweep run on ``workers`` workers."""
@@ -470,7 +466,7 @@ class TestSweepWorkers:
             used.append(workers)
             return self.run_tasks(tasks, workers)
 
-        monkeypatch.setattr(cli, "_run_tasks", forced)
+        monkeypatch.setattr(cli, "run_tasks", forced)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "realistic"}))
         out = tmp_path / name
@@ -493,8 +489,8 @@ class TestSweepWorkers:
             counts.append((len(tasks), workers))
             return self.run_tasks(tasks, 1)
 
-        monkeypatch.setattr(cli, "_run_tasks", counted)
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(cli, "run_tasks", counted)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 64)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "realistic"}))
         for repeats in ("1", "3"):
@@ -502,7 +498,7 @@ class TestSweepWorkers:
                          "--n", "1000", "--repeats", repeats, "--oracle-n", "1000",
                          "--out", str(tmp_path / "s.csv")]) == EXIT_OK
         # one repeat and the oracle, then three repeats and the oracle
-        assert counts == [(2, 2), (4, kernels.MAX_WORKERS)]
+        assert counts == [(2, 2), (4, forking.MAX_WORKERS)]
 
     def test_failing_repeat_gives_the_serial_message(self, tmp_path, monkeypatch, capsys):
         # ratios 30 and 100 fail with different messages; 30 is first in task
@@ -545,12 +541,12 @@ class TestSweepWorkers:
 
 
 def _stage_pids():
-    """Run in a sweep worker: the pid a ``_in_child`` stage ran in, this
+    """Run in a sweep worker: the pid an ``in_child`` stage ran in, this
     process's pid, and how many children the stage forked."""
-    forks = cli._in_child.forks
-    with cli._in_child(os.getpid) as stage:
+    forks = forking.in_child.forks
+    with forking.in_child(os.getpid) as stage:
         pid = stage()
-    return pid, os.getpid(), cli._in_child.forks - forks
+    return pid, os.getpid(), forking.in_child.forks - forks
 
 
 def _no_curve(*args):
@@ -567,13 +563,13 @@ class TestPartitionChild:
     def two_cpus(self, monkeypatch):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("this platform cannot fork")
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
 
     def _errors(self, monkeypatch, ds, cfg):
         """The type and message ``run_pipeline`` raises on one CPU, then on two."""
         errors = []
         for cpus in (1, 2):
-            monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
             with pytest.raises(Exception) as info:
                 run_pipeline(ds, cfg)
             errors.append((type(info.value), str(info.value)))
@@ -586,12 +582,13 @@ class TestPartitionChild:
         ds, _ = sample_realistic(default_realistic() if d == 2 else self.D4, 3000, seed=5)
         outputs, forks = [], []
         for cpus in (1, 2):
-            monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
-            before = cli._in_child.forks
+            monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+            before = forking.in_child.forks
             report = run_pipeline(ds, RunConfig(partition=partition, seed=5))
-            forks.append(cli._in_child.forks - before)
+            forks.append(forking.in_child.forks - before)
             outputs.append(report.to_json() + report.diagram_csv())
-        assert forks == [0, 1]
+        # two CPUs: the partition's child and the curve's second run
+        assert forks == [0, 2]
         assert outputs[0] == outputs[1]
         assert multiprocessing.active_children() == []
 
@@ -604,9 +601,9 @@ class TestPartitionChild:
         ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
         features = ds.features[:, :0] if scale is None else ds.features * scale
         ds = LabeledDataset(features, ds.scores, ds.labels)
-        before = cli._in_child.forks
+        before = forking.in_child.forks
         errors = self._errors(monkeypatch, ds, RunConfig(partition="kmeans:4"))
-        assert cli._in_child.forks == before + 1
+        assert forking.in_child.forks == before + 2
         assert errors[0] == errors[1]
         assert errors[0][0] is ValueError and re.fullmatch(message, errors[0][1])
 
@@ -614,10 +611,10 @@ class TestPartitionChild:
         ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
         csv = tmp_path / "huge.csv"
         write_dataset_csv(csv, LabeledDataset(ds.features * 1e160, ds.scores, ds.labels))
-        before = cli._in_child.forks
+        before = forking.in_child.forks
         code = main(["estimate", str(csv), "--partition", "kmeans:4",
                      "--out", str(tmp_path / "r.json")])
-        assert code == EXIT_INPUT and cli._in_child.forks == before + 1
+        assert code == EXIT_INPUT and forking.in_child.forks == before + 2
         err = capsys.readouterr().err
         assert err.startswith("error: k-means") and "Traceback" not in err
         assert multiprocessing.active_children() == []
@@ -656,12 +653,12 @@ class TestPartitionChild:
         fit = cli.fit_calibration_curve
 
         def curve(*args):
-            forks.append(cli._in_child.forks)
+            forks.append(forking.in_child.forks)
             return fit(*args)
 
         monkeypatch.setattr(cli, "fit_calibration_curve", curve)
         ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
-        before = cli._in_child.forks
+        before = forking.in_child.forks
         run_pipeline(ds, RunConfig())
         assert forks == [before + 1]
 
@@ -671,18 +668,18 @@ class TestPartitionChild:
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            before = cli._in_child.forks
+            before = forking.in_child.forks
             alone = run_pipeline(ds, RunConfig(seed=6)).to_json()
-            assert cli._in_child.forks == before
+            assert forking.in_child.forks == before
         finally:
             release.set()
             waiter.join(timeout=10)
         assert not waiter.is_alive()
         assert run_pipeline(ds, RunConfig(seed=6)).to_json() == alone
-        assert cli._in_child.forks == before + 1
+        assert forking.in_child.forks == before + 2
 
     def test_a_sweep_worker_runs_the_stage_in_process(self, two_cpus):
-        [(pid, worker, forks)] = cli._run_tasks([(_stage_pids, ())], 2)
+        [(pid, worker, forks)] = forking.run_tasks([(_stage_pids, ())], 2)
         assert pid == worker != os.getpid()
         assert forks == 0
         assert multiprocessing.active_children() == []

@@ -1,6 +1,7 @@
 """The vectorized kernels must agree with plain scalar reference loops."""
 
-import sys
+import multiprocessing
+import os
 import threading
 import time
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouploss import kernels
+from grouploss import forking, kernels
 from grouploss.partition import Tree
 from test_partition import _fit_stump, _grow_tree, _midpoint
 
@@ -190,7 +191,7 @@ def test_lowess_paths_agree():
 
 @pytest.mark.parametrize(
     "case", ["stock", "tied", "zero-bandwidth", "k-above-n", "degenerate", "one-point", "two-points"])
-def test_lowess_matches_numpy_reference_bitwise(case):
+def test_lowess_matches_numpy_reference_bitwise(case, monkeypatch):
     rng = np.random.default_rng(3)
     s, k = {
         "stock": (rng.uniform(size=20_000), 3_000),  # k in the thousands
@@ -207,81 +208,122 @@ def test_lowess_matches_numpy_reference_bitwise(case):
     s = np.sort(s)
     y = (rng.uniform(size=s.size) < s).astype(float)
     grids = (np.unique(s), np.linspace(s[0], s[-1], 300))
-    if case.endswith("points"):  # fewer grid points than workers
+    if case.endswith("points"):  # fewer grid points than runs
         grids = (s[[150]], s[[0, -1]]) if case == "one-point" else (s[[3, 250]], s[[0, 0]])
     branches = []
     for grid in grids:
         expected = _lowess_grid_numpy_reference(s, y, grid, k, branches)
-        assert np.array_equal(kernels.lowess_grid(s, y, grid, k), expected)
-        for workers in (1, 2, 3):
-            assert np.array_equal(kernels._lowess_grid(s, y, grid, k, workers), expected)
+        for cpus in (1, 2, 3, 4):
+            monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+            assert np.array_equal(kernels.lowess_grid(s, y, grid, k), expected)
+    assert multiprocessing.active_children() == []
     if case == "degenerate":
         assert "degenerate" in branches
     if case == "zero-bandwidth":
         assert "mean" in branches
 
 
-def test_lowess_threads_above_the_window_threshold(monkeypatch):
-    calls = []
-    fit = kernels._lowess_grid
-
-    def counting_fit(s, y, grid, k, workers):
-        calls.append(workers)
-        return fit(s, y, grid, k, workers)
-
-    monkeypatch.setattr(kernels, "_lowess_grid", counting_fit)
-    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 16)
-    rng = np.random.default_rng(6)
-    s = np.sort(rng.uniform(size=kernels.THREADED_MIN_K + 10))
-    y = (rng.uniform(size=s.size) < s).astype(float)
-    grid = np.linspace(s[0], s[-1], 5)
-    threaded = kernels.lowess_grid(s, y, grid, kernels.THREADED_MIN_K)
-    serial = kernels.lowess_grid(s, y, grid, kernels.THREADED_MIN_K - 1)
-    assert calls == [kernels.MAX_WORKERS, 1]
-    assert np.array_equal(threaded, fit(s, y, grid, kernels.THREADED_MIN_K, 1))
-    assert np.array_equal(serial, _lowess_grid_numpy_reference(s, y, grid, kernels.THREADED_MIN_K - 1))
+@pytest.fixture
+def can_fork():
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("this platform cannot fork")
 
 
-def test_lowess_workers_under_fast_switching():
-    # more workers than CPUs, switching threads as often as the interpreter can
-    rng = np.random.default_rng(8)
-    s = np.sort(rng.integers(0, 300, size=3_000) / 299.0)
-    y = (rng.uniform(size=s.size) < s).astype(float)
-    grid = np.unique(s)
-    expected = _lowess_grid_numpy_reference(s, y, grid, 900)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (4, 8):
-            assert np.array_equal(kernels._lowess_grid(s, y, grid, 900, workers), expected)
-    finally:
-        sys.setswitchinterval(interval)
+def _curve_forks(m=40):
+    """A curve over ``m`` grid points, and the children it forked."""
+    rng = np.random.default_rng(9)
+    s = np.sort(rng.uniform(size=400))
+    y = (rng.uniform(size=400) < s).astype(float)
+    before = forking.in_child.forks
+    out = kernels.lowess_grid(s, y, np.linspace(0.0, 1.0, m), 100)
+    return out, forking.in_child.forks - before
+
+
+@pytest.mark.parametrize("cpus, m, forks", [(1, 40, 0), (2, 40, 1), (3, 40, 2), (4, 40, 3),
+                                            (16, 40, forking.MAX_WORKERS - 1), (4, 2, 1),
+                                            (4, 1, 0), (4, 0, 0)])
+def test_lowess_forks_one_child_per_run_but_the_first(can_fork, monkeypatch, cpus, m, forks):
+    monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+    out, forked = _curve_forks(m)
+    assert out.shape == (m,) and forked == forks
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("failing_run", [None, "worker", "caller"])
-def test_lowess_threads_end_with_the_call(monkeypatch, failing_run):
+def test_lowess_threads_end_with_the_call(can_fork, monkeypatch, failing_run):
+    # the call starts no thread and leaves no child, whichever run fails
     rng = np.random.default_rng(7)
     s = np.sort(rng.uniform(size=400))
     y = (rng.uniform(size=400) < s).astype(float)
     grid = np.linspace(0.0, 1.0, 40)
-    fit_points = kernels._fit_points
+    fit_run = kernels._fit_run
 
-    def slow_fit(s, y, grid, k, starts, out, first, stop):
-        if first > 0:  # the workers outlast the calling thread's run
+    def slow_fit(s, y, grid, k, starts, first, stop):
+        if first > 0:  # the children outlast the caller's run
             time.sleep(0.05)
         if failing_run is not None and (first == 0) == (failing_run == "caller"):
-            raise RuntimeError(failing_run)
-        fit_points(s, y, grid, k, starts, out, first, stop)
+            raise KeyError(f"{failing_run} run {first}")
+        return fit_run(s, y, grid, k, starts, first, stop)
 
-    monkeypatch.setattr(kernels, "_fit_points", slow_fit)
+    monkeypatch.setattr(kernels, "_fit_run", slow_fit)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 3)
     before = threading.active_count()
     if failing_run is None:
         expected = _lowess_grid_numpy_reference(s, y, grid, 100)
-        assert np.array_equal(kernels._lowess_grid(s, y, grid, 100, 3), expected)
+        assert np.array_equal(kernels.lowess_grid(s, y, grid, 100), expected)
     else:
-        with pytest.raises(RuntimeError, match=failing_run):
-            kernels._lowess_grid(s, y, grid, 100, 3)
+        # the first failing run in grid order: the caller's, or the first child's
+        first = 0 if failing_run == "caller" else 13
+        with pytest.raises(KeyError, match=f"{failing_run} run {first}"):
+            kernels.lowess_grid(s, y, grid, 100)
     assert threading.active_count() == before
+    assert multiprocessing.active_children() == []
+
+
+def test_lowess_child_that_dies_raises_runtime_error(can_fork, monkeypatch):
+    fit_run = kernels._fit_run
+
+    def die(s, y, grid, k, starts, first, stop):
+        if first > 0:  # only in a child: in this process it would end the tests
+            assert multiprocessing.parent_process() is not None
+            os._exit(7)
+        return fit_run(s, y, grid, k, starts, first, stop)
+
+    monkeypatch.setattr(kernels, "_fit_run", die)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="exited with code 7 without a result"):
+        _curve_forks()
+    assert multiprocessing.active_children() == []
+
+
+def test_lowess_with_another_thread_stays_in_process(can_fork, monkeypatch):
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+    alone, forks = _curve_forks()
+    assert forks == 1
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        beside, forks = _curve_forks()
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert forks == 0 and np.array_equal(beside, alone)
+
+
+def _curve_in_worker():
+    """Run in a sweep worker: the curve, the children it forked, and the
+    worker's pid."""
+    out, forks = _curve_forks()
+    return out, forks, os.getpid()
+
+
+def test_lowess_in_a_task_worker_stays_in_process(can_fork, monkeypatch):
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+    [(out, forks, pid)] = forking.run_tasks([(_curve_in_worker, ())], 2)
+    assert pid != os.getpid() and forks == 0
+    assert np.array_equal(out, _curve_forks()[0])
+    assert multiprocessing.active_children() == []
 
 
 sorted_scores = st.one_of(

@@ -17,7 +17,9 @@ from grouploss.data import (
     LabeledDataset,
     SplitIndex,
     _read_rows,
+    bin_index_of,
     read_dataset_csv,
+    stratified_split,
     write_dataset_csv,
 )
 from grouploss import kernels
@@ -340,6 +342,9 @@ def test_kmeans_assignment_matches_each_bin_alone(data, k, draws):
     model = KMeans(k).fit(X, y, rows, offsets, 30, 0)
     assert model.n_regions.tolist() == [max(min(k, int(m)), 1) for m in np.diff(offsets)]
     Q, q_rows, q_bins = _query_rows(X, n_bins, draws.draw)
+    # fewer query rows than bins too
+    cut = draws.draw(st.integers(0, q_rows.size))
+    q_rows, q_bins = q_rows[:cut], q_bins[:cut]
     got = model.assign(Q, q_rows, q_bins)
     for b in range(n_bins):
         at = q_bins == b
@@ -349,6 +354,38 @@ def test_kmeans_assignment_matches_each_bin_alone(data, k, draws):
             expected = np.argmin(_sq_distances(*_row_terms(Q[q_rows[at]]), model.centers[b]),
                                  axis=1)
             np.testing.assert_array_equal(got[at], expected)
+
+
+def _stratified_split_reference(bv, n_bins, seed):
+    # the split as one scan of every row per bin
+    rng = np.random.default_rng(seed)
+    bins = bin_index_of(bv.score, n_bins)
+    train, test = [], []
+    for b in range(n_bins):
+        rows = np.flatnonzero(bins == b)
+        if rows.size == 0:
+            continue
+        rows = rows[rng.permutation(rows.size)]
+        train.append(rows[0::2])
+        test.append(rows[1::2])
+    train = np.sort(np.concatenate(train)) if train else np.empty(0, np.int64)
+    test = np.sort(np.concatenate(test)) if test else np.empty(0, np.int64)
+    return train, test
+
+
+@settings(deadline=None, max_examples=300)
+@given(scores=st.lists(st.integers(0, 16).map(lambda i: i / 16) | st.floats(0.0, 1.0),
+                       min_size=2, max_size=60),
+       n_bins=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_stratified_split_matches_the_scan_per_bin(scores, n_bins, seed):
+    # tied scores, empty bins and more bins than rows among the draws
+    score = np.array(scores)
+    bv = BinaryView(np.zeros((score.size, 1)), score, np.zeros(score.size, dtype=int))
+    split = stratified_split(bv, n_bins, seed)
+    train, test = _stratified_split_reference(bv, n_bins, seed)
+    assert split.train_rows.dtype == train.dtype and split.test_rows.dtype == test.dtype
+    np.testing.assert_array_equal(split.train_rows, train)
+    np.testing.assert_array_equal(split.test_rows, test)
 
 
 json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | st.floats().map(np.float64)
