@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryView, bin_index_of
+from .data import BinaryView, bin_index_of, group_by_bin
 from .scoring import ScoringRule, binary_negative_entropy
 
 
@@ -15,14 +15,20 @@ class BinnedView:
     A score ``s`` maps to bin ``floor(s * n_bins)``; ``s == 1.0`` falls
     in the last (closed) bin.  Statistics cover the rows in ``rows``
     (all rows by default); ``bin_of`` is the full-length assignment.
-    Empty bins carry count 0 and NaN statistics, and every weighted sum
-    downstream skips them.
+    The per-bin arrays hold one entry per bin that a row of ``rows``
+    occupies, in ascending order: bin ``bins[i]`` has edges ``s_lo[i]``
+    and ``s_hi[i]`` and holds ``counts[i] >= 1`` rows, and ``slot[j]`` is
+    the entry of row ``rows[j]``.  Their size is bounded by the rows,
+    whatever ``n_bins``.
     """
 
     n_bins: int
-    edges: np.ndarray
     bin_of: np.ndarray
     rows: np.ndarray
+    slot: np.ndarray
+    bins: np.ndarray
+    s_lo: np.ndarray
+    s_hi: np.ndarray
     counts: np.ndarray
     mean_score: np.ndarray
     pos_fraction: np.ndarray
@@ -33,48 +39,40 @@ class BinnedView:
         """Number of rows covered by the statistics."""
         return int(self.counts.sum())
 
-    def occupied(self) -> np.ndarray:
-        return np.flatnonzero(self.counts > 0)
+
+def bin_table(bin_of: np.ndarray, n_bins: int):
+    """The bins ``bin_of`` occupies in ascending order, each one's count,
+    and each entry's index among them: ``(bins, counts, slot)``."""
+    bins, order, offsets = group_by_bin(bin_of, n_bins)
+    counts = np.diff(offsets)
+    slot = np.empty(order.shape[0], dtype=np.intp)
+    slot[order] = np.repeat(np.arange(bins.shape[0]), counts)
+    return bins, counts, slot
 
 
 def make_bins(bv: BinaryView, n_bins: int, rows=None) -> BinnedView:
     """Bin a binary view and compute exact per-bin statistics.
 
     ``rows`` restricts the statistics (not the assignment) to a subset,
-    e.g. the test half of a split.
+    e.g. the test half of a split.  Each bin's sums run over its rows in
+    the order of ``rows``.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     bin_of = bin_index_of(bv.score, n_bins)
-    if rows is None:
-        rows = np.arange(bv.n, dtype=np.int64)
-    else:
-        rows = np.asarray(rows, dtype=np.int64)
-    sel = bin_of[rows]
+    rows = np.arange(bv.n, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
     scores = bv.score[rows]
-    labels = bv.label[rows]
-    counts = np.bincount(sel, minlength=n_bins).astype(np.int64)
-    sums = np.bincount(sel, weights=scores, minlength=n_bins)
-    pos = np.bincount(sel, weights=labels, minlength=n_bins)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_score = sums / counts
-        pos_fraction = pos / counts
-        # two-pass variance: exactly zero for bins with constant scores
-        centered = scores - mean_score[sel]
-        sq_sums = np.bincount(sel, weights=centered * centered, minlength=n_bins)
-        variance = sq_sums / counts
-    variance = np.where(counts > 0, variance, np.nan)
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    return BinnedView(
-        n_bins=n_bins,
-        edges=edges,
-        bin_of=bin_of,
-        rows=rows,
-        counts=counts,
-        mean_score=mean_score,
-        pos_fraction=pos_fraction,
-        score_variance=variance,
-    )
+    bins, counts, slot = bin_table(bin_of[rows], n_bins)
+    mean_score = np.bincount(slot, weights=scores) / counts
+    pos_fraction = np.bincount(slot, weights=bv.label[rows]) / counts
+    # two-pass variance: exactly zero for bins with constant scores
+    centered = scores - mean_score[slot]
+    variance = np.bincount(slot, weights=centered * centered) / counts
+    # the edges np.linspace(0, 1, n_bins + 1) has at bins and bins + 1
+    step = 1.0 / n_bins
+    s_hi = np.where(bins + 1 == n_bins, 1.0, (bins + 1) * step)
+    return BinnedView(n_bins, bin_of, rows, slot, bins, bins * step, s_hi, counts, mean_score,
+                      pos_fraction, variance)
 
 
 def within_bin_score_variance(bview: BinnedView):
@@ -84,26 +82,19 @@ def within_bin_score_variance(bview: BinnedView):
     With ``N`` equal-width bins it never exceeds ``1 / (4 N^2)``, and
     approaches ``1 / (12 N^2)`` under uniform scores.
     """
-    per_bin = np.where(bview.counts > 0, bview.score_variance, 0.0)
     n = bview.n
-    if n == 0:
-        return per_bin, 0.0
-    total = float(np.dot(bview.counts / n, per_bin))
-    return per_bin, total
+    total = float(np.dot(bview.counts / n, bview.score_variance)) if n else 0.0
+    return bview.score_variance, total
 
 
-def jensen_gap_by_bin(rule: ScoringRule, bin_of: np.ndarray, values: np.ndarray,
-                      n_bins: int):
+def jensen_gap_by_bin(rule: ScoringRule, slot: np.ndarray, values: np.ndarray,
+                      counts: np.ndarray) -> np.ndarray:
     """Per-bin Jensen gap ``mean h(v) - h(mean v)`` of the rule's ``h``.
 
-    ``values`` are positive-class probabilities aligned with ``bin_of``.
-    Returns ``(counts, gaps)`` over all ``n_bins`` bins; empty bins have
-    NaN gaps.
+    ``values`` are positive-class probabilities; value ``i`` lies in bin
+    ``slot[i]`` and bin ``j`` holds ``counts[j] >= 1`` of them, as
+    ``bin_table`` numbers them.
     """
-    counts = np.bincount(bin_of, minlength=n_bins)
-    sums = np.bincount(bin_of, weights=values, minlength=n_bins)
-    h_sums = np.bincount(bin_of, weights=binary_negative_entropy(rule, values),
-                         minlength=n_bins)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gaps = h_sums / counts - binary_negative_entropy(rule, sums / counts)
-    return counts, gaps
+    sums = np.bincount(slot, weights=values)
+    h_sums = np.bincount(slot, weights=binary_negative_entropy(rule, values))
+    return h_sums / counts - binary_negative_entropy(rule, sums / counts)

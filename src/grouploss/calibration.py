@@ -106,11 +106,7 @@ def calibration_loss_binned(bview: BinnedView, rule: ScoringRule) -> float:
     calibration error.  Under log-loss a bin whose mean score sits on
     the boundary while its positive fraction does not yields ``inf``.
     """
-    occupied = bview.occupied()
-    if occupied.size == 0:
+    if bview.bins.size == 0:
         return 0.0
-    w = bview.counts[occupied] / bview.n
-    per_bin = binary_divergence(
-        rule, bview.mean_score[occupied], bview.pos_fraction[occupied]
-    )
-    return float(np.dot(w, per_bin))
+    per_bin = binary_divergence(rule, bview.mean_score, bview.pos_fraction)
+    return float(np.dot(bview.counts / bview.n, per_bin))

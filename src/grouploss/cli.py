@@ -139,7 +139,7 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
         curve = fit_calibration_curve(bv.score, bv.label, cfg.bandwidth_fraction)
         induced = gl_induced_estimate(curve, bview, bv.score, rule)
         assignments = partition()
-    stats = region_stats(assignments, bview, bv.label, split)
+    stats = region_stats(assignments, bview, bv.label)
     glx = gl_explained_debiased(stats, rule)
     cl = calibration_loss_binned(bview, rule)
     bounds = binning_bounds(bview, rule) if rule is BRIER_SCALAR else None

@@ -137,7 +137,6 @@ class SplitIndex:
 
     train_rows: np.ndarray
     test_rows: np.ndarray
-    n_bins: int
 
     def __post_init__(self):
         object.__setattr__(self, "train_rows", np.asarray(self.train_rows, dtype=np.int64))
@@ -176,7 +175,8 @@ def bin_index_of(scores: np.ndarray, n_bins: int) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
         raise ValueError("scores must lie in [0, 1]")
-    return np.minimum((scores * n_bins).astype(np.int64), n_bins - 1)
+    # cast through uint64: near 2**63 bins, 1.0 scales to 2**63, past int64
+    return np.minimum((scores * n_bins).astype(np.uint64), n_bins - 1).astype(np.int64)
 
 
 def stratified_split(bv: BinaryView, n_bins: int, seed: int) -> SplitIndex:
@@ -191,29 +191,33 @@ def stratified_split(bv: BinaryView, n_bins: int, seed: int) -> SplitIndex:
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     rng = np.random.default_rng(seed)
-    order, offsets = group_by_bin(bin_index_of(bv.score, n_bins), n_bins)
+    _, order, offsets = group_by_bin(bin_index_of(bv.score, n_bins), n_bins)
     train, test = [], []
     # occupied bins in ascending order, as the permutations are drawn
-    for b in np.flatnonzero(np.diff(offsets)).tolist():
-        rows = order[offsets[b]:offsets[b + 1]]
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        rows = order[lo:hi]
         rows = rows[rng.permutation(rows.size)]
         train.append(rows[0::2])
         test.append(rows[1::2])
-    train = np.sort(np.concatenate(train)) if train else np.empty(0, np.int64)
-    test = np.sort(np.concatenate(test)) if test else np.empty(0, np.int64)
-    return SplitIndex(train, test, n_bins)
+    # two rows or more occupy one bin or more
+    return SplitIndex(np.sort(np.concatenate(train)), np.sort(np.concatenate(test)))
 
 
 def group_by_bin(bins: np.ndarray, n_bins: int):
-    """The positions of ``bins`` (each in ``[0, n_bins)``) grouped by bin,
-    and each bin's offsets: bin ``b`` holds ``order[offsets[b]:offsets[b + 1]]``,
-    ascending.
+    """The bins ``bins`` (each in ``[0, n_bins)``) occupies, ascending, and
+    its positions grouped by them: ``(ids, order, offsets)``, bin ``ids[i]``
+    holding positions ``order[offsets[i]:offsets[i + 1]]``, ascending.
 
     One stable sort, where a scan per bin would read every row once per
-    bin; on 8- or 16-bit keys numpy's stable sort is a radix sort.
+    bin; on 8- or 16-bit keys numpy's stable sort is a radix sort.  No
+    array is sized by ``n_bins``.
     """
-    order = np.argsort(bins.astype(np.min_scalar_type(n_bins - 1)), kind="stable")
-    return order, np.append(0, np.bincount(bins, minlength=n_bins).cumsum())
+    keys = bins.astype(np.min_scalar_type(n_bins - 1))
+    order = np.argsort(keys, kind="stable")
+    # a bin's run starts where a sorted key differs from the one before (~ for the first)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=~keys[:1]))
+    return bins[order[starts]].astype(np.int64), order, np.append(starts, keys.shape[0])
 
 
 def _parse_float(text: str, line_no: int, column: str) -> float:

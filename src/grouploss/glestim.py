@@ -22,9 +22,8 @@ from operator import attrgetter
 import numpy as np
 from scipy.special import betaincinv
 
-from .binning import BinnedView, jensen_gap_by_bin, within_bin_score_variance
+from .binning import BinnedView, bin_table, jensen_gap_by_bin, within_bin_score_variance
 from .calibration import CalibrationCurve
-from .data import SplitIndex
 from .scoring import ScoringRule, binary_negative_entropy
 
 LOW_CONFIDENCE_REGION_COUNT = 10
@@ -39,12 +38,11 @@ class RegionStats:
 
     Rows are sorted by (bin, region id); bin ``bins[i]`` owns rows
     ``offsets[i]:offsets[i + 1]`` and regions with no test row are absent.
-    ``bins`` lists the bins with a test row; ``bin_counts`` and
-    ``bin_pos_fraction`` align with it, and the latter is the
-    count-weighted mean of the bin's ``region_means``.
+    ``bins``, ``bin_counts`` and ``bin_pos_fraction`` are the view's
+    occupied bins, its counts and its positive fractions; the latter is
+    the count-weighted mean of the bin's ``region_means``.
     """
 
-    n_bins: int
     bins: np.ndarray
     bin_counts: np.ndarray
     bin_pos_fraction: np.ndarray
@@ -62,33 +60,27 @@ class RegionStats:
         return int(self.bin_counts.sum())
 
 
-def region_stats(
-    assignments: np.ndarray,
-    bview: BinnedView,
-    labels: np.ndarray,
-    split: SplitIndex,
-) -> RegionStats:
-    """Count test rows and positives per (bin, region) in one pass.
+def region_stats(assignments: np.ndarray, bview: BinnedView, labels: np.ndarray) -> RegionStats:
+    """Count the rows ``bview`` covers (the test rows, in the pipeline) and
+    their positives per (bin, region) in one pass.
 
-    Every test row needs a region: ``assign_regions`` writes -1 for rows
+    Every such row needs a region: ``assign_regions`` writes -1 for rows
     outside its view, and such a row here raises ``ValueError``.
     """
-    rows = split.test_rows
-    b = bview.bin_of[rows].astype(np.int64)
+    rows = bview.rows
     a = np.asarray(assignments, dtype=np.int64)[rows]
     if a.size and a.min() < 0:
         raise ValueError("a test row has no region (negative region id)")
     y = np.asarray(labels, dtype=np.int64)[rows]
     width = int(a.max()) + 1 if a.size else 1
-    keys, row_of, counts = np.unique(b * width + a, return_inverse=True, return_counts=True)
-    bins, starts = np.unique(keys // width, return_index=True)
-    bin_counts = np.bincount(b, minlength=bview.n_bins)[bins]
+    # keyed by the bin's entry in the view, which is below the row count
+    keys, row_of, counts = np.unique(bview.slot * width + a, return_inverse=True,
+                                     return_counts=True)
     return RegionStats(
-        n_bins=bview.n_bins,
-        bins=bins,
-        bin_counts=bin_counts,
-        bin_pos_fraction=np.bincount(b, weights=y, minlength=bview.n_bins)[bins] / bin_counts,
-        offsets=np.append(starts, keys.size),
+        bins=bview.bins,
+        bin_counts=bview.counts,
+        bin_pos_fraction=bview.pos_fraction,
+        offsets=np.append(np.searchsorted(keys, np.arange(bview.bins.size) * width), keys.size),
         region_ids=keys % width,
         region_counts=counts,
         region_pos=np.bincount(row_of, weights=y, minlength=keys.size),
@@ -209,9 +201,9 @@ def gl_induced_estimate(
     c_vals = curve(np.asarray(scores, dtype=np.float64))
     if rule.kind == "logloss":
         c_vals = np.clip(c_vals, LOGLOSS_CURVE_CLAMP, 1.0 - LOGLOSS_CURVE_CLAMP)
-    counts, gaps = jensen_gap_by_bin(rule, bview.bin_of, c_vals, bview.n_bins)
-    occ = counts > 0
-    return float(np.dot(counts[occ] / counts.sum(), gaps[occ]))
+    _, counts, slot = bin_table(bview.bin_of, bview.n_bins)
+    gaps = jensen_gap_by_bin(rule, slot, c_vals, counts)
+    return float(np.dot(counts / counts.sum(), gaps))
 
 
 def gl_lower_bound(explained: float, induced: float) -> float:
@@ -240,14 +232,13 @@ class BinningBounds:
 def binning_bounds(bview: BinnedView, rule: ScoringRule) -> BinningBounds:
     if not rule.is_scalar:
         raise ValueError("binning bounds are defined for the scalar Brier rule")
-    occ = bview.occupied()
     n = bview.n
     n_bins = bview.n_bins
-    if occ.size == 0 or n == 0:
+    if n == 0:
         return BinningBounds(0.0, 0.0, -0.25 / n_bins**2, 0.0, 0.0, 0.0)
-    w = bview.counts[occ] / n
-    sqrt_v = np.sqrt(bview.score_variance[occ])
-    c = bview.pos_fraction[occ]
+    w = bview.counts / n
+    sqrt_v = np.sqrt(bview.score_variance)
+    c = bview.pos_fraction
     sqrt_c = np.sqrt(c * (1.0 - c))
     lower = -float(np.dot(w, sqrt_v * (2.0 * sqrt_c + sqrt_v)))
     upper = float(np.dot(w, sqrt_v * (2.0 * sqrt_c - sqrt_v)))
@@ -508,9 +499,9 @@ def build_report(
         BinRecord(*row)
         for row in zip(
             stats.bins.tolist(),
-            bview_eval.edges[stats.bins].tolist(),
-            bview_eval.edges[stats.bins + 1].tolist(),
-            bview_eval.mean_score[stats.bins].tolist(),
+            bview_eval.s_lo.tolist(),
+            bview_eval.s_hi.tolist(),
+            bview_eval.mean_score.tolist(),
             stats.bin_pos_fraction.tolist(),
             stats.bin_counts.tolist(),
             glx.estimable.tolist(),

@@ -1,17 +1,17 @@
 """Feature-space partitioning of score level sets.
 
-Each occupied score bin gets its own partition of feature space, fitted
-on the train rows of that bin only and applied to the rows a binned
-view covers (the test rows, in the pipeline).  Three
-strategies: a greedy axis-aligned regression tree on squared loss with
-a leaf-count cap derived from the region ratio, a single balanced-split
-stump, and seeded Lloyd k-means.  Each strategy's
-``fit(X, y, rows, offsets, region_ratio, seed)`` partitions every bin's
-train rows at once (bin ``b`` owns ``rows[offsets[b]:offsets[b + 1]]``)
-and returns one fitted partition of every bin: ``n_regions``, one count
-per bin, and ``assign(X, rows, bins)``, the region of each row ``rows``
-of ``X`` within its bin ``bins``.  The tree and the stump fit a
-``Forest``, k-means fits ``Centers``.
+Each bin a binned view occupies gets its own partition of feature space,
+fitted on the train rows of that bin only and applied to the rows the
+view covers (the test rows, in the pipeline).  Three strategies: a
+greedy axis-aligned regression tree on squared loss with a leaf-count
+cap derived from the region ratio, a single balanced-split stump, and
+seeded Lloyd k-means.  Each strategy's ``fit(X, y, rows, offsets,
+region_ratio, seed, bins)`` partitions every group's train rows at once
+(group ``g``, bin ``bins[g]``, owns ``rows[offsets[g]:offsets[g + 1]]``)
+and returns one fitted partition of every group: ``n_regions``, one
+count per group, and ``assign(X, rows, groups)``, the region of each row
+``rows`` of ``X`` within its group ``groups``.  The tree and the stump
+fit a ``Forest``, k-means fits ``Centers``.
 """
 
 import heapq
@@ -34,7 +34,7 @@ KMEANS_TOL = 1e-6
 class Tree:
     """Greedy CART partition; leaves capped at n_train_in_bin // region_ratio."""
 
-    def fit(self, X, y, rows, offsets, region_ratio, seed):
+    def fit(self, X, y, rows, offsets, region_ratio, seed, bins):
         caps = np.maximum(np.diff(offsets) // region_ratio, 1)
         return _grow_trees(X, y, rows, offsets, caps, MIN_SAMPLES_LEAF, MIN_SPLIT_GAIN)
 
@@ -44,7 +44,7 @@ class BalancedStump:
     """One split with at least floor(n/2) train samples on each side: the
     tree grower capped at two leaves, taking any qualifying boundary."""
 
-    def fit(self, X, y, rows, offsets, region_ratio, seed):
+    def fit(self, X, y, rows, offsets, region_ratio, seed, bins):
         min_leaf = np.maximum(np.diff(offsets) // 2, 1)
         return _grow_trees(X, y, rows, offsets, np.full(min_leaf.shape[0], 2), min_leaf, -np.inf)
 
@@ -59,15 +59,15 @@ class KMeans:
         if self.k < 1:
             raise ValueError(f"k-means needs k >= 1, got {self.k}")
 
-    def fit(self, X, y, rows, offsets, region_ratio, seed):
+    def fit(self, X, y, rows, offsets, region_ratio, seed, bins):
         # every squared distance (fit and assign) and seeding total is at
         # most 4 * X.size * amax**2; past that they overflow to inf silently
         amax = max(float(X.max(initial=0.0)), -float(X.min(initial=0.0)))
         if not 4.0 * X.size * amax * amax < np.inf:
             raise ValueError(f"k-means: features up to {amax:.3g} overflow squared distances")
         centers_by_bin = []
-        for b in range(offsets.shape[0] - 1):
-            Xb = X[rows[offsets[b]:offsets[b + 1]]]
+        for b, lo, hi in zip(bins.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
+            Xb = X[rows[lo:hi]]
             n = Xb.shape[0]
             k = min(self.k, n)
             if k < 2:
@@ -120,8 +120,8 @@ def parse_strategy(name: str):
 
 @dataclass(frozen=True)
 class Forest:
-    """One flattened binary tree per bin, node ``b`` the root of bin ``b``'s
-    tree; feature == -1 marks a leaf node."""
+    """One flattened binary tree per group, node ``g`` the root of group
+    ``g``'s tree; feature == -1 marks a leaf node."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -130,14 +130,14 @@ class Forest:
     leaf_region: np.ndarray
     n_regions: np.ndarray
 
-    def assign(self, X: np.ndarray, rows: np.ndarray, bins: np.ndarray) -> np.ndarray:
-        """Region of each row ``rows`` of ``X`` in the tree of its bin ``bins``;
-        the rows of every bin descend one level per step together."""
+    def assign(self, X: np.ndarray, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """Region of each row ``rows`` of ``X`` in the tree of its group
+        ``groups``; the rows of every group descend one level per step together."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         d = X.shape[1]
         out = np.empty(rows.shape[0], dtype=np.int64)
         at = np.arange(rows.shape[0])
-        flat, node = rows * d, bins
+        flat, node = rows * d, groups
         while at.size:
             feature = self.feature.take(node)
             leaf = feature < 0
@@ -182,23 +182,23 @@ def _cluster_means(X: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class Centers:
-    """Each bin's k-means centers; ``None`` for a bin of one region."""
+    """Each group's k-means centers; ``None`` for a group of one region."""
 
     centers: tuple
     n_regions: np.ndarray
 
-    def assign(self, X: np.ndarray, rows: np.ndarray, bins: np.ndarray) -> np.ndarray:
-        """Nearest center of its bin ``bins`` for each row ``rows`` of ``X``.
+    def assign(self, X: np.ndarray, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """Nearest center of its group ``groups`` for each row ``rows`` of ``X``.
 
-        Each bin's distances come from that bin's rows alone, as in the
+        Each group's distances come from that group's rows alone, as in the
         fit, so their bits do not depend on how a larger product is summed.
         """
         out = np.zeros(rows.shape[0], dtype=np.int64)
-        order, offsets = group_by_bin(bins, self.n_regions.size)
-        for b in np.flatnonzero(self.n_regions > 1).tolist():
-            at = order[offsets[b]:offsets[b + 1]]
-            if at.size:
-                out[at] = np.argmin(_sq_distances(*_row_terms(X[rows[at]]), self.centers[b]),
+        ids, order, offsets = group_by_bin(groups, self.n_regions.size)
+        for g, lo, hi in zip(ids.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
+            if self.n_regions[g] > 1:
+                at = order[lo:hi]
+                out[at] = np.argmin(_sq_distances(*_row_terms(X[rows[at]]), self.centers[g]),
                                     axis=1)
         return out
 
@@ -351,12 +351,13 @@ def fit_partition(
     region_ratio: int,
     seed: int,
 ):
-    """Fit one partition per occupied bin on that bin's train rows.
+    """Fit one partition per bin ``bview`` occupies on that bin's train rows.
 
     Bins with fewer than 2 train rows fall back to a single region.
     Per-bin randomness derives from ``(seed, bin_index)``, so fits are
     independent and order-insensitive.  The strategy gets every bin in
-    one call, each bin's rows in their order in ``split.train_rows``.
+    one call, group ``g`` for ``bview.bins[g]``, each bin's rows in
+    their order in ``split.train_rows``.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] == 0:
@@ -364,15 +365,17 @@ def fit_partition(
     if region_ratio < 1:
         raise ValueError("region_ratio must be >= 1")
     labels = np.asarray(labels, dtype=np.float64)
-    rows, offsets = _rows_by_bin(bview, split)
-    return strategy.fit(features, labels, rows, offsets, region_ratio, seed)
+    rows, offsets = _rows_by_bin(bview, split.train_rows)
+    return strategy.fit(features, labels, rows, offsets, region_ratio, seed, bview.bins)
 
 
-def _rows_by_bin(bview: BinnedView, split: SplitIndex):
-    """Train rows grouped by bin, in their order in ``split.train_rows``,
-    and the offsets of each bin's run."""
-    order, offsets = group_by_bin(bview.bin_of[split.train_rows], bview.n_bins)
-    return split.train_rows[order], offsets
+def _rows_by_bin(bview: BinnedView, train_rows: np.ndarray):
+    """The train rows of each bin ``bview`` occupies, in their order in
+    ``train_rows``, and the offsets of each bin's run, empty or not."""
+    ids, order, offsets = group_by_bin(bview.bin_of[train_rows], bview.n_bins)
+    lo = offsets[np.searchsorted(ids, bview.bins)]
+    sizes = offsets[np.searchsorted(ids, bview.bins, side="right")] - lo
+    return train_rows[order[_ranges(lo, sizes)]], np.append(0, sizes.cumsum())
 
 
 def assign_regions(model, bview: BinnedView, features: np.ndarray) -> np.ndarray:
@@ -383,5 +386,5 @@ def assign_regions(model, bview: BinnedView, features: np.ndarray) -> np.ndarray
     """
     features = np.asarray(features, dtype=np.float64)
     out = np.full(bview.bin_of.shape[0], -1, dtype=np.int64)
-    out[bview.rows] = model.assign(features, bview.rows, bview.bin_of[bview.rows])
+    out[bview.rows] = model.assign(features, bview.rows, bview.slot)
     return out

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .binning import jensen_gap_by_bin
+from .binning import bin_table, jensen_gap_by_bin
 from .data import LabeledDataset, bin_index_of
 from .scoring import ScoringRule, binary_divergence
 
@@ -258,41 +258,49 @@ class MonteCarloEstimate:
     value_refined: float
 
 
-def _stratified_gl(s, q, rule, n_strata):
-    counts, gaps = jensen_gap_by_bin(rule, bin_index_of(s, n_strata), q, n_strata)
+def _stratified_gl(rule, strata, q):
+    counts = np.bincount(strata)
+    # a stratum of fewer than two points is dropped; a resample leaves some empty
     keep = counts >= 2
     if not keep.any():
         return 0.0
     kept = counts[keep]
+    # an empty stratum's gap, its zero sums divided by 1, is dropped too
+    gaps = jensen_gap_by_bin(rule, strata, q, np.maximum(counts, 1))[keep]
     # Bessel-style rescale: removes the O(1/count) downward bias of the
     # plug-in Jensen gap (exact for Brier, first-order for log-loss), so
     # the estimate is stable under stratum refinement
-    gaps = gaps[keep] * (kept / (kept - 1.0))
+    gaps = gaps * (kept / (kept - 1.0))
     return float(np.dot(kept / kept.sum(), gaps))
 
 
-def _stratified_cl(s, q, rule, n_strata):
-    sel = bin_index_of(s, n_strata)
-    counts = np.bincount(sel, minlength=n_strata)
-    keep = counts >= 1
-    s_mean = np.bincount(sel, weights=s, minlength=n_strata)[keep] / counts[keep]
-    q_mean = np.bincount(sel, weights=q, minlength=n_strata)[keep] / counts[keep]
+def _stratified_cl(rule, strata, s, q):
+    counts = np.bincount(strata)
+    keep = counts >= 1  # a resample leaves some strata empty
+    s_mean = np.bincount(strata, weights=s)[keep] / counts[keep]
+    q_mean = np.bincount(strata, weights=q)[keep] / counts[keep]
     per = binary_divergence(rule, s_mean, q_mean)
     return float(np.dot(counts[keep] / counts[keep].sum(), per))
 
 
-def _monte_carlo(stratified, s, q, rule, seed) -> MonteCarloEstimate:
-    """``stratified`` at ``N_STRATA``, its bootstrap SE over rows, and 4x strata."""
+def _monte_carlo(stratified, rule, s, columns, seed) -> MonteCarloEstimate:
+    """``stratified(rule, strata, *columns)`` at ``N_STRATA`` strata of the
+    scores ``s``, its bootstrap SE over rows, and 4x strata.  A resample's
+    rows keep the strata of the rows they copy and gather only ``columns``."""
+    def strata(k):  # each score's index among the strata the scores occupy
+        return bin_table(bin_index_of(s, k), k)[2].astype(np.min_scalar_type(k))
+
     rng = np.random.default_rng([seed, 0x5E])
     n = s.shape[0]
+    coarse = strata(N_STRATA)
     reps = np.empty(N_BOOT)
     for b in range(N_BOOT):
         idx = rng.integers(0, n, size=n)
-        reps[b] = stratified(s[idx], q[idx], rule, N_STRATA)
+        reps[b] = stratified(rule, coarse[idx], *(c[idx] for c in columns))
     return MonteCarloEstimate(
-        stratified(s, q, rule, N_STRATA),
+        stratified(rule, coarse, *columns),
         float(reps.std(ddof=1)),
-        stratified(s, q, rule, 4 * N_STRATA),
+        stratified(rule, strata(4 * N_STRATA), *columns),
     )
 
 
@@ -306,7 +314,7 @@ def true_gl_monte_carlo(sim, rule: ScoringRule, n_mc: int, seed: int) -> MonteCa
     convergence check.
     """
     s, q = sim.sample_sq(n_mc, seed)
-    return _monte_carlo(_stratified_gl, s, q, rule, seed)
+    return _monte_carlo(_stratified_gl, rule, s, (q,), seed)
 
 
 def true_losses_monte_carlo(sim, rule: ScoringRule, n_mc: int, seed: int):
@@ -317,8 +325,8 @@ def true_losses_monte_carlo(sim, rule: ScoringRule, n_mc: int, seed: int):
     constructions up to Monte-Carlo error.
     """
     s, q = sim.sample_sq(n_mc, seed)
-    return (_monte_carlo(_stratified_gl, s, q, rule, seed),
-            _monte_carlo(_stratified_cl, s, q, rule, seed))
+    return (_monte_carlo(_stratified_gl, rule, s, (q,), seed),
+            _monte_carlo(_stratified_cl, rule, s, (s, q), seed))
 
 
 _KINDS = {"realistic": RealisticSimulator, "link1d": LinkSimulator1D}

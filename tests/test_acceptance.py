@@ -14,7 +14,7 @@ import pytest
 from grouploss.binning import make_bins, within_bin_score_variance
 from grouploss.calibration import CalibrationCurve
 from grouploss.cli import RunConfig, main, run_pipeline
-from grouploss.data import BinaryView, LabeledDataset, SplitIndex, write_dataset_csv
+from grouploss.data import BinaryView, LabeledDataset, write_dataset_csv
 from grouploss.glestim import (
     gl_explained_debiased,
     gl_induced_estimate,
@@ -114,13 +114,11 @@ def test_criterion_4_debiasing_unbiasedness():
         n_bin = 200
         regions = np.repeat([0, 1], n_bin // 2)
         scores = np.full(n_bin, 0.7)
-        bv = BinaryView(np.zeros((n_bin, 1)), scores, np.zeros(n_bin, dtype=int))
-        bview = make_bins(bv, 1)
-        split = SplitIndex(np.empty(0, np.int64), np.arange(n_bin), 1)
         plugins, debiased = [], []
         for _ in range(1000):
             labels = (rng.uniform(size=n_bin) < mu[regions]).astype(int)
-            stats = region_stats(regions, bview, labels, split)
+            bview = make_bins(BinaryView(np.zeros((n_bin, 1)), scores, labels), 1)
+            stats = region_stats(regions, bview, labels)
             res = gl_explained_debiased(stats, BRIER_SCALAR)
             plugins.append(res.plugin)
             debiased.append(res.explained)
@@ -178,8 +176,7 @@ def test_criterion_5_exact_identities():
             r = rng.integers(0, 2, n)
             bv = BinaryView(np.zeros((n, 1)), s, y)
             bview = make_bins(bv, 3)
-            split = SplitIndex(np.empty(0, np.int64), np.arange(n), 3)
-            stats = region_stats(r, bview, y, split)
+            stats = region_stats(r, bview, y)
             glx = gl_explained_debiased(stats, BRIER_SCALAR)
             curve = CalibrationCurve(np.array([0.0, 1.0]), np.array([0.2, 0.9]), 0.3, n)
             induced = gl_induced_estimate(curve, bview, s, BRIER_SCALAR)

@@ -22,6 +22,16 @@ class TestBinAssignment:
     def test_last_bin_closed(self):
         assert bin_index_of(np.array([1.0]), 10)[0] == 9
 
+    @pytest.mark.parametrize("n_bins", [2**53 + 1, 2**63 - 1])
+    def test_huge_bin_counts_stay_in_range(self, n_bins):
+        # float(n_bins) is not n_bins here: 2**53 + 1 rounds down to 2**53,
+        # and 2**63 - 1 up to 2**63, which an int64 cast wraps to -2**63
+        scores = np.array([0.0, 0.25, 0.5, 1.0 - 2.0**-53, 1.0])
+        bins = bin_index_of(scores, n_bins)
+        assert ((bins >= 0) & (bins < n_bins)).all()
+        assert bins[-1] == n_bins - 1
+        assert (np.diff(bins) >= 0).all()
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             bin_index_of(np.array([1.2]), 10)
@@ -35,8 +45,8 @@ class TestBinAssignment:
     def test_mean_score_within_edges(self):
         rng = np.random.default_rng(1)
         bview = make_bins(_view(rng.uniform(size=2000)), 15)
-        for b in bview.occupied():
-            assert bview.edges[b] <= bview.mean_score[b] <= bview.edges[b + 1]
+        assert (bview.s_lo <= bview.mean_score).all()
+        assert (bview.mean_score <= bview.s_hi).all()
 
     def test_merged_upper_half_mean(self):
         # uniform mass on [0.5, 1] merged into the upper of two bins has
@@ -45,8 +55,10 @@ class TestBinAssignment:
         m = 100_000
         scores = 0.5 + (np.arange(m) + 0.5) / (2 * m)
         bview = make_bins(_view(scores), 2)
-        assert bview.counts[0] == 0
-        assert bview.mean_score[1] == pytest.approx(0.75, abs=1e-12)
+        # the empty lower bin has no entry
+        assert bview.bins.tolist() == [1]
+        assert bview.counts.tolist() == [m]
+        assert bview.mean_score[0] == pytest.approx(0.75, abs=1e-12)
 
     def test_rows_subset(self):
         scores = np.array([0.1, 0.1, 0.9, 0.9])
@@ -95,6 +107,7 @@ class TestWithinBinVariance:
     def test_single_sample_bins_count_zero_variance(self):
         bview = make_bins(_view(np.array([0.05, 0.55])), 10)
         per_bin, total = within_bin_score_variance(bview)
+        assert per_bin.tolist() == [0.0, 0.0]
         assert total == 0.0
 
 
@@ -108,12 +121,8 @@ class TestLawOfTotalVariance:
         for n_bins in (2, 4, 16, 64):
             bview = make_bins(_view(scores), n_bins)
             _, within = within_bin_score_variance(bview)
-            occ = bview.occupied()
             between = h_variance(
-                BRIER_SCALAR,
-                WeightedProbSample(
-                    bview.mean_score[occ], bview.counts[occ] / bview.n
-                ),
+                BRIER_SCALAR, WeightedProbSample(bview.mean_score, bview.counts / bview.n)
             )
             assert within + between == pytest.approx(total_var, abs=1e-12)
 
@@ -131,6 +140,7 @@ class TestLawOfTotalVariance:
         n, n_bins = 100_000, 15
         bview = make_bins(_view(rng.uniform(size=n)), n_bins)
         w = 1.0 / n_bins
+        assert bview.bins.tolist() == list(range(n_bins))
         for b in range(n_bins):
             center = (b + 0.5) * w
             sigma = w / np.sqrt(12 * bview.counts[b])

@@ -5,6 +5,9 @@ import json
 import multiprocessing
 import os
 import re
+import resource
+import subprocess
+import sys
 import threading
 import time
 
@@ -745,6 +748,32 @@ def test_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+# the per-bin tables hold the bins the rows occupy, so any bin count runs
+# in the memory of the rows; the cap turns a table sized by the bin count
+# into a quick MemoryError rather than a machine out of memory
+_ADDRESS_SPACE_CAP = 2 << 30
+
+
+@pytest.mark.parametrize("bins", [10**8, 10**12, 2**63 - 1])
+def test_huge_bin_counts_run_in_the_memory_of_the_rows(tmp_path, bins):
+    ds, _ = sample_realistic(default_realistic(), 400, 1)
+    csv = tmp_path / "data.csv"
+    write_dataset_csv(csv, ds)
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grouploss.cli", "estimate", str(csv), "--bins", str(bins),
+         "--out", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, _ADDRESS_SPACE_CAP)))
+    assert proc.returncode in (EXIT_OK, EXIT_UNESTIMABLE), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == EXIT_UNESTIMABLE:
+        assert proc.stderr.startswith("error:")
+    assert json.loads((tmp_path / "report.json").read_text())["config"]["n_bins"] == bins
 
 
 def test_split_fraction_is_echoed_but_not_settable():

@@ -11,7 +11,7 @@ from scipy.stats import beta as beta_dist
 from grouploss.binning import make_bins
 from grouploss.calibration import CalibrationCurve, calibration_loss_binned
 from grouploss.cli import RunConfig
-from grouploss.data import BinaryView, SplitIndex
+from grouploss.data import BinaryView
 from grouploss.glestim import (
     binning_bounds,
     build_report,
@@ -28,12 +28,8 @@ def _stats(scores, labels, regions, n_bins=1, test_rows=None):
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     bv = BinaryView(np.zeros((scores.size, 1)), scores, labels)
-    bview = make_bins(bv, n_bins)
-    if test_rows is None:
-        test_rows = np.arange(scores.size)
-    train_rows = np.setdiff1d(np.arange(scores.size), test_rows)
-    split = SplitIndex(train_rows, np.asarray(test_rows), n_bins)
-    return region_stats(np.asarray(regions), bview, labels, split), bview
+    bview = make_bins(bv, n_bins, rows=test_rows)
+    return region_stats(np.asarray(regions), bview, labels), bview
 
 
 def _bin_rows(stats, i):
@@ -91,10 +87,8 @@ class TestRegionStats:
             n = int(rng.integers(1, 200))
             regions = rng.integers(0, 7, n)
             test_rows = np.flatnonzero(rng.uniform(size=n) < 0.6)
-            stats, bview = _stats(
-                rng.uniform(size=n), rng.integers(0, 2, n), regions, n_bins=6,
-                test_rows=test_rows,
-            )
+            scores, labels = rng.uniform(size=n), rng.integers(0, 2, n)
+            stats, bview = _stats(scores, labels, regions, n_bins=6, test_rows=test_rows)
             # offsets partition the table rows, one nonempty run per bin
             offsets = stats.offsets
             assert offsets[0] == 0 and offsets[-1] == stats.region_ids.size
@@ -109,6 +103,14 @@ class TestRegionStats:
             want_keys, want_counts = np.unique(seen, return_counts=True)
             np.testing.assert_array_equal(keys, want_keys)
             np.testing.assert_array_equal(stats.region_counts, want_counts)
+            # the bin columns: the bins the test rows occupy, their counts
+            # and positive fractions
+            test_bins = bview.bin_of[test_rows]
+            np.testing.assert_array_equal(stats.bins, np.unique(test_bins))
+            for i, b in enumerate(stats.bins.tolist()):
+                in_bin = test_rows[test_bins == b]
+                assert stats.bin_counts[i] == in_bin.size
+                assert stats.bin_pos_fraction[i] == labels[in_bin].mean()
 
     def test_no_test_rows_gives_empty_table_and_valid_report(self):
         n = 20

@@ -446,7 +446,8 @@ def test_split_without_gain():
         assert (f, t) == (0, lowest)
         assert g == 0.0
         assert _grow_tree(X, constant, 10).n_regions[0] == 1
-        assert Tree().fit(X, constant, np.arange(10), np.array([0, 10]), 1, 0).n_regions[0] == 1
+        model = Tree().fit(X, constant, np.arange(10), np.array([0, 10]), 1, 0, np.array([0]))
+        assert model.n_regions[0] == 1
         assert _fit_stump(X, constant).n_regions[0] == 2
 
 

@@ -35,7 +35,7 @@ def _grow_tree(X, y, max_leaves):
 
 def _fit_stump(X, y):
     n = X.shape[0]
-    return BalancedStump().fit(X, y, np.arange(n), np.array([0, n]), 1, 0)
+    return BalancedStump().fit(X, y, np.arange(n), np.array([0, n]), 1, 0, np.array([0]))
 
 
 def _assign_to_bin_0(model, X):
@@ -179,7 +179,7 @@ def _single_bin_setup(features, labels, n_train=None):
     bview = make_bins(bv, 1)
     if n_train is None:
         n_train = n // 2
-    split = SplitIndex(np.arange(n_train), np.arange(n_train, n), 1)
+    split = SplitIndex(np.arange(n_train), np.arange(n_train, n))
     return bv, bview, split
 
 
@@ -370,7 +370,7 @@ def test_fit_on_an_unsplittable_bin_gives_one_region(strategy):
     # identical rows: no split and no second center exists
     X = np.ones((10, 2))
     y = (np.arange(10) % 2).astype(float)
-    model = strategy.fit(X, y, np.arange(10), np.array([0, 10]), 2, 0)
+    model = strategy.fit(X, y, np.arange(10), np.array([0, 10]), 2, 0, np.array([0]))
     assert model.n_regions.tolist() == [1]
     np.testing.assert_array_equal(
         _assign_to_bin_0(model, np.random.default_rng(1).normal(size=(7, 2))),
@@ -455,7 +455,7 @@ def test_stump_scans_one_segment_per_bin(monkeypatch):
     X = rng.normal(size=(400, 3))
     y = rng.integers(0, 2, 400).astype(float)
     offsets = np.array([0, 0, 1, 3, 60, 400])  # empty, one-row and larger bins
-    stumps = BalancedStump().fit(X, y, rng.permutation(400), offsets, 30, 0)
+    stumps = BalancedStump().fit(X, y, rng.permutation(400), offsets, 30, 0, np.arange(5))
     assert sum(segments) == 5
     assert stumps.n_regions.tolist() == [1, 1, 2, 2, 2]
 
@@ -508,7 +508,8 @@ class TestKMeans:
         for X, k in cases:
             expected = _kmeans_centers_reference(X, k, np.random.default_rng([7, 0]))
             n = X.shape[0]
-            got = KMeans(k).fit(X, None, np.arange(n), np.array([0, n]), 30, 7).centers[0]
+            got = KMeans(k).fit(X, None, np.arange(n), np.array([0, n]), 30, 7,
+                                np.array([0])).centers[0]
             assert np.array_equal(got, expected)
 
     def test_two_separated_blobs(self):
@@ -544,6 +545,20 @@ class TestKMeans:
         assign = _assign_to_bin_0(model, bv.features)
         assert assign.max() < 3
 
+    def test_each_bin_seeded_by_its_bin_id(self):
+        # a bin's centers depend on (seed, its bin id), not on its group
+        # position: the same rows fitted alone at group 0 give the same bits
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(90, 2))
+        rows, offsets, bins = rng.permutation(90), np.array([0, 40, 90]), np.array([3, 7])
+        together = KMeans(3).fit(X, None, rows, offsets, 30, 5, bins)
+        for g, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            alone = KMeans(3).fit(X, None, rows[lo:hi], np.array([0, hi - lo]), 30, 5,
+                                  bins[g:g + 1])
+            assert together.centers[g].tobytes() == alone.centers[0].tobytes()
+        other_id = KMeans(3).fit(X, None, rows[40:], np.array([0, 50]), 30, 5, np.array([1]))
+        assert other_id.centers[0].tobytes() != together.centers[1].tobytes()
+
     def test_rejects_features_whose_squared_distances_overflow(self):
         # two clusters about 1e149 apart near 1e160: every squared row norm
         # is inf, which would put all rows in one cluster
@@ -552,9 +567,9 @@ class TestKMeans:
         X = 1e160 * (1 + base * 1e-12)
         rows, offsets = np.arange(100), np.array([0, 100])
         with pytest.raises(ValueError, match="k-means"):
-            KMeans(2).fit(X, None, rows, offsets, 30, 0)
+            KMeans(2).fit(X, None, rows, offsets, 30, 0, np.array([0]))
         # 4 * 200 values * (1e150)**2 is finite: accepted
-        assert KMeans(2).fit(X / 1e10, None, rows, offsets, 30, 0).n_regions[0] == 2
+        assert KMeans(2).fit(X / 1e10, None, rows, offsets, 30, 0, np.array([0])).n_regions[0] == 2
 
 
 class TestAssignRegions:
@@ -567,14 +582,14 @@ class TestAssignRegions:
         bv = BinaryView(features, scores, labels)
         bview = make_bins(bv, 15)
         half = np.arange(n)
-        split = SplitIndex(half[::2], half[1::2], 15)
+        split = SplitIndex(half[::2], half[1::2])
         model = fit_partition(bview, features, bv.label, split, Tree(), 10, seed=21)
         assign = assign_regions(model, bview, features)
         assert assign.shape == (n,)
-        for b in range(15):
-            rows = bview.bin_of == b
-            if rows.any():
-                assert assign[rows].max() < model.n_regions[b]
+        # one partition per bin the view occupies, in the order of bview.bins
+        assert model.n_regions.size == bview.bins.size
+        for g, b in enumerate(bview.bins):
+            assert assign[bview.bin_of == b].max() < model.n_regions[g]
 
     def test_rows_outside_the_view_get_minus_one(self):
         rng = np.random.default_rng(24)
@@ -582,7 +597,7 @@ class TestAssignRegions:
         features = rng.normal(size=(n, 2))
         bv = BinaryView(features, rng.uniform(size=n), rng.integers(0, 2, n))
         half = np.arange(n)
-        split = SplitIndex(half[::2], half[1::2], 5)
+        split = SplitIndex(half[::2], half[1::2])
         bview = make_bins(bv, 5, rows=split.test_rows)
         model = fit_partition(bview, features, bv.label, split, Tree(), 10, seed=25)
         assign = assign_regions(model, bview, features)
@@ -596,14 +611,32 @@ class TestAssignRegions:
         features = np.arange(5, dtype=float)[:, None]
         bv = BinaryView(features, scores, np.array([0, 1, 0, 1, 0]))
         bview = make_bins(bv, 10)
-        split = SplitIndex(np.array([0, 1, 2]), np.array([3, 4]), 10)
+        split = SplitIndex(np.array([0, 1, 2]), np.array([3, 4]))
         model = fit_partition(bview, features, bv.label, split, Tree(), 2, seed=22)
         assert model.n_regions[0] == 1
+
+    @pytest.mark.parametrize("strategy", [Tree(), BalancedStump(), KMeans(2)],
+                             ids=["tree", "stump", "kmeans"])
+    def test_view_bin_without_train_rows_is_one_region(self, strategy):
+        # train rows only in bin 0 and bin 2 (which the view does not
+        # cover), test rows in bins 0 and 1: one group per view bin, and
+        # bin 1, with no train row, is one region
+        scores = np.array([0.1] * 8 + [0.9] * 4 + [0.5] * 3)
+        rng = np.random.default_rng(27)
+        features = rng.normal(size=(15, 2))
+        bv = BinaryView(features, scores, rng.integers(0, 2, 15))
+        split = SplitIndex(np.r_[0:6, 8:12], np.r_[6:8, 12:15])
+        bview = make_bins(bv, 3, rows=split.test_rows)
+        assert bview.bins.tolist() == [0, 1]
+        model = fit_partition(bview, features, bv.label, split, strategy, 2, seed=28)
+        assert model.n_regions.size == 2 and model.n_regions[1] == 1
+        assign = assign_regions(model, bview, features)
+        assert (assign[[12, 13, 14]] == 0).all()
 
     def test_no_features_rejected(self):
         bv = BinaryView(np.zeros((4, 0)), np.full(4, 0.5), np.array([0, 1, 0, 1]))
         bview = make_bins(bv, 1)
-        split = SplitIndex(np.array([0, 1]), np.array([2, 3]), 1)
+        split = SplitIndex(np.array([0, 1]), np.array([2, 3]))
         with pytest.raises(ValueError, match="feature"):
             fit_partition(bview, bv.features, bv.label, split, Tree(), 10, seed=23)
 

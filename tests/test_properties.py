@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouploss.binning import jensen_gap_by_bin, make_bins
+from grouploss.binning import bin_table, jensen_gap_by_bin, make_bins, within_bin_score_variance
 from grouploss.data import (
     BinaryView,
     LabeledDataset,
-    SplitIndex,
     _read_rows,
     bin_index_of,
+    group_by_bin,
     read_dataset_csv,
     stratified_split,
     write_dataset_csv,
@@ -116,17 +116,20 @@ def binned_values(draw):
 @given(data=binned_values())
 def test_jensen_gap_by_bin_matches_h_variance(rule, data):
     n_bins, bin_of, values = data
-    counts, gaps = jensen_gap_by_bin(rule, bin_of, values, n_bins)
-    np.testing.assert_array_equal(counts, np.bincount(bin_of, minlength=n_bins))
-    for b in range(n_bins):
+    bins, counts, slot = bin_table(bin_of, n_bins)
+    gaps = jensen_gap_by_bin(rule, slot, values, counts)
+    # one entry per occupied bin, in ascending order; empty bins have none
+    occupied = np.unique(bin_of)
+    np.testing.assert_array_equal(bins, occupied)
+    np.testing.assert_array_equal(counts, [np.sum(bin_of == b) for b in occupied])
+    np.testing.assert_array_equal(occupied[slot], bin_of)
+    assert gaps.shape == occupied.shape
+    for i, b in enumerate(occupied):
         v = values[bin_of == b]
-        if v.size == 0:
-            assert math.isnan(gaps[b])
-            continue
         vector_brier = rule.kind == "brier" and not rule.is_scalar
         points = np.column_stack([1.0 - v, v]) if vector_brier else v
         sample = WeightedProbSample(points, np.full(v.size, 1.0 / v.size))
-        assert gaps[b] == pytest.approx(h_variance(rule, sample), abs=1e-12)
+        assert gaps[i] == pytest.approx(h_variance(rule, sample), abs=1e-12)
 
 
 @st.composite
@@ -143,7 +146,6 @@ def region_tables(draw):
         pos.append(p)
     bin_counts = np.array([c.sum() for c in counts], dtype=np.int64)
     return RegionStats(
-        n_bins=n_entries,
         bins=np.arange(n_entries, dtype=np.int64),
         bin_counts=bin_counts,
         bin_pos_fraction=np.array([p.sum() for p in pos]) / bin_counts,
@@ -259,7 +261,7 @@ def test_segmented_scan_matches_each_segment_alone(data, leaves):
         assert feats[j] == f
         if f >= 0:
             assert threshs[j] == t and gains[j] == pytest.approx(g, abs=1e-10)
-    stumps = BalancedStump().fit(X, y, rows, offsets, 30, 0)
+    stumps = BalancedStump().fit(X, y, rows, offsets, 30, 0, np.arange(offsets.size - 1))
     for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
         _assert_same_tree(stumps, _fit_stump_reference(X[rows[lo:hi]], y[rows[lo:hi]]), b)
 
@@ -274,7 +276,7 @@ def test_train_rows_land_in_the_leaves_the_scan_made(data, ratio):
     sizes = np.diff(offsets)
     for strategy, min_leaf in ((Tree(), np.full(sizes.shape, MIN_SAMPLES_LEAF)),
                                (BalancedStump(), sizes // 2)):
-        model = strategy.fit(X, y, rows, offsets, ratio, 0)
+        model = strategy.fit(X, y, rows, offsets, ratio, 0, np.arange(offsets.size - 1))
         for b, (lo, hi, m) in enumerate(zip(offsets[:-1], offsets[1:], min_leaf)):
             regions = model.assign(X, rows[lo:hi], np.full(hi - lo, b))
             counts = np.bincount(regions, minlength=model.n_regions[b])
@@ -339,7 +341,7 @@ def test_kmeans_assignment_matches_each_bin_alone(data, k, draws):
     # among them, against each bin's nearest center on its rows alone
     X, y, rows, offsets = data
     n_bins = offsets.shape[0] - 1
-    model = KMeans(k).fit(X, y, rows, offsets, 30, 0)
+    model = KMeans(k).fit(X, y, rows, offsets, 30, 0, np.arange(offsets.size - 1))
     assert model.n_regions.tolist() == [max(min(k, int(m)), 1) for m in np.diff(offsets)]
     Q, q_rows, q_bins = _query_rows(X, n_bins, draws.draw)
     # fewer query rows than bins too
@@ -390,6 +392,73 @@ def test_stratified_split_matches_the_scan_per_bin(scores, n_bins, seed):
 
 json_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0]) | st.floats().map(np.float64)
 json_scalars = json_floats | st.integers(-10**20, 10**20) | st.booleans() | st.none()
+
+
+def _make_bins_reference(bv, n_bins, rows):
+    # the dense table: one entry per bin, empty bins with count 0 and NaN
+    # statistics, and the edges from linspace
+    bin_of = bin_index_of(bv.score, n_bins)
+    sel = bin_of[rows]
+    scores = bv.score[rows]
+    counts = np.bincount(sel, minlength=n_bins).astype(np.int64)
+    sums = np.bincount(sel, weights=scores, minlength=n_bins)
+    pos = np.bincount(sel, weights=bv.label[rows], minlength=n_bins)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_score = sums / counts
+        pos_fraction = pos / counts
+        centered = scores - mean_score[sel]
+        variance = np.bincount(sel, weights=centered * centered, minlength=n_bins) / counts
+    return (np.linspace(0.0, 1.0, n_bins + 1), counts, mean_score, pos_fraction,
+            np.where(counts > 0, variance, np.nan))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(scores=st.lists(st.integers(0, 16).map(lambda i: i / 16) | st.floats(0.0, 1.0),
+                       min_size=1, max_size=60),
+       n_bins=st.integers(1, 20) | st.sampled_from([49, 98, 103]) | st.integers(1, 10**6),
+       draws=st.data())
+def test_occupied_bin_table_matches_the_dense_table(scores, n_bins, draws):
+    # exact edges and 1.0 among the scores, empty bins and more bins than
+    # rows; at 49, 98 and 103 bins, n_bins * (1 / n_bins) is not 1.0
+    n = len(scores)
+    labels = draws.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    bv = BinaryView(np.zeros((n, 1)), np.array(scores), np.array(labels))
+    rows = np.array(draws.draw(st.permutations(range(n))), dtype=np.int64)
+    rows = rows[:draws.draw(st.integers(0, n))]
+    view = make_bins(bv, n_bins, rows=rows)
+    edges, counts, mean_score, pos_fraction, variance = _make_bins_reference(bv, n_bins, rows)
+    occupied = np.flatnonzero(counts)
+    np.testing.assert_array_equal(view.bins, occupied)
+    assert _same_bits(view.counts, counts[occupied])
+    assert _same_bits(view.mean_score, mean_score[occupied])
+    assert _same_bits(view.pos_fraction, pos_fraction[occupied])
+    assert _same_bits(view.score_variance, variance[occupied])
+    assert _same_bits(view.s_lo, edges[occupied])
+    assert _same_bits(view.s_hi, edges[occupied + 1])
+    np.testing.assert_array_equal(view.bins[view.slot], view.bin_of[rows])
+    _, total = within_bin_score_variance(view)
+    dense = float(np.dot(counts / max(rows.size, 1), np.where(counts > 0, variance, 0.0)))
+    assert total == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(n_bins=st.sampled_from([1, 2, 255, 256, 257, 65536, 65537, 2**32 + 1, 2**63 - 1])
+       | st.integers(1, 2**63 - 1), draws=st.data())
+def test_group_by_bin_matches_a_scan_per_bin(n_bins, draws):
+    # key types of 8 to 64 bits; bins at both ends of the range
+    ids = st.integers(0, n_bins - 1) | st.sampled_from([0, n_bins - 1])
+    bins = np.array(draws.draw(st.lists(ids, max_size=50)), dtype=np.int64)
+    got_ids, order, offsets = group_by_bin(bins, n_bins)
+    assert got_ids.dtype == np.int64
+    np.testing.assert_array_equal(got_ids, sorted(set(bins.tolist())))
+    assert offsets.tolist()[0] == 0 and offsets.tolist()[-1] == bins.size
+    for i, b in enumerate(got_ids.tolist()):
+        np.testing.assert_array_equal(order[offsets[i]:offsets[i + 1]], np.flatnonzero(bins == b))
 
 
 @st.composite
@@ -483,9 +552,9 @@ def binned_regions(draw):
 def test_region_means_reproduce_bin_fraction(data):
     n_bins, scores, labels, assignments, is_test = data
     bv = BinaryView(np.zeros((scores.size, 1)), scores, labels)
-    split = SplitIndex(np.flatnonzero(~is_test), np.flatnonzero(is_test), n_bins)
-    stats = region_stats(assignments, make_bins(bv, n_bins), labels, split)
-    assert stats.n_test == split.test_rows.size
+    test_rows = np.flatnonzero(is_test)
+    stats = region_stats(assignments, make_bins(bv, n_bins, rows=test_rows), labels)
+    assert stats.n_test == test_rows.size
     for i in range(stats.bins.size):
         rows = slice(stats.offsets[i], stats.offsets[i + 1])
         counts = stats.region_counts[rows]
