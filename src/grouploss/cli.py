@@ -31,7 +31,7 @@ from .data import (
     top_label_reduce,
     write_dataset_csv,
 )
-from .forking import in_child, run_tasks, workers
+from .forking import in_child, run_tasks
 from .glestim import (
     GroupingReport,
     binning_bounds,
@@ -302,7 +302,7 @@ def cmd_sweep(args) -> int:
     # cancels it unless a worker has started it, and a serial one exits
     # before paying for it
     tasks.append((_sweep_oracle, (sim, base, args.oracle_n)))
-    results = run_tasks(tasks, workers(len(tasks)))
+    results = run_tasks(tasks)
     oracle = results.pop()
     rows = []
     for vi, value in enumerate(values):

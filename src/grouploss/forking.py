@@ -2,8 +2,8 @@
 
 ``in_child`` runs one function in a forked child and hands its result
 back; ``run_tasks`` runs a list of tasks on a pool of forked workers.
-``workers`` says how many processes a piece of work may spread over.
-Where no child can be forked, the same functions run in this process.
+``workers`` says how many processes a piece of work may spread over;
+where it says one, the same functions run in this process.
 """
 
 import contextlib
@@ -25,16 +25,17 @@ def usable_cpus():
 
 def workers(tasks):
     """How many processes ``tasks`` independent tasks spread over: one per
-    usable CPU, at most ``MAX_WORKERS`` and at most one per task."""
-    return min(usable_cpus(), MAX_WORKERS, tasks)
-
-
-def forks(count):
-    """Whether work for ``count`` CPUs goes to forked processes: more
-    than one, on a platform that can fork."""
+    usable CPU, at most ``MAX_WORKERS`` and at most one per task; but one,
+    in this process, wherever it may not fork: without ``fork``, in a
+    process multiprocessing started (a sweep worker or another child,
+    whose CPU is already in use), or while another thread runs (a forked
+    process would inherit any lock that thread holds)."""
     import multiprocessing  # on first use, so importing the package stays cheaper
 
-    return count > 1 and "fork" in multiprocessing.get_all_start_methods()
+    if (tasks < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.parent_process() is not None or threading.active_count() > 1):
+        return 1
+    return min(usable_cpus(), MAX_WORKERS, tasks)
 
 
 @contextlib.contextmanager
@@ -46,20 +47,15 @@ def in_child(fn, *args):
     a pipe; the exception is raised again here with its type and message,
     and a child that exits without a result raises ``RuntimeError``.
     The child is joined before the block is left, and terminated first if
-    the block leaves without its result.  ``fn`` runs here instead, when
-    its result is asked for, where ``forks`` says no to the usable CPUs
-    (one CPU, or no fork), in a process multiprocessing started (a sweep
-    worker or another child, whose CPU is already in use), and while
-    another thread runs (the child would inherit any lock that thread
-    holds).  Either way, an error the block raises first is the one
-    reported.
+    the block leaves without its result.  Where ``workers`` gives two
+    tasks one process, ``fn`` runs here instead, when its result is asked
+    for.  Either way, an error the block raises first is the one reported.
     """
-    import multiprocessing
-
-    if (not forks(usable_cpus()) or multiprocessing.parent_process() is not None
-            or threading.active_count() > 1):
+    if workers(2) < 2:
         yield lambda: fn(*args)
         return
+    import multiprocessing
+
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
     # unlike a bare os.fork, start() flushes the standard streams first
@@ -104,23 +100,23 @@ def _child_main(receiver, sender, fn, args):
     sender.send(reply)
 
 
-def run_tasks(tasks, workers):
+def run_tasks(tasks):
     """``fn(*args)`` for each ``(fn, args)`` of ``tasks``, in task order.
 
-    With more than one worker, on a platform that can fork, the tasks run
-    in that many forked processes; otherwise one after another in this
-    one.  Either way the first task in task order that raises has its
-    exception re-raised; the pool first cancels the pending tasks and
-    waits for every worker to exit.  A task's function and arguments are
-    pickled, the function by its name: it must be a module-level function
-    that nothing rebinds.
+    The tasks run in ``workers(len(tasks))`` forked processes or, where
+    that is one, one after another in this process.  Either way the first
+    task in task order that raises has its exception re-raised; the pool
+    first cancels the pending tasks and waits for every worker to exit.
+    A task's function and arguments are pickled, the function by its
+    name: it must be a module-level function that nothing rebinds.
     """
-    if not forks(workers):
+    count = workers(len(tasks))
+    if count < 2:
         return [fn(*args) for fn, args in tasks]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(count, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = [pool.submit(fn, *args) for fn, args in tasks]
         return [future.result() for future in futures]

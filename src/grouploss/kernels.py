@@ -24,7 +24,7 @@ def lowess_grid(s, y, grid, k):
     """
     m = grid.shape[0]
     starts = _window_starts(s, grid, k).tolist()
-    parts = max(forking.workers(m), 1)
+    parts = forking.workers(m)
     cuts = [m * i // parts for i in range(parts + 1)]
     # leaving the stack, on return or on any error, joins every child
     with contextlib.ExitStack() as children:
@@ -109,20 +109,10 @@ def best_splits(X, y, order, sizes, min_leaf):
     at least ``min_leaf[j] >= 1`` rows on each side, whatever its gain
     (taking it is the caller's decision), or ``(-1, 0.0, -inf)`` if none
     does.  Ties keep the lowest feature, then the lowest threshold.  Each
-    entry is bit for bit what a scan of that segment alone gives.
+    entry is bit for bit what a scan of that segment alone gives.  There
+    is one segment or more, each with rows (``sizes >= 1``), and ``X`` has
+    a feature.
     """
-    if order.size and sizes.all():
-        return _scan(X, y, order, sizes, min_leaf)
-    k = sizes.shape[0]
-    feature, threshold, gain = np.full(k, -1), np.zeros(k), np.full(k, -np.inf)
-    if order.size:  # scan the segments with rows
-        some = np.flatnonzero(sizes)
-        feature[some], threshold[some], gain[some] = _scan(X, y, order, sizes[some], min_leaf[some])
-    return feature, threshold, gain
-
-
-def _scan(X, y, order, sizes, min_leaf):
-    """``best_splits`` of segments that all have rows, for ``d >= 1``."""
     d, m = order.shape
     ends = sizes.cumsum()
     starts = ends - sizes

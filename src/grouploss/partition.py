@@ -245,10 +245,12 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndar
             if gain > min_gain:
                 heapq.heappush(candidates[g], (-gain, node, f, t, start, size))
 
-    roots = np.flatnonzero(np.asarray(caps) > 1)
-    for lo, hi in _chunks(np.diff(offsets)[roots], d):
+    counts = np.diff(offsets)
+    # a group with fewer than two rows has no boundary to scan
+    roots = np.flatnonzero((np.asarray(caps) > 1) & (counts >= 2))
+    for lo, hi in _chunks(counts[roots], d):
         groups = roots[lo:hi]
-        starts, sizes = offsets[groups], offsets[groups + 1] - offsets[groups]
+        starts, sizes = offsets[groups], counts[groups]
         consider(groups, groups, starts, sizes, order.take(_ranges(starts, sizes), axis=1))
     while True:
         popped = []

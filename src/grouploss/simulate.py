@@ -258,7 +258,8 @@ class MonteCarloEstimate:
     value_refined: float
 
 
-def _stratified_gl(rule, strata, q):
+def _stratified_gl(rule, strata, q, *_):
+    # a caller that also asks for the calibration loss passes the scores too
     counts = np.bincount(strata)
     # a stratum of fewer than two points is dropped; a resample leaves some empty
     keep = counts >= 2
@@ -274,7 +275,7 @@ def _stratified_gl(rule, strata, q):
     return float(np.dot(kept / kept.sum(), gaps))
 
 
-def _stratified_cl(rule, strata, s, q):
+def _stratified_cl(rule, strata, q, s):
     counts = np.bincount(strata)
     keep = counts >= 1  # a resample leaves some strata empty
     s_mean = np.bincount(strata, weights=s)[keep] / counts[keep]
@@ -283,25 +284,27 @@ def _stratified_cl(rule, strata, s, q):
     return float(np.dot(counts[keep] / counts[keep].sum(), per))
 
 
-def _monte_carlo(stratified, rule, s, columns, seed) -> MonteCarloEstimate:
-    """``stratified(rule, strata, *columns)`` at ``N_STRATA`` strata of the
-    scores ``s``, its bootstrap SE over rows, and 4x strata.  A resample's
-    rows keep the strata of the rows they copy and gather only ``columns``."""
+def _monte_carlo(statistics, rule, s, columns, seed):
+    """For each ``stat`` of ``statistics``, ``stat(rule, strata, *columns)``
+    at ``N_STRATA`` strata of the scores ``s``, its bootstrap SE over rows,
+    and 4x strata, as one ``MonteCarloEstimate`` each.  The strata are
+    found once; each resample's rows keep the strata of the rows they copy,
+    and the strata and each of ``columns`` are gathered once for every
+    statistic."""
     def strata(k):  # each score's index among the strata the scores occupy
         return bin_table(bin_index_of(s, k), k)[2].astype(np.min_scalar_type(k))
 
     rng = np.random.default_rng([seed, 0x5E])
     n = s.shape[0]
-    coarse = strata(N_STRATA)
-    reps = np.empty(N_BOOT)
+    coarse, fine = strata(N_STRATA), strata(4 * N_STRATA)
+    reps = np.empty((len(statistics), N_BOOT))
     for b in range(N_BOOT):
         idx = rng.integers(0, n, size=n)
-        reps[b] = stratified(rule, coarse[idx], *(c[idx] for c in columns))
-    return MonteCarloEstimate(
-        stratified(rule, coarse, *columns),
-        float(reps.std(ddof=1)),
-        stratified(rule, strata(4 * N_STRATA), *columns),
-    )
+        drawn = [coarse[idx]] + [c[idx] for c in columns]
+        reps[:, b] = [stat(rule, *drawn) for stat in statistics]
+    return [MonteCarloEstimate(stat(rule, coarse, *columns), float(r.std(ddof=1)),
+                               stat(rule, fine, *columns))
+            for stat, r in zip(statistics, reps)]
 
 
 def true_gl_monte_carlo(sim, rule: ScoringRule, n_mc: int, seed: int) -> MonteCarloEstimate:
@@ -314,19 +317,18 @@ def true_gl_monte_carlo(sim, rule: ScoringRule, n_mc: int, seed: int) -> MonteCa
     convergence check.
     """
     s, q = sim.sample_sq(n_mc, seed)
-    return _monte_carlo(_stratified_gl, rule, s, (q,), seed)
+    return _monte_carlo([_stratified_gl], rule, s, (q,), seed)[0]
 
 
 def true_losses_monte_carlo(sim, rule: ScoringRule, n_mc: int, seed: int):
     """``(gl, cl)`` reference estimates from one oracle draw.
 
     ``gl`` equals ``true_gl_monte_carlo`` with the same arguments; ``cl``
-    is the calibration loss over the same strata, zero for the
-    constructions up to Monte-Carlo error.
+    is the calibration loss over the same strata and resamples, zero for
+    the constructions up to Monte-Carlo error.
     """
     s, q = sim.sample_sq(n_mc, seed)
-    return (_monte_carlo(_stratified_gl, rule, s, (q,), seed),
-            _monte_carlo(_stratified_cl, rule, s, (s, q), seed))
+    return tuple(_monte_carlo([_stratified_gl, _stratified_cl], rule, s, (q, s), seed))
 
 
 _KINDS = {"realistic": RealisticSimulator, "link1d": LinkSimulator1D}

@@ -465,11 +465,12 @@ class TestSweepWorkers:
         """Exit code and CSV text of a sweep run on ``workers`` workers."""
         used = []
 
-        def forced(tasks, _workers):
-            used.append(workers)
-            return self.run_tasks(tasks, workers)
+        def counted(tasks):
+            used.append(forking.workers(len(tasks)))
+            return self.run_tasks(tasks)
 
-        monkeypatch.setattr(cli, "run_tasks", forced)
+        monkeypatch.setattr(cli, "run_tasks", counted)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: workers)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "realistic"}))
         out = tmp_path / name
@@ -488,9 +489,9 @@ class TestSweepWorkers:
     def test_worker_count_is_capped(self, tmp_path, monkeypatch):
         counts = []
 
-        def counted(tasks, workers):
-            counts.append((len(tasks), workers))
-            return self.run_tasks(tasks, 1)
+        def counted(tasks):
+            counts.append((len(tasks), forking.workers(len(tasks))))
+            return [fn(*args) for fn, args in tasks]
 
         monkeypatch.setattr(cli, "run_tasks", counted)
         monkeypatch.setattr(forking, "usable_cpus", lambda: 64)
@@ -541,6 +542,48 @@ class TestSweepWorkers:
             monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
         assert self._sweep(tmp_path, monkeypatch, 2, "wrapped.csv") == (EXIT_OK, plain)
         assert sorted(calls.read_text().split()) == ["run_pipeline"] * 4 + ["true_gl_monte_carlo"]
+
+
+    def test_a_sweep_in_a_daemonic_worker_runs_its_tasks_there(self, tmp_path, monkeypatch):
+        # a daemonic worker may not start processes: the sweep runs its
+        # tasks one after another in that worker, to the same bytes
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform cannot fork")
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "realistic"}))
+        argv = ["sweep", str(spec), "--axis", "region_ratio", "--values", "10,30", "--n", "2000",
+                "--repeats", "2", "--seed", "3", "--oracle-n", "20000", "--out"]
+        assert main(argv + [str(tmp_path / "here.csv")]) == EXIT_OK
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(main, (argv + [str(tmp_path / "daemon.csv")],)) == EXIT_OK
+        assert (tmp_path / "daemon.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+    def test_back_to_back_sweeps_both_fork(self, tmp_path, monkeypatch):
+        # a thread left over from the first sweep's pool would keep the
+        # second one in this process
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform cannot fork")
+        pids = []
+
+        def with_pid(tasks):
+            *results, pid = self.run_tasks(tasks + [(os.getpid, ())])
+            pids.append(pid)
+            return results
+
+        monkeypatch.setattr(cli, "run_tasks", with_pid)
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "realistic"}))
+        outputs = []
+        for name in ("first.csv", "second.csv"):
+            assert main(["sweep", str(spec), "--axis", "bins", "--values", "5,15", "--n", "1000",
+                         "--repeats", "1", "--oracle-n", "1000", "--out",
+                         str(tmp_path / name)]) == EXIT_OK
+            outputs.append((tmp_path / name).read_bytes())
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert outputs[0] == outputs[1]
+        assert multiprocessing.active_children() == []
 
 
 def _stage_pids():
@@ -682,9 +725,9 @@ class TestPartitionChild:
         assert forking.in_child.forks == before + 2
 
     def test_a_sweep_worker_runs_the_stage_in_process(self, two_cpus):
-        [(pid, worker, forks)] = forking.run_tasks([(_stage_pids, ())], 2)
-        assert pid == worker != os.getpid()
-        assert forks == 0
+        for pid, worker, forks in forking.run_tasks([(_stage_pids, ())] * 2):
+            assert pid == worker != os.getpid()
+            assert forks == 0
         assert multiprocessing.active_children() == []
 
 

@@ -1,5 +1,6 @@
 """The vectorized kernels must agree with plain scalar reference loops."""
 
+import contextlib
 import multiprocessing
 import os
 import threading
@@ -296,18 +297,26 @@ def test_lowess_child_that_dies_raises_runtime_error(can_fork, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_lowess_with_another_thread_stays_in_process(can_fork, monkeypatch):
-    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
-    alone, forks = _curve_forks()
-    assert forks == 1
+@contextlib.contextmanager
+def _another_thread():
+    """A second thread that runs until the block is left."""
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        beside, forks = _curve_forks()
+        yield
     finally:
         release.set()
         waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+
+def test_lowess_with_another_thread_stays_in_process(can_fork, monkeypatch):
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+    alone, forks = _curve_forks()
+    assert forks == 1
+    with _another_thread():
+        beside, forks = _curve_forks()
     assert forks == 0 and np.array_equal(beside, alone)
 
 
@@ -320,9 +329,58 @@ def _curve_in_worker():
 
 def test_lowess_in_a_task_worker_stays_in_process(can_fork, monkeypatch):
     monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
-    [(out, forks, pid)] = forking.run_tasks([(_curve_in_worker, ())], 2)
-    assert pid != os.getpid() and forks == 0
-    assert np.array_equal(out, _curve_forks()[0])
+    results = forking.run_tasks([(_curve_in_worker, ())] * 2)
+    alone = _curve_forks()[0]
+    for out, forks, pid in results:
+        assert pid != os.getpid() and forks == 0
+        assert np.array_equal(out, alone)
+    assert multiprocessing.active_children() == []
+
+
+def _fit_runs():
+    """The ``(first, stop)`` of each run a 40-point curve fits in this process."""
+    runs = []
+    fit_run = kernels._fit_run
+
+    def counted(*args):
+        runs.append(args[-2:])
+        return fit_run(*args)
+
+    kernels._fit_run = counted
+    try:
+        _curve_forks()
+    finally:
+        kernels._fit_run = fit_run
+    return runs
+
+
+@pytest.mark.parametrize("where, runs", [("four CPUs", [(0, 10)]), ("one CPU", [(0, 40)]),
+                                         ("beside a thread", [(0, 40)]),
+                                         ("in a task worker", [(0, 40)])])
+def test_lowess_fits_one_run_where_workers_says_one(can_fork, monkeypatch, where, runs):
+    # one process fits its grid in one run, not cut into runs it then
+    # fits one after another
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 1 if where == "one CPU" else 4)
+    if where == "in a task worker":
+        assert forking.run_tasks([(_fit_runs, ())] * 2) == [runs] * 2
+    elif where == "beside a thread":
+        with _another_thread():
+            assert _fit_runs() == runs
+    else:
+        assert _fit_runs() == runs
+
+
+def test_run_tasks_beside_another_thread_stays_in_process(can_fork, monkeypatch):
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+    tasks = [(_curve_in_worker, ())] * 2
+    with _another_thread():
+        beside = forking.run_tasks(tasks)
+    assert [pid for _, _, pid in beside] == [os.getpid()] * 2
+    # once the thread is joined, the tasks go to forked workers again
+    forked = forking.run_tasks(tasks)
+    assert os.getpid() not in [pid for _, _, pid in forked]
+    for (out, forks, _), (again, forks_again, _) in zip(beside, forked):
+        assert np.array_equal(out, again) and forks == forks_again == 0
     assert multiprocessing.active_children() == []
 
 

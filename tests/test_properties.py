@@ -246,14 +246,17 @@ def test_trees_grown_together_match_each_bin_alone(data, caps):
 @given(data=binned_rows(), leaves=st.data())
 def test_segmented_scan_matches_each_segment_alone(data, leaves):
     X, y, rows, offsets = data
-    sizes = np.diff(offsets)
+    # the scan takes one segment or more, each with rows; the stumps below
+    # take every bin
+    segments = np.unique(offsets)
+    sizes = np.diff(segments)
     min_leaf = np.array([leaves.draw(st.integers(1, 4)) for _ in sizes], dtype=np.int64)
-    order = np.concatenate(
-        [rows[lo:hi][np.argsort(X[rows[lo:hi]], axis=0, kind="stable").T]
-         for lo, hi in zip(offsets[:-1], offsets[1:])] + [np.empty((X.shape[1], 0), np.int64)],
-        axis=1)
-    feats, threshs, gains = kernels.best_splits(X, y, order, sizes, min_leaf)
-    for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+    if sizes.size:
+        order = np.concatenate(
+            [rows[lo:hi][np.argsort(X[rows[lo:hi]], axis=0, kind="stable").T]
+             for lo, hi in zip(segments[:-1], segments[1:])], axis=1)
+        feats, threshs, gains = kernels.best_splits(X, y, order, sizes, min_leaf)
+    for j, (lo, hi) in enumerate(zip(segments[:-1], segments[1:])):
         Xj, yj = X[rows[lo:hi]], y[rows[lo:hi]]
         alone = _best_split(Xj, yj, int(min_leaf[j]))
         assert (feats[j], threshs[j], gains[j]) == alone
