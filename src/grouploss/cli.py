@@ -138,8 +138,7 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
     with in_child(_partition_stage, bview, bv.features, bv.label, split, cfg) as partition:
         curve = fit_calibration_curve(bv.score, bv.label, cfg.bandwidth_fraction)
         induced = gl_induced_estimate(curve, bview, bv.score, rule)
-        assignments = partition()
-    stats = region_stats(assignments, bview, bv.label)
+        stats = partition()
     glx = gl_explained_debiased(stats, rule)
     cl = calibration_loss_binned(bview, rule)
     bounds = binning_bounds(bview, rule) if rule is BRIER_SCALAR else None
@@ -151,13 +150,13 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
 
 
 def _partition_stage(bview, features, labels, split, cfg):
-    """Each row's region: the partition fitted on the train half, applied
-    to the rows ``bview`` covers."""
+    """The region table of the rows ``bview`` covers, under the partition
+    fitted on the train half."""
     model = fit_partition(
         bview, features, labels, split,
         parse_strategy(cfg.partition), cfg.region_ratio, cfg.seed,
     )
-    return assign_regions(model, bview, features)
+    return region_stats(assign_regions(model, bview, features), bview, labels)
 
 
 def _write_text(path, text):

@@ -117,7 +117,7 @@ class BinaryView:
         object.__setattr__(self, "label", label)
         if score.shape != label.shape or score.ndim != 1:
             raise ValueError("score and label must be aligned 1-D arrays")
-        if score.size and (score.min() < 0.0 or score.max() > 1.0):
+        if score.size and not (score.min() >= 0.0 and score.max() <= 1.0):
             raise ValueError("scores must lie in [0, 1]")
         if not np.isin(label, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
@@ -173,7 +173,7 @@ def classwise_slice(ds: LabeledDataset, k: int) -> BinaryView:
 def bin_index_of(scores: np.ndarray, n_bins: int) -> np.ndarray:
     """Equal-width bin index per score (last bin closed at 1.0)."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+    if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
         raise ValueError("scores must lie in [0, 1]")
     # cast through uint64: near 2**63 bins, 1.0 scales to 2**63, past int64
     return np.minimum((scores * n_bins).astype(np.uint64), n_bins - 1).astype(np.int64)

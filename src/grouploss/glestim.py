@@ -36,16 +36,14 @@ CP_ALPHA = 0.05
 class RegionStats:
     """Test-row counts and positives per (bin, region), as one flat table.
 
-    Rows are sorted by (bin, region id); bin ``bins[i]`` owns rows
-    ``offsets[i]:offsets[i + 1]`` and regions with no test row are absent.
-    ``bins``, ``bin_counts`` and ``bin_pos_fraction`` are the view's
-    occupied bins, its counts and its positive fractions; the latter is
-    the count-weighted mean of the bin's ``region_means``.
+    Rows are sorted by (bin, region id); the view's ``i``-th occupied bin
+    owns rows ``offsets[i]:offsets[i + 1]`` and regions with no test row
+    are absent.  The bins themselves, their counts and positive fractions
+    are the view's; a bin's positive fraction is the count-weighted mean
+    of its ``region_means``.  The table is sized by regions, not rows, so
+    the partition child returns it whole.
     """
 
-    bins: np.ndarray
-    bin_counts: np.ndarray
-    bin_pos_fraction: np.ndarray
     offsets: np.ndarray
     region_ids: np.ndarray
     region_counts: np.ndarray
@@ -57,29 +55,29 @@ class RegionStats:
 
     @property
     def n_test(self) -> int:
-        return int(self.bin_counts.sum())
+        return int(self.region_counts.sum())
 
 
 def region_stats(assignments: np.ndarray, bview: BinnedView, labels: np.ndarray) -> RegionStats:
     """Count the rows ``bview`` covers (the test rows, in the pipeline) and
     their positives per (bin, region) in one pass.
 
-    Every such row needs a region: ``assign_regions`` writes -1 for rows
-    outside its view, and such a row here raises ``ValueError``.
+    ``assignments[j]`` is the region of row ``bview.rows[j]`` within its
+    bin, as ``assign_regions`` returns it; another length or a negative
+    id raises ``ValueError``.
     """
     rows = bview.rows
-    a = np.asarray(assignments, dtype=np.int64)[rows]
+    a = np.asarray(assignments, dtype=np.int64)
+    if a.shape != rows.shape:
+        raise ValueError(f"region ids of shape {a.shape} for the {rows.size} rows of the view")
     if a.size and a.min() < 0:
-        raise ValueError("a test row has no region (negative region id)")
+        raise ValueError("negative region id")
     y = np.asarray(labels, dtype=np.int64)[rows]
     width = int(a.max()) + 1 if a.size else 1
     # keyed by the bin's entry in the view, which is below the row count
     keys, row_of, counts = np.unique(bview.slot * width + a, return_inverse=True,
                                      return_counts=True)
     return RegionStats(
-        bins=bview.bins,
-        bin_counts=bview.counts,
-        bin_pos_fraction=bview.pos_fraction,
         offsets=np.append(np.searchsorted(keys, np.arange(bview.bins.size) * width), keys.size),
         region_ids=keys % width,
         region_counts=counts,
@@ -100,7 +98,6 @@ class GLExplainedResult:
     legitimately be negative after debiasing and is not clipped.
     """
 
-    bins: np.ndarray
     per_bin_plugin: np.ndarray
     per_bin_bias: np.ndarray
     per_bin_explained: np.ndarray
@@ -126,7 +123,7 @@ def gl_explained_debiased(stats: RegionStats, rule: ScoringRule) -> GLExplainedR
     No debiasing exists for log-loss; the plugin value is returned with
     ``debiased=False``.
     """
-    n_entries = stats.bins.shape[0]
+    n_entries = stats.offsets.shape[0] - 1
     plugin = np.full(n_entries, math.nan)
     bias = np.full(n_entries, math.nan)
     brier = rule.kind == "brier"
@@ -171,7 +168,6 @@ def gl_explained_debiased(stats: RegionStats, rule: ScoringRule) -> GLExplainedR
         totals = (math.nan, math.nan, math.nan)
     n_test = stats.n_test
     return GLExplainedResult(
-        bins=stats.bins,
         per_bin_plugin=plugin,
         per_bin_bias=bias,
         per_bin_explained=explained,
@@ -481,7 +477,7 @@ def build_report(
     lb = gl_lower_bound(glx.explained, induced)
     offsets = stats.offsets.tolist()
     sizes = np.diff(stats.offsets)
-    c_hat = np.repeat(stats.bin_pos_fraction, sizes)
+    c_hat = np.repeat(bview_eval.pos_fraction, sizes)
     counts = stats.region_counts
     lo, hi = clopper_pearson(np.rint(stats.region_pos).astype(np.int64), counts)
     regions = [
@@ -498,18 +494,19 @@ def build_report(
     bin_records = [
         BinRecord(*row)
         for row in zip(
-            stats.bins.tolist(),
+            bview_eval.bins.tolist(),
             bview_eval.s_lo.tolist(),
             bview_eval.s_hi.tolist(),
             bview_eval.mean_score.tolist(),
-            stats.bin_pos_fraction.tolist(),
-            stats.bin_counts.tolist(),
+            bview_eval.pos_fraction.tolist(),
+            bview_eval.counts.tolist(),
             glx.estimable.tolist(),
             [tuple(regions[a:b]) for a, b in zip(offsets, offsets[1:])],
         )
     ]
-    low_conf = np.unique(np.repeat(stats.bins, sizes)[counts < LOW_CONFIDENCE_REGION_COUNT])
-    unestimable = tuple(stats.bins[~glx.estimable].tolist())
+    region_bin = np.repeat(bview_eval.bins, sizes)
+    low_conf = np.unique(region_bin[counts < LOW_CONFIDENCE_REGION_COUNT])
+    unestimable = tuple(bview_eval.bins[~glx.estimable].tolist())
     mse_lb = None
     if bounds is not None and math.isfinite(cl) and math.isfinite(glx.explained):
         mse_lb = cl + glx.explained - bounds.upper

@@ -65,13 +65,13 @@ class KMeans:
         amax = max(float(X.max(initial=0.0)), -float(X.min(initial=0.0)))
         if not 4.0 * X.size * amax * amax < np.inf:
             raise ValueError(f"k-means: features up to {amax:.3g} overflow squared distances")
-        centers_by_bin = []
+        blocks = []
         for b, lo, hi in zip(bins.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
             Xb = X[rows[lo:hi]]
             n = Xb.shape[0]
             k = min(self.k, n)
             if k < 2:
-                centers_by_bin.append(None)
+                blocks.append(Xb[:0])
                 continue
             rng = np.random.default_rng([seed, b])
             centers = np.empty((k, Xb.shape[1]))
@@ -98,9 +98,9 @@ class KMeans:
                 centers = new_centers
                 if movement < KMEANS_TOL:
                     break
-            centers_by_bin.append(centers)
-        n_regions = [1 if c is None else c.shape[0] for c in centers_by_bin]
-        return Centers(tuple(centers_by_bin), np.array(n_regions, dtype=np.int64))
+            blocks.append(centers)
+        return Centers(np.concatenate([X[:0], *blocks]),
+                       np.cumsum([0, *(c.shape[0] for c in blocks)]))
 
 
 def parse_strategy(name: str):
@@ -182,10 +182,15 @@ def _cluster_means(X: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class Centers:
-    """Each group's k-means centers; ``None`` for a group of one region."""
+    """Every group's k-means centers in one ``(sum k, d)`` array: group
+    ``g`` owns rows ``offsets[g]:offsets[g + 1]``, none if it is one region."""
 
-    centers: tuple
-    n_regions: np.ndarray
+    centers: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def n_regions(self) -> np.ndarray:
+        return np.maximum(np.diff(self.offsets), 1)
 
     def assign(self, X: np.ndarray, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
         """Nearest center of its group ``groups`` for each row ``rows`` of ``X``.
@@ -194,12 +199,12 @@ class Centers:
         fit, so their bits do not depend on how a larger product is summed.
         """
         out = np.zeros(rows.shape[0], dtype=np.int64)
-        ids, order, offsets = group_by_bin(groups, self.n_regions.size)
+        ids, order, offsets = group_by_bin(groups, self.offsets.size - 1)
         for g, lo, hi in zip(ids.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
-            if self.n_regions[g] > 1:
+            centers = self.centers[self.offsets[g]:self.offsets[g + 1]]
+            if centers.shape[0] > 1:
                 at = order[lo:hi]
-                out[at] = np.argmin(_sq_distances(*_row_terms(X[rows[at]]), self.centers[g]),
-                                    axis=1)
+                out[at] = np.argmin(_sq_distances(*_row_terms(X[rows[at]]), centers), axis=1)
         return out
 
 
@@ -381,12 +386,6 @@ def _rows_by_bin(bview: BinnedView, train_rows: np.ndarray):
 
 
 def assign_regions(model, bview: BinnedView, features: np.ndarray) -> np.ndarray:
-    """Region index within its bin for each row ``bview`` covers.
-
-    The result spans every row of ``features``; rows outside
-    ``bview.rows`` get -1, which ``region_stats`` rejects.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    out = np.full(bview.bin_of.shape[0], -1, dtype=np.int64)
-    out[bview.rows] = model.assign(features, bview.rows, bview.slot)
-    return out
+    """Region index within its bin for each row of ``bview.rows``, in that
+    order: the ids ``region_stats`` counts."""
+    return model.assign(np.asarray(features, dtype=np.float64), bview.rows, bview.slot)

@@ -65,12 +65,12 @@ def _probs(p, name, vectors):
     probabilities in [0, 1] or, with ``vectors``, one simplex vector."""
     p = np.asarray(p, dtype=np.float64)
     if not vectors:
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+        if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
         return np.clip(p, 0.0, 1.0)
     if p.ndim != 1:
         raise ValueError(f"{name} must be a 1-D probability vector")
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > _SIMPLEX_ATOL:
+    if not (np.all(p >= -1e-12) and abs(p.sum() - 1.0) <= _SIMPLEX_ATOL):
         raise ValueError(f"{name} is not on the probability simplex: {p}")
     return np.clip(p, 0.0, None)
 
@@ -176,15 +176,14 @@ class WeightedProbSample:
             raise ValueError("empty sample")
         if weights.shape != (points.shape[0],):
             raise ValueError("weights must align with points")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to 1")
         if points.ndim == 1:
-            if np.any(points < -1e-12) or np.any(points > 1.0 + 1e-12):
+            if not np.all((points >= -1e-12) & (points <= 1.0 + 1e-12)):
                 raise ValueError("scalar points must lie in [0, 1]")
         elif points.ndim == 2:
-            if np.any(points < -1e-12) or np.any(
-                np.abs(points.sum(axis=1) - 1.0) > 1e-12
-            ):
+            if not (np.all(points >= -1e-12)
+                    and np.all(np.abs(points.sum(axis=1) - 1.0) <= 1e-12)):
                 raise ValueError("points must lie on the probability simplex")
         else:
             raise ValueError("points must be 1-D or 2-D")
@@ -240,7 +239,7 @@ def _decomposition(rule: ScoringRule, weights, scores, posteriors, classwise):
     q = np.asarray(posteriors, dtype=np.float64)
     if s.ndim != 2 or s.shape != q.shape or s.shape[0] != w.shape[0]:
         raise ValueError("scores and posteriors must be aligned (m, K) arrays")
-    if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
+    if not (abs(w.sum() - 1.0) <= 1e-9 and np.all(w >= 0)):
         raise ValueError("weights must be nonnegative and sum to 1")
     # level sets: equal score rows, or equal scores of each class alone
     n_classes = s.shape[1]

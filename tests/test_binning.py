@@ -33,8 +33,9 @@ class TestBinAssignment:
         assert (np.diff(bins) >= 0).all()
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            bin_index_of(np.array([1.2]), 10)
+        for score in (1.2, np.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                bin_index_of(np.array([0.5, score]), 10)
 
     def test_counts_partition_rows(self):
         rng = np.random.default_rng(0)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from grouploss.cli import (
     main,
     run_pipeline,
 )
-from grouploss.data import LabeledDataset, write_dataset_csv
+from grouploss.binning import make_bins
+from grouploss.data import LabeledDataset, stratified_split, write_dataset_csv
+from grouploss.glestim import RegionStats
 from grouploss.simulate import RealisticSimulator, default_realistic, sample_realistic
 
 
@@ -637,6 +640,27 @@ class TestPartitionChild:
         assert forks == [0, 2]
         assert outputs[0] == outputs[1]
         assert multiprocessing.active_children() == []
+
+    def test_the_child_returns_the_region_table(self, two_cpus):
+        # a table sized by regions, not rows, the same as in this process
+        ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
+        cfg = RunConfig(seed=6)
+        bv = cli.reduce_dataset(ds, cfg.reduction)
+        split = stratified_split(bv, cfg.n_bins, cfg.seed)
+        bview = make_bins(bv, cfg.n_bins, rows=split.test_rows)
+        args = (bview, bv.features, bv.label, split, cfg)
+        here = cli._partition_stage(*args)
+        before = forking.in_child.forks
+        with forking.in_child(cli._partition_stage, *args) as stage:
+            child = stage()
+        assert forking.in_child.forks == before + 1 and type(child) is RegionStats
+        n = child.region_ids.size
+        assert 0 < n < split.test_rows.size // 10
+        sizes = {f.name: getattr(child, f.name).size for f in fields(child)}
+        assert sizes == {"offsets": bview.bins.size + 1, "region_ids": n,
+                         "region_counts": n, "region_pos": n}
+        for f in fields(child):
+            np.testing.assert_array_equal(getattr(child, f.name), getattr(here, f.name))
 
     @pytest.mark.parametrize("scale, message", [
         (1e160, r"k-means: features up to [\d.]+e\+160 overflow squared distances"),

@@ -127,6 +127,13 @@ class TestClasswiseSlice:
             classwise_slice(_toy_dataset(), 3)
 
 
+class TestBinaryView:
+    @pytest.mark.parametrize("score", [-0.1, 1.1, np.nan])
+    def test_score_out_of_range_rejected(self, score):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            BinaryView(np.zeros((2, 1)), np.array([0.5, score]), np.array([0, 1]))
+
+
 class TestStratifiedSplit:
     def test_exact_halving_single_bin(self):
         bv = BinaryView(np.zeros((4, 1)), np.full(4, 0.5), np.zeros(4, dtype=int))

@@ -29,7 +29,8 @@ def _stats(scores, labels, regions, n_bins=1, test_rows=None):
     labels = np.asarray(labels, dtype=int)
     bv = BinaryView(np.zeros((scores.size, 1)), scores, labels)
     bview = make_bins(bv, n_bins, rows=test_rows)
-    return region_stats(np.asarray(regions), bview, labels), bview
+    # regions holds one id per dataset row; region_stats takes the view's
+    return region_stats(np.asarray(regions)[bview.rows], bview, labels), bview
 
 
 def _bin_rows(stats, i):
@@ -39,28 +40,32 @@ def _bin_rows(stats, i):
 
 class TestRegionStats:
     def test_mixed_regions(self):
-        stats, _ = _stats([0.5] * 4, [1, 0, 1, 0], [0, 0, 1, 1])
+        stats, bview = _stats([0.5] * 4, [1, 0, 1, 0], [0, 0, 1, 1])
         np.testing.assert_allclose(stats.region_means[_bin_rows(stats, 0)], [0.5, 0.5])
-        assert stats.bin_pos_fraction[0] == 0.5
+        assert bview.pos_fraction[0] == 0.5
 
     def test_pure_regions(self):
-        stats, _ = _stats([0.5] * 4, [1, 1, 0, 0], [0, 0, 1, 1])
+        stats, bview = _stats([0.5] * 4, [1, 1, 0, 0], [0, 0, 1, 1])
         np.testing.assert_allclose(stats.region_means[_bin_rows(stats, 0)], [1.0, 0.0])
-        assert stats.bin_pos_fraction[0] == 0.5
+        assert bview.pos_fraction[0] == 0.5
 
     def test_test_rows_only(self):
         stats, _ = _stats(
             [0.5] * 6, [1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1], test_rows=np.array([0, 3])
         )
-        assert stats.bin_counts[0] == 2
+        assert stats.n_test == 2
         np.testing.assert_allclose(stats.region_means[_bin_rows(stats, 0)], [1.0, 0.0])
 
-    def test_test_row_without_region_rejected(self):
-        # -1 marks a row assign_regions did not cover; train rows may hold it
-        stats, _ = _stats([0.5] * 4, [1, 0, 1, 0], [-1, 0, -1, 1], test_rows=np.array([1, 3]))
-        assert stats.n_test == 2
-        with pytest.raises(ValueError, match="no region"):
-            _stats([0.5] * 4, [1, 0, 1, 0], [-1, 0, -1, 1], test_rows=np.array([0, 3]))
+    def test_ids_not_one_per_view_row_rejected(self):
+        # the view covers rows 1 and 3 of four: it takes exactly two ids
+        bv = BinaryView(np.zeros((4, 1)), np.full(4, 0.5), np.array([1, 0, 1, 0]))
+        bview = make_bins(bv, 1, rows=np.array([1, 3]))
+        assert region_stats(np.array([0, 1]), bview, bv.label).n_test == 2
+        for regions in ([0, 1, 0, 1], [0], [[0, 1]]):
+            with pytest.raises(ValueError, match="shape"):
+                region_stats(np.array(regions), bview, bv.label)
+        with pytest.raises(ValueError, match="negative region id"):
+            region_stats(np.array([0, -1]), bview, bv.label)
 
     def test_weighted_mean_identity(self):
         rng = np.random.default_rng(0)
@@ -69,12 +74,12 @@ class TestRegionStats:
             scores = rng.uniform(size=n)
             labels = rng.integers(0, 2, n)
             regions = rng.integers(0, 4, n)
-            stats, _ = _stats(scores, labels, regions, n_bins=5)
-            for i in range(stats.bins.size):
+            stats, bview = _stats(scores, labels, regions, n_bins=5)
+            for i in range(bview.bins.size):
                 rows = _bin_rows(stats, i)
-                w = stats.region_counts[rows] / stats.bin_counts[i]
+                w = stats.region_counts[rows] / bview.counts[i]
                 assert np.dot(w, stats.region_means[rows]) == pytest.approx(
-                    stats.bin_pos_fraction[i], abs=1e-12
+                    bview.pos_fraction[i], abs=1e-12
                 )
 
     def test_empty_regions_dropped(self):
@@ -92,10 +97,10 @@ class TestRegionStats:
             # offsets partition the table rows, one nonempty run per bin
             offsets = stats.offsets
             assert offsets[0] == 0 and offsets[-1] == stats.region_ids.size
-            assert offsets.size == stats.bins.size + 1
+            assert offsets.size == bview.bins.size + 1
             assert (np.diff(offsets) > 0).all()
             # keys (bin, region id) strictly increase down the table
-            region_bin = np.repeat(stats.bins, np.diff(offsets))
+            region_bin = np.repeat(bview.bins, np.diff(offsets))
             keys = region_bin * 7 + stats.region_ids
             assert (np.diff(keys) > 0).all()
             # exactly the (bin, region) pairs that hold test rows, with their counts
@@ -103,14 +108,12 @@ class TestRegionStats:
             want_keys, want_counts = np.unique(seen, return_counts=True)
             np.testing.assert_array_equal(keys, want_keys)
             np.testing.assert_array_equal(stats.region_counts, want_counts)
-            # the bin columns: the bins the test rows occupy, their counts
-            # and positive fractions
+            # each bin's run holds its test rows and their positives
             test_bins = bview.bin_of[test_rows]
-            np.testing.assert_array_equal(stats.bins, np.unique(test_bins))
-            for i, b in enumerate(stats.bins.tolist()):
+            for i, b in enumerate(bview.bins.tolist()):
                 in_bin = test_rows[test_bins == b]
-                assert stats.bin_counts[i] == in_bin.size
-                assert stats.bin_pos_fraction[i] == labels[in_bin].mean()
+                assert stats.region_counts[_bin_rows(stats, i)].sum() == in_bin.size
+                assert stats.region_pos[_bin_rows(stats, i)].sum() == labels[in_bin].sum()
 
     def test_no_test_rows_gives_empty_table_and_valid_report(self):
         n = 20
@@ -119,7 +122,7 @@ class TestRegionStats:
         stats, bview = _stats(
             scores, labels, np.arange(n) % 3, n_bins=4, test_rows=np.array([], dtype=np.int64)
         )
-        assert stats.bins.size == stats.region_ids.size == stats.n_test == 0
+        assert bview.bins.size == stats.region_ids.size == stats.n_test == 0
         np.testing.assert_array_equal(stats.offsets, [0])
         glx = gl_explained_debiased(stats, BRIER_SCALAR)
         assert glx.n_used == 0 and np.isnan(glx.explained)

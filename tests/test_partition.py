@@ -44,6 +44,11 @@ def _assign_to_bin_0(model, X):
     return model.assign(X, np.arange(n), np.zeros(n, dtype=np.int64))
 
 
+def _group_centers(model, g):
+    # group g's block of a Centers model
+    return model.centers[model.offsets[g]:model.offsets[g + 1]]
+
+
 def _midpoint(lo, hi):
     # the threshold between values lo < hi: their midpoint, halved first so
     # finite values cannot overflow, or lo where it rounds up to hi
@@ -509,9 +514,8 @@ class TestKMeans:
         for X, k in cases:
             expected = _kmeans_centers_reference(X, k, np.random.default_rng([7, 0]))
             n = X.shape[0]
-            got = KMeans(k).fit(X, None, np.arange(n), np.array([0, n]), 30, 7,
-                                np.array([0])).centers[0]
-            assert np.array_equal(got, expected)
+            model = KMeans(k).fit(X, None, np.arange(n), np.array([0, n]), 30, 7, np.array([0]))
+            assert np.array_equal(_group_centers(model, 0), expected)
 
     def test_two_separated_blobs(self):
         rng = np.random.default_rng(15)
@@ -556,9 +560,9 @@ class TestKMeans:
         for g, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
             alone = KMeans(3).fit(X, None, rows[lo:hi], np.array([0, hi - lo]), 30, 5,
                                   bins[g:g + 1])
-            assert together.centers[g].tobytes() == alone.centers[0].tobytes()
+            assert _group_centers(together, g).tobytes() == _group_centers(alone, 0).tobytes()
         other_id = KMeans(3).fit(X, None, rows[40:], np.array([0, 50]), 30, 5, np.array([1]))
-        assert other_id.centers[0].tobytes() != together.centers[1].tobytes()
+        assert _group_centers(other_id, 0).tobytes() != _group_centers(together, 1).tobytes()
 
     def test_rejects_features_whose_squared_distances_overflow(self):
         # two clusters about 1e149 apart near 1e160: every squared row norm
@@ -592,7 +596,9 @@ class TestAssignRegions:
         for g, b in enumerate(bview.bins):
             assert assign[bview.bin_of == b].max() < model.n_regions[g]
 
-    def test_rows_outside_the_view_get_minus_one(self):
+    def test_a_view_gets_the_ids_of_its_rows_alone(self):
+        # one id per row of the test-row view, in its order: the ids the
+        # all-row view gives those rows
         rng = np.random.default_rng(24)
         n = 300
         features = rng.normal(size=(n, 2))
@@ -602,10 +608,10 @@ class TestAssignRegions:
         bview = make_bins(bv, 5, rows=split.test_rows)
         model = fit_partition(bview, features, bv.label, split, Tree(), 10, seed=25)
         assign = assign_regions(model, bview, features)
-        assert (assign[split.train_rows] == -1).all()
         full = assign_regions(model, make_bins(bv, 5), features)
-        np.testing.assert_array_equal(assign[split.test_rows], full[split.test_rows])
-        assert (assign[split.test_rows] >= 0).all()
+        assert assign.shape == split.test_rows.shape and full.shape == (n,)
+        np.testing.assert_array_equal(assign, full[split.test_rows])
+        assert (assign >= 0).all()
 
     def test_small_bins_fall_back_to_single_region(self):
         scores = np.array([0.05, 0.95, 0.96, 0.97, 0.98])
@@ -632,7 +638,7 @@ class TestAssignRegions:
         model = fit_partition(bview, features, bv.label, split, strategy, 2, seed=28)
         assert model.n_regions.size == 2 and model.n_regions[1] == 1
         assign = assign_regions(model, bview, features)
-        assert (assign[[12, 13, 14]] == 0).all()
+        assert (assign[np.isin(bview.rows, [12, 13, 14])] == 0).all()
 
     def test_no_features_rejected(self):
         bv = BinaryView(np.zeros((4, 0)), np.full(4, 0.5), np.array([0, 1, 0, 1]))

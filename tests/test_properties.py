@@ -144,11 +144,7 @@ def region_tables(draw):
         ids.append(np.arange(n_regions, dtype=np.int64))
         counts.append(c.astype(np.int64))
         pos.append(p)
-    bin_counts = np.array([c.sum() for c in counts], dtype=np.int64)
     return RegionStats(
-        bins=np.arange(n_entries, dtype=np.int64),
-        bin_counts=bin_counts,
-        bin_pos_fraction=np.array([p.sum() for p in pos]) / bin_counts,
         offsets=np.concatenate(([0], np.cumsum([c.size for c in counts]))),
         region_ids=np.concatenate(ids),
         region_counts=np.concatenate(counts),
@@ -356,8 +352,8 @@ def test_kmeans_assignment_matches_each_bin_alone(data, k, draws):
         if model.n_regions[b] < 2:
             assert (got[at] == 0).all()
         else:
-            expected = np.argmin(_sq_distances(*_row_terms(Q[q_rows[at]]), model.centers[b]),
-                                 axis=1)
+            centers = model.centers[model.offsets[b]:model.offsets[b + 1]]
+            expected = np.argmin(_sq_distances(*_row_terms(Q[q_rows[at]]), centers), axis=1)
             np.testing.assert_array_equal(got[at], expected)
 
 
@@ -556,14 +552,15 @@ def test_region_means_reproduce_bin_fraction(data):
     n_bins, scores, labels, assignments, is_test = data
     bv = BinaryView(np.zeros((scores.size, 1)), scores, labels)
     test_rows = np.flatnonzero(is_test)
-    stats = region_stats(assignments, make_bins(bv, n_bins, rows=test_rows), labels)
+    bview = make_bins(bv, n_bins, rows=test_rows)
+    stats = region_stats(assignments[test_rows], bview, labels)
     assert stats.n_test == test_rows.size
-    for i in range(stats.bins.size):
+    for i in range(bview.bins.size):
         rows = slice(stats.offsets[i], stats.offsets[i + 1])
         counts = stats.region_counts[rows]
-        assert counts.sum() == stats.bin_counts[i]
-        weighted = float(np.dot(counts, stats.region_means[rows])) / stats.bin_counts[i]
-        assert weighted == pytest.approx(stats.bin_pos_fraction[i], rel=0, abs=1e-12)
+        assert counts.sum() == bview.counts[i]
+        weighted = float(np.dot(counts, stats.region_means[rows])) / bview.counts[i]
+        assert weighted == pytest.approx(bview.pos_fraction[i], rel=0, abs=1e-12)
 
 
 @st.composite

@@ -56,8 +56,13 @@ class TestDivergence:
             divergence(BRIER, (0.5, 0.5), (0.2, 0.3, 0.5))
 
     def test_off_simplex_rejected(self):
-        with pytest.raises(ValueError, match="simplex"):
-            divergence(BRIER, (0.7, 0.7), (0.5, 0.5))
+        for s in ((0.7, 0.7), (np.nan, 0.5)):
+            with pytest.raises(ValueError, match="simplex"):
+                divergence(BRIER, s, (0.5, 0.5))
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            divergence(BRIER_SCALAR, np.nan, 0.5)
 
 
 class TestNegativeEntropy:
@@ -175,6 +180,15 @@ class TestHVariance:
         with pytest.raises(ValueError, match="sum to 1"):
             WeightedProbSample(np.array([0.5, 0.5]), np.array([0.6, 0.6]))
 
+    @pytest.mark.parametrize("points, weights, message", [
+        ([0.5, np.nan], [0.5, 0.5], r"\[0, 1\]"),
+        ([[0.5, 0.5], [np.nan, 0.5]], [0.5, 0.5], "simplex"),
+        ([0.5, 0.5], [np.nan, 1.0], "sum to 1"),
+    ], ids=["point", "simplex-row", "weight"])
+    def test_nan_rejected(self, points, weights, message):
+        with pytest.raises(ValueError, match=message):
+            WeightedProbSample(np.array(points), np.array(weights))
+
 
 def _random_instance(rng, n_classes=3, m=12):
     # a finite law with duplicated score vectors so level sets are nontrivial
@@ -240,6 +254,10 @@ class TestFiniteDecomposition:
         total = standard["cl"] + standard["gl"] + standard["il"]
         assert standard["total"] == pytest.approx(total, abs=1e-12)
         assert classwise == standard
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            finite_decomposition(BRIER, [np.nan, 1.0], [[0.5, 0.5]] * 2, [[0.5, 0.5]] * 2)
 
     def test_classwise_logloss_domain_error(self):
         with pytest.raises(ValueError, match="infinite"):
