@@ -95,6 +95,10 @@ def jensen_gap_by_bin(rule: ScoringRule, slot: np.ndarray, values: np.ndarray,
     ``slot[i]`` and bin ``j`` holds ``counts[j] >= 1`` of them, as
     ``bin_table`` numbers them.
     """
-    sums = np.bincount(slot, weights=values)
-    h_sums = np.bincount(slot, weights=binary_negative_entropy(rule, values))
-    return h_sums / counts - binary_negative_entropy(rule, sums / counts)
+    # in place: with about as many bins as values, each per-bin temporary is as large as values
+    means = np.bincount(slot, weights=values)
+    means /= counts
+    gaps = np.bincount(slot, weights=binary_negative_entropy(rule, values))
+    gaps /= counts
+    gaps -= binary_negative_entropy(rule, means)
+    return gaps

@@ -12,6 +12,7 @@ import math
 import os
 import stat
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,11 +92,6 @@ class LabeledDataset:
     def n_classes(self) -> int:
         return self.scores.shape[1]
 
-    def one_hot(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n_classes))
-        out[np.arange(self.n), self.labels] = 1.0
-        return out
-
 
 @dataclass(frozen=True)
 class BinaryView:
@@ -142,11 +138,6 @@ class SplitIndex:
         object.__setattr__(self, "train_rows", np.asarray(self.train_rows, dtype=np.int64))
         object.__setattr__(self, "test_rows", np.asarray(self.test_rows, dtype=np.int64))
 
-    def train_mask(self, n: int) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        mask[self.train_rows] = True
-        return mask
-
 
 def top_label_reduce(ds: LabeledDataset) -> BinaryView:
     """Top-label view: max confidence vs. correctness of the argmax class.
@@ -182,9 +173,13 @@ def bin_index_of(scores: np.ndarray, n_bins: int) -> np.ndarray:
 def stratified_split(bv: BinaryView, n_bins: int, seed: int) -> SplitIndex:
     """50-50 split preserving the score distribution.
 
-    Rows are grouped into equal-width score bins; within each bin they
-    are shuffled by the seeded generator and alternated between train
-    and test, so per-bin counts differ by at most one.
+    Rows are grouped into equal-width score bins.  The seeded generator
+    shuffles each bin's rows in place, bins in ascending order, and a
+    bin's even positions go to train and its odd ones to test, so
+    per-bin counts differ by at most one.  The shuffle makes the draws
+    of ``rng.permutation`` on the bin's size and gives its rows in that
+    permutation; a one-row bin is skipped, as its permutation draws
+    nothing.
     """
     if bv.n < 2:
         raise ValueError("need at least 2 rows to split")
@@ -192,15 +187,14 @@ def stratified_split(bv: BinaryView, n_bins: int, seed: int) -> SplitIndex:
         raise ValueError("n_bins must be >= 1")
     rng = np.random.default_rng(seed)
     _, order, offsets = group_by_bin(bin_index_of(bv.score, n_bins), n_bins)
-    train, test = [], []
-    # occupied bins in ascending order, as the permutations are drawn
-    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        rows = order[lo:hi]
-        rows = rows[rng.permutation(rows.size)]
-        train.append(rows[0::2])
-        test.append(rows[1::2])
-    # two rows or more occupy one bin or more
-    return SplitIndex(np.sort(np.concatenate(train)), np.sort(np.concatenate(test)))
+    sizes = np.diff(offsets)
+    drawn = np.flatnonzero(sizes >= 2)
+    for lo, hi in zip(offsets[drawn].tolist(), offsets[drawn + 1].tolist()):
+        rng.shuffle(order[lo:hi])
+    # position i of the bin that starts at position lo is a train row where i - lo is even
+    train = np.zeros(bv.n, dtype=bool)
+    train[order[(np.arange(bv.n) - np.repeat(offsets[:-1], sizes)) % 2 == 0]] = True
+    return SplitIndex(np.flatnonzero(train), np.flatnonzero(~train))
 
 
 def group_by_bin(bins: np.ndarray, n_bins: int):
@@ -249,7 +243,7 @@ def _indexed_columns(names, prefix: str) -> list:
 
 
 def _records(fh):
-    """Yield ``(first line, last line, row)`` per CSV record.
+    """Yield ``(first line, row)`` per CSV record.
 
     A quoted field may span lines, so a record starts on the line after
     the last one ended; a ``csv.Error`` becomes an :class:`InputFormatError`
@@ -260,7 +254,7 @@ def _records(fh):
     try:
         for row in reader:
             line_no, line_end = line_end + 1, reader.line_num
-            yield line_no, line_end, row
+            yield line_no, row
     except csv.Error as exc:
         raise InputFormatError(f"line {line_end + 1}: {exc}") from None
 
@@ -286,7 +280,6 @@ def _utf8_lines(fh):
 class _Header:
     """Where a CSV's columns are: ``col`` maps each name to its field index."""
 
-    end: int
     width: int
     col: dict
     score_cols: list
@@ -296,11 +289,16 @@ class _Header:
 
 def _read_header(records) -> _Header:
     try:
-        _, header_end, header = next(records)
+        _, header = next(records)
     except StopIteration:
         raise InputFormatError("line 1: empty file") from None
     header = [h.strip() for h in header]
     col = {name: i for i, name in enumerate(header)}
+    if len(col) < len(header):  # a repeated name maps to its last column
+        for i, name in enumerate(header):
+            read = name in ("label", "score") or name.startswith(("score_", "feature_"))
+            if read and col[name] != i:
+                raise InputFormatError(f"line 1: column {name!r} appears more than once")
     if "label" not in col:
         raise InputFormatError("line 1: missing required column 'label'")
     score_cols = _indexed_columns(col, "score_")
@@ -314,7 +312,7 @@ def _read_header(records) -> _Header:
                 f"line 1: score columns must be contiguous score_0..score_{{K-1}}, got {score_cols}"
             )
     feature_cols = _indexed_columns(col, "feature_")
-    return _Header(header_end, len(header), col, score_cols, binary, feature_cols)
+    return _Header(len(header), col, score_cols, binary, feature_cols)
 
 
 def read_dataset_csv(path) -> LabeledDataset:
@@ -419,12 +417,10 @@ def _read_rows(fh) -> LabeledDataset:
     head = _read_header(records)
     col, binary = head.col, head.binary
     n_classes = 2 if binary else len(head.score_cols)
-    labels, scores, features, skipped_lines = [], [], [], []
-    for line_no, line_end, row in records:
-        if line_end > line_no:
-            skipped_lines.extend(range(line_no + 1, line_end + 1))
+    labels, scores, features = [], [], []
+    lines = array("q")  # each data row's first line
+    for line_no, row in records:
         if not row:
-            skipped_lines.append(line_no)
             continue
         if len(row) != head.width:
             raise InputFormatError(
@@ -442,6 +438,7 @@ def _read_rows(fh) -> LabeledDataset:
                 f"line {line_no}: label {label} out of range for {n_classes} classes"
             )
         labels.append(label)
+        lines.append(line_no)
         if binary:
             s = _parse_float(row[col["score"]], line_no, "score")
             if not 0.0 <= s <= 1.0:
@@ -465,10 +462,7 @@ def _read_rows(fh) -> LabeledDataset:
     try:
         return LabeledDataset(feats, np.array(scores), np.array(labels))
     except DatasetRowError as exc:
-        line = head.end + 1 + exc.row
-        for skipped in skipped_lines:  # each line starting no record shifts it
-            line += skipped <= line
-        raise InputFormatError(f"line {line}: {exc.problem}") from None
+        raise InputFormatError(f"line {lines[exc.row]}: {exc.problem}") from None
 
 
 def write_dataset_csv(path, ds: LabeledDataset, q_true=None) -> None:

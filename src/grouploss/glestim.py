@@ -101,7 +101,6 @@ class GLExplainedResult:
     per_bin_plugin: np.ndarray
     per_bin_bias: np.ndarray
     per_bin_explained: np.ndarray
-    per_bin_used: np.ndarray
     estimable: np.ndarray
     plugin: float
     bias: float
@@ -171,7 +170,6 @@ def gl_explained_debiased(stats: RegionStats, rule: ScoringRule) -> GLExplainedR
         per_bin_plugin=plugin,
         per_bin_bias=bias,
         per_bin_explained=explained,
-        per_bin_used=used,
         estimable=estimable,
         plugin=totals[0],
         bias=totals[1],
@@ -197,7 +195,7 @@ def gl_induced_estimate(
     c_vals = curve(np.asarray(scores, dtype=np.float64))
     if rule.kind == "logloss":
         c_vals = np.clip(c_vals, LOGLOSS_CURVE_CLAMP, 1.0 - LOGLOSS_CURVE_CLAMP)
-    _, counts, slot = bin_table(bview.bin_of, bview.n_bins)
+    counts, slot = bin_table(bview.bin_of, bview.n_bins)[1:]
     gaps = jensen_gap_by_bin(rule, slot, c_vals, counts)
     return float(np.dot(counts / counts.sum(), gaps))
 

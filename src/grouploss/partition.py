@@ -121,12 +121,12 @@ def parse_strategy(name: str):
 @dataclass(frozen=True)
 class Forest:
     """One flattened binary tree per group, node ``g`` the root of group
-    ``g``'s tree; feature == -1 marks a leaf node."""
+    ``g``'s tree; feature == -1 marks a leaf node.  The children of an
+    inner node are made together, so its right child is ``left + 1``."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     leaf_region: np.ndarray
     n_regions: np.ndarray
 
@@ -146,7 +146,7 @@ class Forest:
                 inner = ~leaf
                 at, flat, node, feature = at[inner], flat[inner], node[inner], feature[inner]
             goes_left = X.reshape(-1).take(flat + feature) <= self.threshold.take(node)
-            node = np.where(goes_left, self.left.take(node), self.right.take(node))
+            node = self.left.take(node) + ~goes_left
         return out
 
 
@@ -237,7 +237,7 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndar
     order = _presorted(X, rows, offsets)
     went_left = np.zeros(X.shape[0], dtype=bool)
     feature, threshold = [-1] * n_groups, [0.0] * n_groups
-    left, right = [-1] * n_groups, [-1] * n_groups
+    left = [-1] * n_groups
     candidates = [[] for _ in range(n_groups)]
     n_leaves = [1] * n_groups
 
@@ -263,11 +263,10 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndar
             if candidates[g] and n_leaves[g] < caps[g]:
                 _, node, f, t, start, size = heapq.heappop(candidates[g])
                 feature[node], threshold[node] = f, t
-                left[node], right[node] = len(feature), len(feature) + 1
+                left[node] = len(feature)
                 feature += [-1, -1]
                 threshold += [0.0, 0.0]
                 left += [-1, -1]
-                right += [-1, -1]
                 n_leaves[g] += 1
                 if n_leaves[g] < caps[g]:
                     popped.append((g, left[node], f, t, start, size))
@@ -299,10 +298,9 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, rows: np.ndarray, offsets: np.ndar
             leaf_region[node] = n_regions[g]
             n_regions[g] += 1
         else:
-            stack += [(right[node], g), (left[node], g)]
+            stack += [(left[node] + 1, g), (left[node], g)]
     return Forest(np.array(feature, dtype=np.int64), np.array(threshold, dtype=float),
-                  np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
-                  leaf_region, np.array(n_regions, dtype=np.int64))
+                  np.array(left, dtype=np.int64), leaf_region, np.array(n_regions, dtype=np.int64))
 
 
 # Indices in the ``(d, m)`` block one batched pass works on, unless one

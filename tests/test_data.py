@@ -6,12 +6,16 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grouploss.data import (
     BinaryView,
     InputFormatError,
     LabeledDataset,
+    bin_index_of,
     classwise_slice,
+    group_by_bin,
     read_dataset_csv,
     stratified_split,
     top_label_reduce,
@@ -72,12 +76,6 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="scores must be finite"):
             LabeledDataset(np.zeros((1, 1)), np.array([[bad, 0.5]]), np.array([0]))
 
-    def test_one_hot(self):
-        ds = _toy_dataset()
-        oh = ds.one_hot()
-        assert oh.sum() == ds.n
-        assert (oh[np.arange(ds.n), ds.labels] == 1).all()
-
 
 class TestTopLabelReduce:
     def test_correct_and_incorrect(self):
@@ -134,7 +132,69 @@ class TestBinaryView:
             BinaryView(np.zeros((2, 1)), np.array([0.5, score]), np.array([0, 1]))
 
 
+def _split_reference(bv, n_bins, seed):
+    # one permutation per occupied bin, ascending, its even positions to train
+    rng = np.random.default_rng(seed)
+    _, order, offsets = group_by_bin(bin_index_of(bv.score, n_bins), n_bins)
+    train, test = [], []
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        rows = order[lo:hi]
+        rows = rows[rng.permutation(rows.size)]
+        train.append(rows[0::2])
+        test.append(rows[1::2])
+    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
+
+
+class _CountingGenerator:
+    """A generator that records the length of each array it shuffles."""
+
+    def __init__(self, rng):
+        self.rng, self.shuffled = rng, []
+
+    def shuffle(self, x):
+        self.shuffled.append(len(x))
+        self.rng.shuffle(x)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 class TestStratifiedSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # drawn from a few values, scores tie and bins hold one row or many
+        scores=st.lists(st.sampled_from([0.0, 0.1, 0.1 + 1e-12, 0.5, 0.73, 0.99, 1.0])
+                        | st.floats(0.0, 1.0), min_size=2, max_size=300),
+        n_bins=st.integers(1, 2**63 - 1) | st.integers(1, 40),
+        seed=st.integers(0, 2**128),
+    )
+    def test_matches_one_permutation_per_bin(self, scores, n_bins, seed):
+        n = len(scores)
+        bv = BinaryView(np.zeros((n, 1)), np.array(scores), np.zeros(n, dtype=int))
+        split = stratified_split(bv, n_bins, seed)
+        train, test = _split_reference(bv, n_bins, seed)
+        np.testing.assert_array_equal(split.train_rows, train)
+        np.testing.assert_array_equal(split.test_rows, test)
+
+    def test_shuffles_only_bins_of_two_rows_or_more(self, monkeypatch):
+        # bins 0..4 of 5 hold 1, 3, 1, 0 and 2 rows
+        bv = BinaryView(np.zeros((7, 1)), np.array([0.5, 0.1, 0.3, 0.9, 0.3, 0.3, 0.9]),
+                        np.zeros(7, dtype=int))
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            made.append(_CountingGenerator(default_rng(seed)))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        split = stratified_split(bv, 5, seed=3)
+        assert [rng.shuffled for rng in made] == [[3, 2]]
+        monkeypatch.undo()
+        train, test = _split_reference(bv, 5, 3)
+        np.testing.assert_array_equal(split.train_rows, train)
+        np.testing.assert_array_equal(split.test_rows, test)
+
     def test_exact_halving_single_bin(self):
         bv = BinaryView(np.zeros((4, 1)), np.full(4, 0.5), np.zeros(4, dtype=int))
         split = stratified_split(bv, 1, seed=0)
@@ -165,7 +225,8 @@ class TestStratifiedSplit:
         bv = BinaryView(np.zeros((n, 1)), rng.uniform(size=n), np.zeros(n, dtype=int))
         split = stratified_split(bv, 15, seed=5)
         bins = np.minimum((bv.score * 15).astype(int), 14)
-        train_mask = split.train_mask(n)
+        train_mask = np.zeros(n, dtype=bool)
+        train_mask[split.train_rows] = True
         for b in range(15):
             in_bin = bins == b
             n_train = int(np.count_nonzero(in_bin & train_mask))
@@ -253,11 +314,16 @@ class TestCsvIO:
             # beyond int64: rejected before LabeledDataset converts it
             ("label,score\n1,0.5\n99999999999999999999,0.5\n",
              "line 3: label 99999999999999999999 out of range for 2 classes"),
+            # a name read twice would be read from its last column alone
+            ("label,score,feature_0,feature_0\n1,0.5,0.1,0.2\n",
+             "line 1: column 'feature_0' appears more than once"),
+            ("label,score,label\n1,0.5,0\n",
+             "line 1: column 'label' appears more than once"),
         ],
         ids=["bad-header-index", "label-out-of-range", "off-simplex-row",
              "after-multiline-record", "label-after-multiline-record",
              "negative-score-entry", "score-entry-above-one", "oversized-field",
-             "label-beyond-int64"],
+             "label-beyond-int64", "repeated-feature", "repeated-label"],
     )
     def test_rejected_row_reports_its_line(self, tmp_path, text, message):
         path = tmp_path / "bad5.csv"

@@ -171,8 +171,9 @@ def _preorder(feature, threshold, left, right, leaf_region, root):
 def _assert_same_tree(forest, reference, b=0):
     # reference: (feature, threshold, left, right, leaf_region, n_regions) of
     # bin b's tree alone, node 0 its root
-    names = ("feature", "threshold", "left", "right", "leaf_region")
-    assert (_preorder(*(getattr(forest, name) for name in names), b)
+    # the forest makes an inner node's children together: the right one is left + 1
+    assert (_preorder(forest.feature, forest.threshold, forest.left, forest.left + 1,
+                      forest.leaf_region, b)
             == _preorder(*reference[:5], 0))
     assert forest.n_regions[b] == reference[-1]
 

@@ -295,7 +295,7 @@ def _assign_reference(forest, X, root):
             out[rows] = forest.leaf_region[node]
             continue
         mask = X[rows, forest.feature[node]] <= forest.threshold[node]
-        stack.append((forest.right[node], rows[~mask]))
+        stack.append((forest.left[node] + 1, rows[~mask]))
         stack.append((forest.left[node], rows[mask]))
     return out
 
