@@ -44,10 +44,12 @@ def bin_table(bin_of: np.ndarray, n_bins: int):
     """The bins ``bin_of`` occupies in ascending order, each one's count,
     and each entry's index among them: ``(bins, counts, slot)``."""
     bins, order, offsets = group_by_bin(bin_of, n_bins)
-    counts = np.diff(offsets)
-    slot = np.empty(order.shape[0], dtype=np.intp)
-    slot[order] = np.repeat(np.arange(bins.shape[0]), counts)
-    return bins, counts, slot
+    # in sorted order, a mark at each bin's start but the first, summed in place
+    marks = np.zeros(order.shape[0], dtype=np.intp)
+    marks[offsets[1:-1]] = 1
+    slot = np.empty_like(marks)
+    slot[order] = np.cumsum(marks, out=marks)
+    return bins, np.diff(offsets), slot
 
 
 def make_bins(bv: BinaryView, n_bins: int, rows=None) -> BinnedView:

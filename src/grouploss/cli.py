@@ -31,7 +31,7 @@ from .data import (
     top_label_reduce,
     write_dataset_csv,
 )
-from .forking import in_child, run_tasks
+from .forking import run_tasks
 from .glestim import (
     GroupingReport,
     binning_bounds,
@@ -133,12 +133,10 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
         bv = bv.with_scores(iso(bv.score))
     # bin_of covers every row; the per-bin statistics cover the test half
     bview = make_bins(bv, cfg.n_bins, rows=split.test_rows)
-    # the partition does not need the curve: a forked child fits it while
-    # this process fits the curve
-    with in_child(_partition_stage, bview, bv.features, bv.label, split, cfg) as partition:
-        curve = fit_calibration_curve(bv.score, bv.label, cfg.bandwidth_fraction)
-        induced = gl_induced_estimate(curve, bview, bv.score, rule)
-        stats = partition()
+    # the two halves do not need each other: a forked child fits the
+    # partition while this process fits the curve
+    induced, stats = run_tasks([(_induced_stage, (bview, bv.score, bv.label, cfg)),
+                                (_partition_stage, (bview, bv.features, bv.label, split, cfg))])
     glx = gl_explained_debiased(stats, rule)
     cl = calibration_loss_binned(bview, rule)
     bounds = binning_bounds(bview, rule) if rule is BRIER_SCALAR else None
@@ -147,6 +145,12 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
         n_rows=bv.n, n_train=split.train_rows.size,
         metadata={"provenance": bv.provenance, "gl_induced_rows": "all"},
     )
+
+
+def _induced_stage(bview, scores, labels, cfg):
+    """The induced term, from the calibration curve over all rows."""
+    curve = fit_calibration_curve(scores, labels, cfg.bandwidth_fraction)
+    return gl_induced_estimate(curve, bview, scores, cfg.scoring_rule())
 
 
 def _partition_stage(bview, features, labels, split, cfg):
@@ -297,9 +301,8 @@ def cmd_sweep(args) -> int:
         (_sweep_repeat, (sim, args.n, replace(cfg, seed=_derived_seed(base.seed, vi, r))))
         for vi, cfg in enumerate(cfgs) for r in range(args.repeats)
     ]
-    # the oracle has its own seed, so it can come last: a failing sweep
-    # cancels it unless a worker has started it, and a serial one exits
-    # before paying for it
+    # the oracle has its own seed, so it can come last: after a failure a
+    # serial sweep skips it, and a pool cancels it unless it has started
     tasks.append((_sweep_oracle, (sim, base, args.oracle_n)))
     results = run_tasks(tasks)
     oracle = results.pop()

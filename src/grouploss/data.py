@@ -31,8 +31,11 @@ class DatasetRowError(ValueError):
     """A row breaks the dataset contract; ``row`` is its 0-based index."""
 
     def __init__(self, row: int, problem: str):
-        super().__init__(f"row {row}: {problem}")
+        super().__init__(row, problem)  # so that unpickling builds it again
         self.row, self.problem = row, problem
+
+    def __str__(self):
+        return f"row {self.row}: {self.problem}"
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,10 @@
 """The package's one way to use more than one CPU: forked processes.
 
-``in_child`` runs one function in a forked child and hands its result
-back; ``run_tasks`` runs a list of tasks on a pool of forked workers.
-``workers`` says how many processes a piece of work may spread over;
-where it says one, the same functions run in this process.
+``workers`` says how many processes a piece of work may spread over, and
+``run_tasks`` runs a list of tasks on them, or in this process where it
+says one.
 """
 
-import contextlib
 import os
 import threading
 
@@ -38,55 +36,78 @@ def workers(tasks):
     return min(usable_cpus(), MAX_WORKERS, tasks)
 
 
-@contextlib.contextmanager
-def in_child(fn, *args):
-    """Start ``fn(*args)`` in one forked child; yield the function that
-    waits for it and returns its result.
+def run_tasks(tasks):
+    """``fn(*args)`` for each ``(fn, args)`` of ``tasks``, in task order.
 
-    The child sends its result, or the exception it raised, back through
-    a pipe; the exception is raised again here with its type and message,
-    and a child that exits without a result raises ``RuntimeError``.
-    The child is joined before the block is left, and terminated first if
-    the block leaves without its result.  Where ``workers`` gives two
-    tasks one process, ``fn`` runs here instead, when its result is asked
-    for.  Either way, an error the block raises first is the one reported.
+    ``count = workers(len(tasks))`` picks where they run: below two, one
+    after another in this process; at one per task, the first here and
+    each other one in a forked child of its own, which reads its
+    arguments from the fork and sends its result back through a pipe;
+    below that, on a pool of ``count`` forked workers that take them in
+    order.  A pool pickles each task's function by its name: it must be
+    a module-level function that nothing rebinds.
+
+    In every mode the first task in task order that raises has its
+    exception raised again here with its type and message, and a child
+    that exits without a result raises ``RuntimeError``, once every child
+    has exited: one of its own is terminated, a pool worker finishes its task.
     """
-    if workers(2) < 2:
-        yield lambda: fn(*args)
-        return
+    count = workers(len(tasks))
+    if count < 2:
+        return [fn(*args) for fn, args in tasks]
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    # unlike a bare os.fork, start() flushes the standard streams first
-    child = ctx.Process(target=_child_main, args=(receiver, sender, fn, args))
-    child.start()
-    sender.close()
-    in_child.forks += 1
+    if count == len(tasks):
+        return _one_child_per_task(ctx, tasks)
+    from concurrent.futures import ProcessPoolExecutor
 
-    def result():
-        try:
-            ok, value = receiver.recv()
-        except EOFError:
-            child.join()
-            raise RuntimeError(
-                f"the forked {fn.__name__} exited with code {child.exitcode} "
-                "without a result") from None
-        child.join()
-        if not ok:
-            raise value
-        return value
-
+    pool = ProcessPoolExecutor(count, mp_context=ctx)
     try:
-        yield result
+        futures = [pool.submit(fn, *args) for fn, args in tasks]
+        return [future.result() for future in futures]
     finally:
-        if child.exitcode is None:
-            child.terminate()
-        child.join()
-        receiver.close()
+        forked = list(pool._processes.values())
+        pool.shutdown(cancel_futures=True)
+        # the shutdown has joined them, unless a fork failed in the first
+        # submit: then no manager thread ends the workers forked before it
+        for process in forked:
+            process.terminate()
+            process.join()
 
 
-in_child.forks = 0  # children forked by this process, read by the tests
+def _one_child_per_task(ctx, tasks):
+    receivers, children = [], []
+    try:
+        for fn, args in tasks[1:]:
+            receiver, sender = ctx.Pipe(duplex=False)
+            receivers.append(receiver)
+            with sender:
+                child = ctx.Process(target=_child_main, args=(receiver, sender, fn, args))
+                # unlike a bare os.fork, start() flushes the standard streams first
+                child.start()
+            children.append(child)
+        fn, args = tasks[0]
+        results = [fn(*args)]
+        for (fn, _), receiver, child in zip(tasks[1:], receivers, children):
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                child.join()
+                ok, value = False, RuntimeError(
+                    f"the forked {fn.__name__} exited with code {child.exitcode} without a result")
+            child.join()
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for child in children:
+            child.terminate()  # a no-op once it has exited
+            child.join()
+            child.close()
+        for receiver in receivers:
+            receiver.close()
 
 
 def _child_main(receiver, sender, fn, args):
@@ -98,27 +119,3 @@ def _child_main(receiver, sender, fn, args):
     except Exception as exc:
         reply = False, exc
     sender.send(reply)
-
-
-def run_tasks(tasks):
-    """``fn(*args)`` for each ``(fn, args)`` of ``tasks``, in task order.
-
-    The tasks run in ``workers(len(tasks))`` forked processes or, where
-    that is one, one after another in this process.  Either way the first
-    task in task order that raises has its exception re-raised; the pool
-    first cancels the pending tasks and waits for every worker to exit.
-    A task's function and arguments are pickled, the function by its
-    name: it must be a module-level function that nothing rebinds.
-    """
-    count = workers(len(tasks))
-    if count < 2:
-        return [fn(*args) for fn, args in tasks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(count, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [pool.submit(fn, *args) for fn, args in tasks]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)

@@ -2,8 +2,6 @@
 the calibration-curve fit, isotonic pooling, and ``best_splits``, the one
 split scan of the tree and the stump, which holds the one threshold rule."""
 
-import contextlib
-
 import numpy as np
 
 from . import forking
@@ -26,12 +24,8 @@ def lowess_grid(s, y, grid, k):
     starts = _window_starts(s, grid, k).tolist()
     parts = forking.workers(m)
     cuts = [m * i // parts for i in range(parts + 1)]
-    # leaving the stack, on return or on any error, joins every child
-    with contextlib.ExitStack() as children:
-        rest = [children.enter_context(forking.in_child(_fit_run, s, y, grid, k, starts, a, b))
-                for a, b in zip(cuts[1:-1], cuts[2:])]
-        first = _fit_run(s, y, grid, k, starts, 0, cuts[1])
-        return np.concatenate([first] + [result() for result in rest])
+    return np.concatenate(forking.run_tasks([(_fit_run, (s, y, grid, k, starts, a, b))
+                                             for a, b in zip(cuts, cuts[1:])]))
 
 
 def _window_starts(s, grid, k):

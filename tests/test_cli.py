@@ -173,19 +173,19 @@ class TestEstimate:
         report = run_pipeline(ds, RunConfig(seed=3))
         assert len(calls) == 1 and calls[0].size == report.n_test
 
-    def test_split_curve_gives_the_same_bytes(self, monkeypatch):
+    def test_split_curve_gives_the_same_bytes(self, monkeypatch, forks):
         # a window of 12,600 rows: one process and the curve split over a
         # forked child (beside the partition's) write the same report
         ds, _ = sample_realistic(default_realistic(), 42_000, seed=4)
-        outputs, forks = [], []
+        outputs, forked = [], []
         for cpus in (1, 2):
             monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
-            before = forking.in_child.forks
+            before = len(forks())
             report = run_pipeline(ds, RunConfig(seed=4))
-            forks.append(forking.in_child.forks - before)
+            forked.append(len(forks()) - before)
             outputs.append((report.to_json(), report.diagram_csv()))
         if "fork" in multiprocessing.get_all_start_methods():
-            assert forks == [0, 2]
+            assert forked == [0, 2]
         assert outputs[0] == outputs[1]
 
     def test_every_bin_unestimable_exits_3(self, tmp_path):
@@ -469,7 +469,8 @@ class TestSweepWorkers:
         used = []
 
         def counted(tasks):
-            used.append(forking.workers(len(tasks)))
+            if tasks[-1][0] is cli._sweep_oracle:  # not a pipeline's own call
+                used.append(forking.workers(len(tasks)))
             return self.run_tasks(tasks)
 
         monkeypatch.setattr(cli, "run_tasks", counted)
@@ -493,7 +494,8 @@ class TestSweepWorkers:
         counts = []
 
         def counted(tasks):
-            counts.append((len(tasks), forking.workers(len(tasks))))
+            if tasks[-1][0] is cli._sweep_oracle:  # not a pipeline's own call
+                counts.append((len(tasks), forking.workers(len(tasks))))
             return [fn(*args) for fn, args in tasks]
 
         monkeypatch.setattr(cli, "run_tasks", counted)
@@ -590,12 +592,9 @@ class TestSweepWorkers:
 
 
 def _stage_pids():
-    """Run in a sweep worker: the pid an ``in_child`` stage ran in, this
-    process's pid, and how many children the stage forked."""
-    forks = forking.in_child.forks
-    with forking.in_child(os.getpid) as stage:
-        pid = stage()
-    return pid, os.getpid(), forking.in_child.forks - forks
+    """Run in a sweep worker: the pids two ``run_tasks`` tasks ran in, and
+    this process's pid."""
+    return forking.run_tasks([(os.getpid, ())] * 2), os.getpid()
 
 
 def _no_curve(*args):
@@ -627,21 +626,21 @@ class TestPartitionChild:
 
     @pytest.mark.parametrize("partition", ["tree", "stump", "kmeans:4"])
     @pytest.mark.parametrize("d", [2, 4])
-    def test_cpu_counts_give_the_same_bytes(self, two_cpus, monkeypatch, partition, d):
+    def test_cpu_counts_give_the_same_bytes(self, two_cpus, monkeypatch, forks, partition, d):
         ds, _ = sample_realistic(default_realistic() if d == 2 else self.D4, 3000, seed=5)
-        outputs, forks = [], []
+        outputs, forked = [], []
         for cpus in (1, 2):
             monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
-            before = forking.in_child.forks
+            before = len(forks())
             report = run_pipeline(ds, RunConfig(partition=partition, seed=5))
-            forks.append(forking.in_child.forks - before)
+            forked.append(len(forks()) - before)
             outputs.append(report.to_json() + report.diagram_csv())
         # two CPUs: the partition's child and the curve's second run
-        assert forks == [0, 2]
+        assert forked == [0, 2]
         assert outputs[0] == outputs[1]
         assert multiprocessing.active_children() == []
 
-    def test_the_child_returns_the_region_table(self, two_cpus):
+    def test_the_child_returns_the_region_table(self, two_cpus, forks):
         # a table sized by regions, not rows, the same as in this process
         ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
         cfg = RunConfig(seed=6)
@@ -650,10 +649,8 @@ class TestPartitionChild:
         bview = make_bins(bv, cfg.n_bins, rows=split.test_rows)
         args = (bview, bv.features, bv.label, split, cfg)
         here = cli._partition_stage(*args)
-        before = forking.in_child.forks
-        with forking.in_child(cli._partition_stage, *args) as stage:
-            child = stage()
-        assert forking.in_child.forks == before + 1 and type(child) is RegionStats
+        pid, child = forking.run_tasks([(os.getpid, ()), (cli._partition_stage, args)])
+        assert pid == os.getpid() and len(forks()) == 1 and type(child) is RegionStats
         n = child.region_ids.size
         assert 0 < n < split.test_rows.size // 10
         sizes = {f.name: getattr(child, f.name).size for f in fields(child)}
@@ -666,25 +663,23 @@ class TestPartitionChild:
         (1e160, r"k-means: features up to [\d.]+e\+160 overflow squared distances"),
         (None, "partitioning requires a nonempty feature matrix"),
     ], ids=["kmeans-overflow", "no-features"])
-    def test_a_child_error_keeps_its_type_and_message(self, two_cpus, monkeypatch, scale,
+    def test_a_child_error_keeps_its_type_and_message(self, two_cpus, monkeypatch, forks, scale,
                                                        message):
         ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
         features = ds.features[:, :0] if scale is None else ds.features * scale
         ds = LabeledDataset(features, ds.scores, ds.labels)
-        before = forking.in_child.forks
         errors = self._errors(monkeypatch, ds, RunConfig(partition="kmeans:4"))
-        assert forking.in_child.forks == before + 2
+        assert len(forks()) == 2
         assert errors[0] == errors[1]
         assert errors[0][0] is ValueError and re.fullmatch(message, errors[0][1])
 
-    def test_estimate_exits_2_on_a_child_error(self, two_cpus, tmp_path, capsys):
+    def test_estimate_exits_2_on_a_child_error(self, two_cpus, tmp_path, capsys, forks):
         ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
         csv = tmp_path / "huge.csv"
         write_dataset_csv(csv, LabeledDataset(ds.features * 1e160, ds.scores, ds.labels))
-        before = forking.in_child.forks
         code = main(["estimate", str(csv), "--partition", "kmeans:4",
                      "--out", str(tmp_path / "r.json")])
-        assert code == EXIT_INPUT and forking.in_child.forks == before + 2
+        assert code == EXIT_INPUT and len(forks()) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: k-means") and "Traceback" not in err
         assert multiprocessing.active_children() == []
@@ -718,40 +713,39 @@ class TestPartitionChild:
             run_pipeline(ds, RunConfig())
         assert multiprocessing.active_children() == []
 
-    def test_the_child_is_forked_before_the_curve_starts(self, two_cpus, monkeypatch):
-        forks = []
+    def test_the_child_is_forked_before_the_curve_starts(self, two_cpus, monkeypatch, forks):
+        forked = []
         fit = cli.fit_calibration_curve
 
         def curve(*args):
-            forks.append(forking.in_child.forks)
+            forked.append(len(forks()))
             return fit(*args)
 
         monkeypatch.setattr(cli, "fit_calibration_curve", curve)
         ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
-        before = forking.in_child.forks
         run_pipeline(ds, RunConfig())
-        assert forks == [before + 1]
+        assert forked == [1]
 
-    def test_another_thread_keeps_the_stage_in_process(self, two_cpus):
+    def test_another_thread_keeps_the_stage_in_process(self, two_cpus, forks):
         ds, _ = sample_realistic(default_realistic(), 2000, seed=6)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            before = forking.in_child.forks
             alone = run_pipeline(ds, RunConfig(seed=6)).to_json()
-            assert forking.in_child.forks == before
+            assert forks() == []
         finally:
             release.set()
             waiter.join(timeout=10)
         assert not waiter.is_alive()
         assert run_pipeline(ds, RunConfig(seed=6)).to_json() == alone
-        assert forking.in_child.forks == before + 2
+        assert len(forks()) == 2
 
-    def test_a_sweep_worker_runs_the_stage_in_process(self, two_cpus):
-        for pid, worker, forks in forking.run_tasks([(_stage_pids, ())] * 2):
-            assert pid == worker != os.getpid()
-            assert forks == 0
+    def test_a_sweep_worker_runs_the_stage_in_process(self, two_cpus, forks):
+        # three tasks on two CPUs: a pool of two workers
+        for pids, worker in forking.run_tasks([(_stage_pids, ())] * 3):
+            assert pids == [worker] * 2 and worker != os.getpid()
+        assert forks() == [os.getpid()] * 2
         assert multiprocessing.active_children() == []
 
 

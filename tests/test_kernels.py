@@ -230,23 +230,22 @@ def can_fork():
         pytest.skip("this platform cannot fork")
 
 
-def _curve_forks(m=40):
-    """A curve over ``m`` grid points, and the children it forked."""
+def _curve(m=40):
+    """A curve over ``m`` grid points."""
     rng = np.random.default_rng(9)
     s = np.sort(rng.uniform(size=400))
     y = (rng.uniform(size=400) < s).astype(float)
-    before = forking.in_child.forks
-    out = kernels.lowess_grid(s, y, np.linspace(0.0, 1.0, m), 100)
-    return out, forking.in_child.forks - before
+    return kernels.lowess_grid(s, y, np.linspace(0.0, 1.0, m), 100)
 
 
-@pytest.mark.parametrize("cpus, m, forks", [(1, 40, 0), (2, 40, 1), (3, 40, 2), (4, 40, 3),
-                                            (16, 40, forking.MAX_WORKERS - 1), (4, 2, 1),
-                                            (4, 1, 0), (4, 0, 0)])
-def test_lowess_forks_one_child_per_run_but_the_first(can_fork, monkeypatch, cpus, m, forks):
+@pytest.mark.parametrize("cpus, m, children", [(1, 40, 0), (2, 40, 1), (3, 40, 2), (4, 40, 3),
+                                               (16, 40, forking.MAX_WORKERS - 1), (4, 2, 1),
+                                               (4, 1, 0), (4, 0, 0)])
+def test_lowess_forks_one_child_per_run_but_the_first(can_fork, monkeypatch, forks, cpus, m,
+                                                      children):
     monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
-    out, forked = _curve_forks(m)
-    assert out.shape == (m,) and forked == forks
+    out = _curve(m)
+    assert out.shape == (m,) and len(forks()) == children
     assert multiprocessing.active_children() == []
 
 
@@ -293,7 +292,7 @@ def test_lowess_child_that_dies_raises_runtime_error(can_fork, monkeypatch):
     monkeypatch.setattr(kernels, "_fit_run", die)
     monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
     with pytest.raises(RuntimeError, match="exited with code 7 without a result"):
-        _curve_forks()
+        _curve()
     assert multiprocessing.active_children() == []
 
 
@@ -311,28 +310,28 @@ def _another_thread():
     assert not waiter.is_alive()
 
 
-def test_lowess_with_another_thread_stays_in_process(can_fork, monkeypatch):
+def test_lowess_with_another_thread_stays_in_process(can_fork, monkeypatch, forks):
     monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
-    alone, forks = _curve_forks()
-    assert forks == 1
+    alone = _curve()
+    assert len(forks()) == 1
     with _another_thread():
-        beside, forks = _curve_forks()
-    assert forks == 0 and np.array_equal(beside, alone)
+        beside = _curve()
+    assert len(forks()) == 1 and np.array_equal(beside, alone)
 
 
 def _curve_in_worker():
-    """Run in a sweep worker: the curve, the children it forked, and the
-    worker's pid."""
-    out, forks = _curve_forks()
-    return out, forks, os.getpid()
+    """Run in a sweep worker: the curve and the worker's pid."""
+    return _curve(), os.getpid()
 
 
-def test_lowess_in_a_task_worker_stays_in_process(can_fork, monkeypatch):
+def test_lowess_in_a_task_worker_stays_in_process(can_fork, monkeypatch, forks):
+    # three tasks on two CPUs: a pool of two workers
     monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
-    results = forking.run_tasks([(_curve_in_worker, ())] * 2)
-    alone = _curve_forks()[0]
-    for out, forks, pid in results:
-        assert pid != os.getpid() and forks == 0
+    results = forking.run_tasks([(_curve_in_worker, ())] * 3)
+    assert forks() == [os.getpid()] * 2
+    alone = _curve()
+    for out, pid in results:
+        assert pid != os.getpid()
         assert np.array_equal(out, alone)
     assert multiprocessing.active_children() == []
 
@@ -348,7 +347,7 @@ def _fit_runs():
 
     kernels._fit_run = counted
     try:
-        _curve_forks()
+        _curve()
     finally:
         kernels._fit_run = fit_run
     return runs
@@ -362,7 +361,8 @@ def test_lowess_fits_one_run_where_workers_says_one(can_fork, monkeypatch, where
     # fits one after another
     monkeypatch.setattr(forking, "usable_cpus", lambda: 1 if where == "one CPU" else 4)
     if where == "in a task worker":
-        assert forking.run_tasks([(_fit_runs, ())] * 2) == [runs] * 2
+        # five tasks on four CPUs: a pool of four workers
+        assert forking.run_tasks([(_fit_runs, ())] * 5) == [runs] * 5
     elif where == "beside a thread":
         with _another_thread():
             assert _fit_runs() == runs
@@ -370,17 +370,18 @@ def test_lowess_fits_one_run_where_workers_says_one(can_fork, monkeypatch, where
         assert _fit_runs() == runs
 
 
-def test_run_tasks_beside_another_thread_stays_in_process(can_fork, monkeypatch):
+def test_run_tasks_beside_another_thread_stays_in_process(can_fork, monkeypatch, forks):
     monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
-    tasks = [(_curve_in_worker, ())] * 2
+    tasks = [(_curve_in_worker, ())] * 3
     with _another_thread():
         beside = forking.run_tasks(tasks)
-    assert [pid for _, _, pid in beside] == [os.getpid()] * 2
+    assert [pid for _, pid in beside] == [os.getpid()] * 3 and forks() == []
     # once the thread is joined, the tasks go to forked workers again
     forked = forking.run_tasks(tasks)
-    assert os.getpid() not in [pid for _, _, pid in forked]
-    for (out, forks, _), (again, forks_again, _) in zip(beside, forked):
-        assert np.array_equal(out, again) and forks == forks_again == 0
+    assert os.getpid() not in [pid for _, pid in forked]
+    assert forks() == [os.getpid()] * 2
+    for (out, _), (again, _) in zip(beside, forked):
+        assert np.array_equal(out, again)
     assert multiprocessing.active_children() == []
 
 
