@@ -301,10 +301,10 @@ def cmd_sweep(args) -> int:
         (_sweep_repeat, (sim, args.n, replace(cfg, seed=_derived_seed(base.seed, vi, r))))
         for vi, cfg in enumerate(cfgs) for r in range(args.repeats)
     ]
-    # the oracle has its own seed, so it can come last: after a failure a
-    # serial sweep skips it, and a pool cancels it unless it has started
+    # the oracle has its own seed, so it can come last, where a failing
+    # repeat saves its cost unless a worker has started it
     tasks.append((_sweep_oracle, (sim, base, args.oracle_n)))
-    results = run_tasks(tasks)
+    results = run_tasks(tasks, pool=True)  # in workers, where no pipeline forks
     oracle = results.pop()
     rows = []
     for vi, value in enumerate(values):

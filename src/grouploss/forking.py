@@ -36,15 +36,16 @@ def workers(tasks):
     return min(usable_cpus(), MAX_WORKERS, tasks)
 
 
-def run_tasks(tasks):
+def run_tasks(tasks, pool=False):
     """``fn(*args)`` for each ``(fn, args)`` of ``tasks``, in task order.
 
     ``count = workers(len(tasks))`` picks where they run: below two, one
     after another in this process; at one per task, the first here and
     each other one in a forked child of its own, which reads its
     arguments from the fork and sends its result back through a pipe;
-    below that, on a pool of ``count`` forked workers that take them in
-    order.  A pool pickles each task's function by its name: it must be
+    below that, or with ``pool``, none here but on a pool of ``count``
+    forked workers, where a task's own work (a sweep's pipeline) cannot
+    fork.  A pool pickles each task's function by its name: it must be
     a module-level function that nothing rebinds.
 
     In every mode the first task in task order that raises has its
@@ -58,20 +59,19 @@ def run_tasks(tasks):
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
-    if count == len(tasks):
+    if count == len(tasks) and not pool:
         return _one_child_per_task(ctx, tasks)
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(count, mp_context=ctx)
+    before = multiprocessing.active_children()
+    executor = ProcessPoolExecutor(count, mp_context=ctx)
     try:
-        futures = [pool.submit(fn, *args) for fn, args in tasks]
+        futures = [executor.submit(fn, *args) for fn, args in tasks]
         return [future.result() for future in futures]
     finally:
-        forked = list(pool._processes.values())
-        pool.shutdown(cancel_futures=True)
-        # the shutdown has joined them, unless a fork failed in the first
-        # submit: then no manager thread ends the workers forked before it
-        for process in forked:
+        executor.shutdown(cancel_futures=True)
+        # a fork failing in the first submit leaves no manager thread to end the ones before it
+        for process in [p for p in multiprocessing.active_children() if p not in before]:
             process.terminate()
             process.join()
 

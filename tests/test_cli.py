@@ -468,10 +468,10 @@ class TestSweepWorkers:
         """Exit code and CSV text of a sweep run on ``workers`` workers."""
         used = []
 
-        def counted(tasks):
+        def counted(tasks, pool=False):
             if tasks[-1][0] is cli._sweep_oracle:  # not a pipeline's own call
                 used.append(forking.workers(len(tasks)))
-            return self.run_tasks(tasks)
+            return self.run_tasks(tasks, pool)
 
         monkeypatch.setattr(cli, "run_tasks", counted)
         monkeypatch.setattr(forking, "usable_cpus", lambda: workers)
@@ -493,7 +493,7 @@ class TestSweepWorkers:
     def test_worker_count_is_capped(self, tmp_path, monkeypatch):
         counts = []
 
-        def counted(tasks):
+        def counted(tasks, pool=False):
             if tasks[-1][0] is cli._sweep_oracle:  # not a pipeline's own call
                 counts.append((len(tasks), forking.workers(len(tasks))))
             return [fn(*args) for fn, args in tasks]
@@ -571,8 +571,8 @@ class TestSweepWorkers:
             pytest.skip("this platform cannot fork")
         pids = []
 
-        def with_pid(tasks):
-            *results, pid = self.run_tasks(tasks + [(os.getpid, ())])
+        def with_pid(tasks, pool=False):
+            *results, pid = self.run_tasks(tasks + [(os.getpid, ())], pool)
             pids.append(pid)
             return results
 
@@ -588,6 +588,23 @@ class TestSweepWorkers:
             outputs.append((tmp_path / name).read_bytes())
         assert len(pids) == 2 and os.getpid() not in pids
         assert outputs[0] == outputs[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus, values", [(2, "10"), (4, "10,30")])
+    def test_one_worker_per_task_forks_nothing_more(self, tmp_path, monkeypatch, forks, cpus,
+                                                    values):
+        # as many tasks as processes: each runs in a pool worker, where its
+        # pipeline forks nothing, rather than the first here, forking its
+        # partition and curve children beside the others
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform cannot fork")
+        monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "realistic"}))
+        assert main(["sweep", str(spec), "--axis", "region_ratio", "--values", values,
+                     "--n", "2000", "--repeats", "1", "--oracle-n", "20000",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert forks() == [os.getpid()] * (values.count(",") + 2)
         assert multiprocessing.active_children() == []
 
 
@@ -742,8 +759,7 @@ class TestPartitionChild:
         assert len(forks()) == 2
 
     def test_a_sweep_worker_runs_the_stage_in_process(self, two_cpus, forks):
-        # three tasks on two CPUs: a pool of two workers
-        for pids, worker in forking.run_tasks([(_stage_pids, ())] * 3):
+        for pids, worker in forking.run_tasks([(_stage_pids, ())] * 2, pool=True):
             assert pids == [worker] * 2 and worker != os.getpid()
         assert forks() == [os.getpid()] * 2
         assert multiprocessing.active_children() == []

@@ -29,8 +29,8 @@ def _task(i, first_failure):
 
 
 @settings(deadline=None, max_examples=60)
-@given(cpus=st.integers(1, 5), n=st.integers(0, 6), data=st.data())
-def test_every_mode_keeps_task_order_and_the_first_error(cpus, n, data):
+@given(cpus=st.integers(1, 5), n=st.integers(0, 6), pool=st.booleans(), data=st.data())
+def test_every_mode_keeps_task_order_and_the_first_error(cpus, n, pool, data):
     first_failure = data.draw(st.none() | st.integers(0, max(n - 1, 0)), label="first_failure")
     tasks = [(_task, (i, first_failure)) for i in range(n)]
     with pytest.MonkeyPatch.context() as patch:
@@ -38,16 +38,16 @@ def test_every_mode_keeps_task_order_and_the_first_error(cpus, n, data):
         count = forking.workers(n)
         if first_failure is not None and first_failure < n:
             with pytest.raises(ValueError, match=f"^task {first_failure} fails$"):
-                forking.run_tasks(tasks)
+                forking.run_tasks(tasks, pool)
             assert multiprocessing.active_children() == []
             return
-        results = forking.run_tasks(tasks)
+        results = forking.run_tasks(tasks, pool)
     assert multiprocessing.active_children() == []
     assert [i for i, _ in results] == list(range(n))
     pids = [pid for _, pid in results]
     if count < 2:
         assert pids == [os.getpid()] * n
-    elif count == n:
+    elif count == n and not pool:
         # the first task here, each other one in a child of its own
         assert pids[0] == os.getpid() and os.getpid() not in pids[1:]
         assert len(set(pids[1:])) == n - 1

@@ -325,9 +325,8 @@ def _curve_in_worker():
 
 
 def test_lowess_in_a_task_worker_stays_in_process(can_fork, monkeypatch, forks):
-    # three tasks on two CPUs: a pool of two workers
     monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
-    results = forking.run_tasks([(_curve_in_worker, ())] * 3)
+    results = forking.run_tasks([(_curve_in_worker, ())] * 2, pool=True)
     assert forks() == [os.getpid()] * 2
     alone = _curve()
     for out, pid in results:
@@ -361,8 +360,7 @@ def test_lowess_fits_one_run_where_workers_says_one(can_fork, monkeypatch, where
     # fits one after another
     monkeypatch.setattr(forking, "usable_cpus", lambda: 1 if where == "one CPU" else 4)
     if where == "in a task worker":
-        # five tasks on four CPUs: a pool of four workers
-        assert forking.run_tasks([(_fit_runs, ())] * 5) == [runs] * 5
+        assert forking.run_tasks([(_fit_runs, ())] * 2, pool=True) == [runs] * 2
     elif where == "beside a thread":
         with _another_thread():
             assert _fit_runs() == runs
@@ -372,12 +370,12 @@ def test_lowess_fits_one_run_where_workers_says_one(can_fork, monkeypatch, where
 
 def test_run_tasks_beside_another_thread_stays_in_process(can_fork, monkeypatch, forks):
     monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
-    tasks = [(_curve_in_worker, ())] * 3
+    tasks = [(_curve_in_worker, ())] * 2
     with _another_thread():
-        beside = forking.run_tasks(tasks)
-    assert [pid for _, pid in beside] == [os.getpid()] * 3 and forks() == []
+        beside = forking.run_tasks(tasks, pool=True)
+    assert [pid for _, pid in beside] == [os.getpid()] * 2 and forks() == []
     # once the thread is joined, the tasks go to forked workers again
-    forked = forking.run_tasks(tasks)
+    forked = forking.run_tasks(tasks, pool=True)
     assert os.getpid() not in [pid for _, pid in forked]
     assert forks() == [os.getpid()] * 2
     for (out, _), (again, _) in zip(beside, forked):
