@@ -38,6 +38,7 @@ from .glestim import (
     build_report,
     gl_explained_debiased,
     gl_induced_estimate,
+    load_betaincinv,
     region_stats,
 )
 from .partition import assign_regions, fit_partition, parse_strategy
@@ -198,7 +199,10 @@ def _run_config(args) -> RunConfig:
 def cmd_estimate(args) -> int:
     _require_out_dirs(args, "out", "diagram_out")
     cfg = _run_config(args)
-    report = run_pipeline(read_dataset_csv(args.input), cfg)
+    # the report's intervals need scipy: it loads here while a forked
+    # child parses the CSV
+    _, ds = run_tasks([(load_betaincinv, ()), (read_dataset_csv, (args.input,))])
+    report = run_pipeline(ds, cfg)
     _write_text(args.out, report.to_json())
     if args.diagram_out is not None:
         _write_text(args.diagram_out, report.diagram_csv())
@@ -302,8 +306,9 @@ def cmd_sweep(args) -> int:
         for vi, cfg in enumerate(cfgs) for r in range(args.repeats)
     ]
     # the oracle has its own seed, so it can come last, where a failing
-    # repeat saves its cost unless a worker has started it
+    # repeat cancels it, or ends it once a worker has started it
     tasks.append((_sweep_oracle, (sim, base, args.oracle_n)))
+    load_betaincinv()  # once here, not in every worker the pool forks
     results = run_tasks(tasks, pool=True)  # in workers, where no pipeline forks
     oracle = results.pop()
     rows = []

@@ -7,6 +7,7 @@ says one.
 
 import os
 import threading
+import traceback
 
 # Most processes one piece of work spreads over: the calibration curve's
 # grid runs, or ``grouploss sweep``'s workers.
@@ -51,7 +52,8 @@ def run_tasks(tasks, pool=False):
     In every mode the first task in task order that raises has its
     exception raised again here with its type and message, and a child
     that exits without a result raises ``RuntimeError``, once every child
-    has exited: one of its own is terminated, a pool worker finishes its task.
+    has exited: each child that still runs, of its own or a pool worker,
+    is terminated.
     """
     count = workers(len(tasks))
     if count < 2:
@@ -64,16 +66,29 @@ def run_tasks(tasks, pool=False):
     from concurrent.futures import ProcessPoolExecutor
 
     before = multiprocessing.active_children()
+
+    def own_workers():
+        return [p for p in multiprocessing.active_children() if p not in before]
+
     executor = ProcessPoolExecutor(count, mp_context=ctx)
     try:
         futures = [executor.submit(fn, *args) for fn, args in tasks]
         return [future.result() for future in futures]
+    except BaseException as exc:
+        # the shutdown below would wait for the tasks the workers hold
+        for process in own_workers():
+            process.terminate()
+        # a fork failing in the first submit leaves the unstarted worker,
+        # and with it the pool's pipes, in the frames of its traceback
+        traceback.clear_frames(exc.__traceback__)
+        raise
     finally:
         executor.shutdown(cancel_futures=True)
         # a fork failing in the first submit leaves no manager thread to end the ones before it
-        for process in [p for p in multiprocessing.active_children() if p not in before]:
+        for process in own_workers():
             process.terminate()
             process.join()
+            process.close()
 
 
 def _one_child_per_task(ctx, tasks):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from operator import attrgetter
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .binning import BinnedView, bin_table, jensen_gap_by_bin, within_bin_score_variance
 from .calibration import CalibrationCurve
@@ -248,6 +247,16 @@ def binning_bounds(bview: BinnedView, rule: ScoringRule) -> BinningBounds:
     )
 
 
+def load_betaincinv():
+    """scipy's ``betaincinv``, imported here rather than with the package:
+    scipy.special takes about half the import of ``grouploss.cli``, and
+    only ``clopper_pearson`` needs it.  A command that will call it may
+    load it early, beside other work or before it forks."""
+    from scipy.special import betaincinv
+
+    return betaincinv
+
+
 def clopper_pearson(k, n, alpha: float = CP_ALPHA):
     """Exact binomial confidence interval via Beta quantiles, elementwise.
 
@@ -256,6 +265,7 @@ def clopper_pearson(k, n, alpha: float = CP_ALPHA):
     bad = (n < 1) | (k < 0) | (k > n)
     if bad.any():
         raise ValueError(f"need 0 <= k <= n with n >= 1, got k={k[bad][0]}, n={n[bad][0]}")
+    betaincinv = load_betaincinv()
     lo = np.where(k == 0, 0.0, betaincinv(k, n - k + 1, alpha / 2.0))
     hi = np.where(k == n, 1.0, betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo[()], hi[()]

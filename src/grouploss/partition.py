@@ -157,8 +157,13 @@ def _row_terms(X: np.ndarray):
 
 def _sq_distances(x2: np.ndarray, twice_x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance of each row to each center, ``(n, k)``,
-    from the rows' ``_row_terms``; fitting and assigning share it bit for bit."""
-    return x2 - twice_x @ centers.T + np.sum(centers * centers, axis=1)[None, :]
+    from the rows' ``_row_terms``; fitting and assigning share it bit for bit.
+    ``x2 - m + c2`` in the product's own buffer: the same operations in
+    the same order, so the same bits, without two more ``(n, k)`` arrays."""
+    m = twice_x @ centers.T
+    np.subtract(x2, m, out=m)
+    m += np.sum(centers * centers, axis=1)
+    return m
 
 
 def _cluster_means(X: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:

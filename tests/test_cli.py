@@ -696,7 +696,8 @@ class TestPartitionChild:
         write_dataset_csv(csv, LabeledDataset(ds.features * 1e160, ds.scores, ds.labels))
         code = main(["estimate", str(csv), "--partition", "kmeans:4",
                      "--out", str(tmp_path / "r.json")])
-        assert code == EXIT_INPUT and len(forks()) == 2
+        # the reader's child, then the partition's and the curve's
+        assert code == EXIT_INPUT and len(forks()) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: k-means") and "Traceback" not in err
         assert multiprocessing.active_children() == []
@@ -827,6 +828,124 @@ def test_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     assert "Traceback" not in err
 
 
+def _src_env():
+    """The environment of a fresh interpreter that imports this ``grouploss``."""
+    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys, grouploss, grouploss.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
+
+
+class TestForkedReader:
+    """``estimate`` reads its CSV in a forked child while scipy loads here:
+    the same bytes, exit code and message as on one CPU."""
+
+    @pytest.fixture(autouse=True)
+    def can_fork(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform cannot fork")
+
+    def _estimate(self, monkeypatch, capsys, forks, path, out, cpus, writer=None):
+        """Exit code, stderr, report bytes and forks of ``estimate`` on ``cpus`` CPUs."""
+        monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+        before = len(forks())
+        code = main(["estimate", str(path), "--out", str(out)])
+        if writer is not None:
+            assert writer.wait(timeout=60) == 0
+        assert multiprocessing.active_children() == []
+        report = out.read_bytes() if out.exists() else None
+        return code, capsys.readouterr().err, report, len(forks()) - before
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "malformed"])
+    def test_an_input_error_is_the_same_on_every_cpu_count(self, tmp_path, monkeypatch, capsys,
+                                                           forks, case):
+        path = tmp_path / "input.csv"
+        if case == "directory":
+            path.mkdir()
+        elif case != "missing":
+            _two_region_csv(path, n=300)
+            lines = path.read_bytes().split(b"\n")
+            lines[3] += b"\xff" if case == "not-utf8" else b",1"
+            path.write_bytes(b"\n".join(lines))
+        runs = [self._estimate(monkeypatch, capsys, forks, path, tmp_path / f"{cpus}.json", cpus)
+                for cpus in (1, 2)]
+        assert runs[0][:3] == runs[1][:3]
+        code, err, report, _ = runs[0]
+        assert code == EXIT_INPUT and report is None
+        assert err.startswith("error:") and "Traceback" not in err
+        if case in ("not-utf8", "malformed"):
+            assert "line 4" in err
+        # on two CPUs the reader was a forked child, and nothing came after it
+        assert [forked for *_, forked in runs] == [0, 1]
+
+    def test_a_fifo_fed_by_another_process(self, tmp_path, monkeypatch, capsys, forks):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("this platform has no FIFOs")
+        data = tmp_path / "data.csv"
+        _two_region_csv(data, n=2000)
+        fifo = tmp_path / "input.fifo"
+        os.mkfifo(fifo)
+        runs = []
+        for cpus in (1, 2):
+            # a process, not a thread: another live thread keeps the reader here
+            writer = subprocess.Popen([sys.executable, "-c",
+                                       "import shutil, sys; shutil.copyfileobj("
+                                       "open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))",
+                                       str(data), str(fifo)])
+            try:
+                runs.append(self._estimate(monkeypatch, capsys, forks, fifo,
+                                           tmp_path / f"{cpus}.json", cpus, writer))
+            finally:
+                writer.kill()
+                writer.wait()
+        assert runs[0][:3] == runs[1][:3]
+        assert runs[0][0] == EXIT_OK and runs[0][2] is not None
+        assert main(["estimate", str(data), "--out", str(tmp_path / "file.json")]) == EXIT_OK
+        assert (tmp_path / "file.json").read_bytes() == runs[0][2]
+        # the reader's child, then the partition's (one score: the curve is one run)
+        assert [forked for *_, forked in runs] == [0, 2]
+
+
+_SWEEP_WORKERS_SEE_SCIPY = """
+import os, sys
+from grouploss import cli, forking
+forking.usable_cpus = lambda: 2
+repeat = cli._sweep_repeat
+
+def checked(*args):
+    print(os.getpid(), "scipy.special" in sys.modules, flush=True)
+    return repeat(*args)
+
+cli._sweep_repeat = checked
+print(os.getpid(), "scipy.special" in sys.modules, flush=True)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_a_sweep_task_starts_with_scipy_loaded(tmp_path):
+    # loaded once before the pool forks, so no worker imports it again
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("this platform cannot fork")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "realistic"}))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_WORKERS_SEE_SCIPY, "sweep", str(spec),
+         "--axis", "region_ratio", "--values", "10,30", "--n", "2000", "--repeats", "2",
+         "--oracle-n", "1000", "--out", str(tmp_path / "sweep.csv")],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    (parent, loaded), *tasks = [line.split() for line in proc.stdout.split("\n") if line]
+    assert loaded == "False"
+    assert len(tasks) == 4
+    assert all(pid != parent and seen == "True" for pid, seen in tasks)
+
+
 # the per-bin tables hold the bins the rows occupy, so any bin count runs
 # in the memory of the rows; the cap turns a table sized by the bin count
 # into a quick MemoryError rather than a machine out of memory
@@ -838,12 +957,10 @@ def test_huge_bin_counts_run_in_the_memory_of_the_rows(tmp_path, bins):
     ds, _ = sample_realistic(default_realistic(), 400, 1)
     csv = tmp_path / "data.csv"
     write_dataset_csv(csv, ds)
-    path = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-m", "grouploss.cli", "estimate", str(csv), "--bins", str(bins),
          "--out", str(tmp_path / "report.json")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_src_env(), capture_output=True, text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(
             resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP, _ADDRESS_SPACE_CAP)))
     assert proc.returncode in (EXIT_OK, EXIT_UNESTIMABLE), proc.stderr

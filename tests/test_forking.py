@@ -113,10 +113,19 @@ def test_a_failing_fork_leaves_no_child(monkeypatch, cpus, n):
         forking.run_tasks([(time.sleep, (60,))] * n)
     assert time.monotonic() - began < 30
     assert multiprocessing.active_children() == []
-    if cpus < n:
-        # the failed fork's traceback holds the pool's queues (they are the
-        # unstarted worker's arguments) until the error is dropped; each
-        # child's pipes are closed while it is held
-        del info
+    # checked while ``info`` holds the error: its traceback no longer
+    # holds the pool's queues, the unstarted worker's arguments
     if fds is not None:
         assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_failing_pool_task_ends_the_workers_at_once(monkeypatch):
+    # two workers hold a task each when the first one fails: they are
+    # terminated rather than waited for, and the first failure is raised
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+    began = time.monotonic()
+    with pytest.raises(ValueError, match="^the first task fails$"):
+        forking.run_tasks([(_raise, (ValueError("the first task fails"),)),
+                           (time.sleep, (3,)), (time.sleep, (3,))])
+    assert time.monotonic() - began < 1
+    assert multiprocessing.active_children() == []
