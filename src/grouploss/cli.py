@@ -282,15 +282,6 @@ def _sweep_repeat(sim, n, cfg):
                       report.gl_explained, report.gl_induced)
 
 
-def _sweep_oracle(sim, cfg, n_mc):
-    """The sweep's Monte-Carlo reference grouping loss.
-
-    A task of its own rather than ``true_gl_monte_carlo`` itself: a
-    wrapper installed under that name could not be pickled by it.
-    """
-    return true_gl_monte_carlo(sim, cfg.scoring_rule(), n_mc, cfg.seed)
-
-
 def cmd_sweep(args) -> int:
     _require_out_dirs(args, "out")
     _require_positive(args, "n", "repeats", "oracle_n")
@@ -306,10 +297,10 @@ def cmd_sweep(args) -> int:
         for vi, cfg in enumerate(cfgs) for r in range(args.repeats)
     ]
     # the oracle has its own seed, so it can come last, where a failing
-    # repeat cancels it, or ends it once a worker has started it
-    tasks.append((_sweep_oracle, (sim, base, args.oracle_n)))
-    load_betaincinv()  # once here, not in every worker the pool forks
-    results = run_tasks(tasks, pool=True)  # in workers, where no pipeline forks
+    # repeat's error does not wait for it
+    tasks.append((true_gl_monte_carlo, (sim, base.scoring_rule(), args.oracle_n, base.seed)))
+    load_betaincinv()  # once here, not in every child run_tasks forks
+    results = run_tasks(tasks, pool=True)  # in forked children, where no pipeline forks
     oracle = results.pop()
     rows = []
     for vi, value in enumerate(values):

@@ -7,10 +7,9 @@ says one.
 
 import os
 import threading
-import traceback
 
 # Most processes one piece of work spreads over: the calibration curve's
-# grid runs, or ``grouploss sweep``'s workers.
+# grid runs, or ``grouploss sweep``'s forked children.
 MAX_WORKERS = 4
 
 
@@ -26,7 +25,7 @@ def workers(tasks):
     """How many processes ``tasks`` independent tasks spread over: one per
     usable CPU, at most ``MAX_WORKERS`` and at most one per task; but one,
     in this process, wherever it may not fork: without ``fork``, in a
-    process multiprocessing started (a sweep worker or another child,
+    process multiprocessing started (a sweep's child or another one,
     whose CPU is already in use), or while another thread runs (a forked
     process would inherit any lock that thread holds)."""
     import multiprocessing  # on first use, so importing the package stays cheaper
@@ -40,97 +39,104 @@ def workers(tasks):
 def run_tasks(tasks, pool=False):
     """``fn(*args)`` for each ``(fn, args)`` of ``tasks``, in task order.
 
-    ``count = workers(len(tasks))`` picks where they run: below two, one
-    after another in this process; at one per task, the first here and
-    each other one in a forked child of its own, which reads its
-    arguments from the fork and sends its result back through a pipe;
-    below that, or with ``pool``, none here but on a pool of ``count``
-    forked workers, where a task's own work (a sweep's pipeline) cannot
-    fork.  A pool pickles each task's function by its name: it must be
-    a module-level function that nothing rebinds.
+    Where ``count = workers(len(tasks))`` is 1, they run one after another
+    here.  Otherwise forked children run them: at one per task, this
+    process runs the first and ``count - 1`` children the others; below
+    that, or with ``pool``, ``count`` children run them all, so a task's
+    own forked work (a sweep's pipeline) stays in its child, where
+    ``workers`` says one.  A child reads task indices from one pipe and
+    sends ``(ok, value)`` back on another; the tasks come from the fork,
+    so nothing is pickled on the way in.  Each index goes to the child
+    that reports first, and the task pipes close after the last one, so
+    a child exits once it has sent its last result.
 
-    In every mode the first task in task order that raises has its
-    exception raised again here with its type and message, and a child
-    that exits without a result raises ``RuntimeError``, once every child
-    has exited: each child that still runs, of its own or a pool worker,
-    is terminated.
+    The first task in task order that raises has its exception raised
+    again here, once the tasks before it have finished; a child that exits
+    without a result raises ``RuntimeError``.  Every child is then
+    terminated and joined, and every pipe closed.
     """
     count = workers(len(tasks))
     if count < 2:
         return [fn(*args) for fn, args in tasks]
     import multiprocessing
+    from multiprocessing.connection import wait
 
     ctx = multiprocessing.get_context("fork")
-    if count == len(tasks) and not pool:
-        return _one_child_per_task(ctx, tasks)
-    from concurrent.futures import ProcessPoolExecutor
+    here = int(count == len(tasks) and not pool)  # the tasks this process runs
+    indices = iter(range(here, len(tasks)))
+    task_ends, result_ends, children = [], [], []
+    holds = {}  # a child's result end -> the child, its task end and the index it runs
+    replies = {}  # a task's index -> (ok, value) from the child that ran it
 
-    before = multiprocessing.active_children()
+    def deal(task_end):
+        index = next(indices, None)
+        if index is not None:
+            task_end.send(index)
+        if index == len(tasks) - 1:  # each child's stop: its task pipe's end of file
+            for end in task_ends:
+                end.close()
+        return index
 
-    def own_workers():
-        return [p for p in multiprocessing.active_children() if p not in before]
-
-    executor = ProcessPoolExecutor(count, mp_context=ctx)
     try:
-        futures = [executor.submit(fn, *args) for fn, args in tasks]
-        return [future.result() for future in futures]
-    except BaseException as exc:
-        # the shutdown below would wait for the tasks the workers hold
-        for process in own_workers():
-            process.terminate()
-        # a fork failing in the first submit leaves the unstarted worker,
-        # and with it the pool's pipes, in the frames of its traceback
-        traceback.clear_frames(exc.__traceback__)
-        raise
-    finally:
-        executor.shutdown(cancel_futures=True)
-        # a fork failing in the first submit leaves no manager thread to end the ones before it
-        for process in own_workers():
-            process.terminate()
-            process.join()
-            process.close()
-
-
-def _one_child_per_task(ctx, tasks):
-    receivers, children = [], []
-    try:
-        for fn, args in tasks[1:]:
-            receiver, sender = ctx.Pipe(duplex=False)
-            receivers.append(receiver)
-            with sender:
-                child = ctx.Process(target=_child_main, args=(receiver, sender, fn, args))
+        for _ in range(count - here):
+            inbox, task_end = ctx.Pipe(duplex=False)
+            result_end, outbox = ctx.Pipe(duplex=False)
+            task_ends.append(task_end)
+            result_ends.append(result_end)
+            index = deal(task_end)  # before the fork, so no send meets a child that has died
+            with inbox, outbox:
+                child = ctx.Process(target=_child_main,
+                                    args=(tasks, inbox, outbox, task_ends + result_ends))
                 # unlike a bare os.fork, start() flushes the standard streams first
                 child.start()
             children.append(child)
-        fn, args = tasks[0]
-        results = [fn(*args)]
-        for (fn, _), receiver, child in zip(tasks[1:], receivers, children):
-            try:
-                ok, value = receiver.recv()
-            except EOFError:
-                child.join()
-                ok, value = False, RuntimeError(
-                    f"the forked {fn.__name__} exited with code {child.exitcode} without a result")
-            child.join()
-            if not ok:
-                raise value
-            results.append(value)
+            holds[result_end] = child, task_end, index
+        results = [fn(*args) for fn, args in tasks[:here]]
+        while len(results) < len(tasks):
+            if len(results) in replies:
+                ok, value = replies.pop(len(results))
+                if not ok:
+                    raise value
+                results.append(value)
+                continue
+            for result_end in wait(list(holds)):
+                child, task_end, index = holds.pop(result_end)
+                try:
+                    replies[index] = result_end.recv()
+                except EOFError:
+                    child.join()
+                    replies[index] = False, RuntimeError(
+                        f"the forked {tasks[index][0].__name__} exited with code "
+                        f"{child.exitcode} without a result")
+                    continue
+                if (index := deal(task_end)) is not None:
+                    holds[result_end] = child, task_end, index
+        for child in children:
+            child.join()  # rather than end a child that has yet to flush its output
         return results
     finally:
         for child in children:
             child.terminate()  # a no-op once it has exited
             child.join()
             child.close()
-        for receiver in receivers:
-            receiver.close()
+        for end in task_ends + result_ends:
+            end.close()
 
 
-def _child_main(receiver, sender, fn, args):
-    # without a read end of its own, the child's send fails once the parent
-    # is gone, rather than blocking on a full pipe forever
-    receiver.close()
-    try:
-        reply = True, fn(*args)
-    except Exception as exc:
-        reply = False, exc
-    sender.send(reply)
+def _child_main(tasks, inbox, outbox, ends):
+    # the caller's ends: held here, the task ends would keep the inbox from
+    # its end of file, and a result end would let a send block on a full
+    # pipe once the caller is gone, rather than fail
+    for end in ends:
+        end.close()
+    while True:
+        try:
+            index = inbox.recv()
+        except EOFError:
+            return
+        fn, args = tasks[index]
+        try:
+            reply = True, fn(*args)
+        except Exception as exc:
+            reply = False, exc
+        outbox.send(reply)

@@ -469,7 +469,7 @@ class TestSweepWorkers:
         used = []
 
         def counted(tasks, pool=False):
-            if tasks[-1][0] is cli._sweep_oracle:  # not a pipeline's own call
+            if tasks[-1][0] is cli.true_gl_monte_carlo:  # not a pipeline's own call
                 used.append(forking.workers(len(tasks)))
             return self.run_tasks(tasks, pool)
 
@@ -494,7 +494,7 @@ class TestSweepWorkers:
         counts = []
 
         def counted(tasks, pool=False):
-            if tasks[-1][0] is cli._sweep_oracle:  # not a pipeline's own call
+            if tasks[-1][0] is cli.true_gl_monte_carlo:  # not a pipeline's own call
                 counts.append((len(tasks), forking.workers(len(tasks))))
             return [fn(*args) for fn, args in tasks]
 
@@ -918,18 +918,23 @@ from grouploss import cli, forking
 forking.usable_cpus = lambda: 2
 repeat = cli._sweep_repeat
 
+def report():
+    # one write per line: under PYTHONUNBUFFERED, print writes each piece
+    # apart, and two children's lines interleave
+    os.write(1, f"{os.getpid()} {'scipy.special' in sys.modules}\\n".encode())
+
 def checked(*args):
-    print(os.getpid(), "scipy.special" in sys.modules, flush=True)
+    report()
     return repeat(*args)
 
 cli._sweep_repeat = checked
-print(os.getpid(), "scipy.special" in sys.modules, flush=True)
+report()
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
 def test_a_sweep_task_starts_with_scipy_loaded(tmp_path):
-    # loaded once before the pool forks, so no worker imports it again
+    # loaded once before the children fork, so no child imports it again
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("this platform cannot fork")
     spec = tmp_path / "spec.json"

@@ -1,10 +1,13 @@
 """``forking.run_tasks``: the same results and the same first error in
-each of its three modes, and no child or pipe left behind."""
+this process and in both forked shapes (this process and one child per
+other task, or children only), each task to the child that frees up
+first, and no child or pipe left behind."""
 
 import multiprocessing
 import multiprocessing.context
 import os
 import pickle
+import subprocess
 import sys
 import time
 
@@ -129,3 +132,79 @@ def test_a_failing_pool_task_ends_the_workers_at_once(monkeypatch):
                            (time.sleep, (3,)), (time.sleep, (3,))])
     assert time.monotonic() - began < 1
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus, n, pool", [(1, 2, False), (2, 2, False), (2, 3, False),
+                                           (2, 2, True)],
+                         ids=["serial", "per-task", "pool", "pool=True"])
+def test_tasks_that_cannot_be_pickled_run(monkeypatch, capfd, cpus, n, pool):
+    # the children take their tasks from the fork, so a lambda or a
+    # closure runs as it does in this process
+    offset = 10
+    monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+    tasks = [((lambda i: i + offset), (i,)) for i in range(n)]
+    assert forking.run_tasks(tasks, pool) == [i + offset for i in range(n)]
+    assert multiprocessing.active_children() == []
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("cpus, n, pool", [(2, 2, False), (2, 3, False), (2, 2, True)],
+                         ids=["per-task", "pool", "pool=True"])
+def test_a_child_that_dies_gives_one_error(monkeypatch, cpus, n, pool):
+    # the dying task is the last one, so it runs in a child in every shape
+    monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+    with pytest.raises(RuntimeError, match="exited with code 7 without a result"):
+        forking.run_tasks([(int, ())] * (n - 1) + [(os._exit, (7,))], pool)
+    assert multiprocessing.active_children() == []
+
+
+def _slow_pid():
+    time.sleep(0.5)
+    return os.getpid()
+
+
+def test_each_task_goes_to_the_child_that_frees_up_first(monkeypatch):
+    # one child holds the slow first task; the other takes every quick one
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+    slow, *quick = forking.run_tasks([(_slow_pid, ())] + [(os.getpid, ())] * 6, pool=True)
+    assert len(set(quick)) == 1 and slow not in quick and os.getpid() not in quick
+    assert multiprocessing.active_children() == []
+
+
+def _children_after_a_pause():
+    time.sleep(0.5)
+    return multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_child_exits_once_it_has_sent_its_last_result(monkeypatch, n):
+    # this process runs the first task; each child, done with its own
+    # long before, has exited without waiting for this process to read it
+    monkeypatch.setattr(forking, "usable_cpus", lambda: n)
+    left, *pids = forking.run_tasks([(_children_after_a_pause, ())] + [(os.getpid, ())] * (n - 1))
+    assert left == [] and os.getpid() not in pids
+
+
+_CHILDREN_PRINT = """
+from grouploss import forking
+forking.usable_cpus = lambda: 2
+
+def say(i):
+    print("task", i)  # no flush: standard output is a pipe, so block-buffered
+    return i
+
+for r in range(50):
+    forking.run_tasks([(say, (2 * r,)), (say, (2 * r + 1,))], pool=True)
+"""
+
+
+def test_a_child_flushes_its_output_before_it_ends():
+    # once every result is in, the children are joined, not terminated
+    # while they may still be flushing their standard streams
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = os.path.dirname(os.path.dirname(forking.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _CHILDREN_PRINT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(proc.stdout.splitlines()) == sorted(f"task {i}" for i in range(100))
