@@ -38,6 +38,7 @@ from .glestim import (
     build_report,
     gl_explained_debiased,
     gl_induced_estimate,
+    gl_lower_bound,
     load_betaincinv,
     region_stats,
 )
@@ -108,8 +109,10 @@ def _parse_reduction(name: str):
         raise ValueError(f"unknown reduction: {name!r}")
     try:
         k = int(name.split(":", 1)[1])
+        if k < 0:
+            raise ValueError
     except ValueError:
-        raise ValueError(f"reduction {name!r}: classwise:K needs an integer K") from None
+        raise ValueError(f"reduction {name!r}: classwise:K needs an integer K >= 0") from None
     return lambda ds: classwise_slice(ds, k)
 
 
@@ -127,6 +130,20 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
     calibration curve over all rows.
     """
     rule = cfg.scoring_rule()
+    bv, split, bview, stats, glx, induced = _estimate(ds, cfg)
+    cl = calibration_loss_binned(bview, rule)
+    bounds = binning_bounds(bview, rule) if rule is BRIER_SCALAR else None
+    return build_report(
+        cfg.to_dict(), stats, glx, induced, cl, bview, bounds,
+        n_rows=bv.n, n_train=split.train_rows.size,
+        metadata={"provenance": bv.provenance, "gl_induced_rows": "all"},
+    )
+
+
+def _estimate(ds: LabeledDataset, cfg: RunConfig):
+    """The estimator's terms without the report: the binary view (its
+    scores recalibrated where ``cfg`` asks), its split, the binned view,
+    the region table, the explained term and the induced term."""
     bv = reduce_dataset(ds, cfg.reduction)
     split = stratified_split(bv, cfg.n_bins, cfg.seed)
     if cfg.recalibrate == "isotonic":
@@ -138,14 +155,8 @@ def run_pipeline(ds: LabeledDataset, cfg: RunConfig) -> GroupingReport:
     # partition while this process fits the curve
     induced, stats = run_tasks([(_induced_stage, (bview, bv.score, bv.label, cfg)),
                                 (_partition_stage, (bview, bv.features, bv.label, split, cfg))])
-    glx = gl_explained_debiased(stats, rule)
-    cl = calibration_loss_binned(bview, rule)
-    bounds = binning_bounds(bview, rule) if rule is BRIER_SCALAR else None
-    return build_report(
-        cfg.to_dict(), stats, glx, induced, cl, bview, bounds,
-        n_rows=bv.n, n_train=split.train_rows.size,
-        metadata={"provenance": bv.provenance, "gl_induced_rows": "all"},
-    )
+    glx = gl_explained_debiased(stats, cfg.scoring_rule())
+    return bv, split, bview, stats, glx, induced
 
 
 def _induced_stage(bview, scores, labels, cfg):
@@ -199,8 +210,8 @@ def _run_config(args) -> RunConfig:
 def cmd_estimate(args) -> int:
     _require_out_dirs(args, "out", "diagram_out")
     cfg = _run_config(args)
-    # the report's intervals need scipy: it loads here while a forked
-    # child parses the CSV
+    # the one command whose report needs scipy, for its intervals: it
+    # loads here while a forked child parses the CSV
     _, ds = run_tasks([(load_betaincinv, ()), (read_dataset_csv, (args.input,))])
     report = run_pipeline(ds, cfg)
     _write_text(args.out, report.to_json())
@@ -272,14 +283,14 @@ def _sweep_values(text):
 
 def _sweep_repeat(sim, n, cfg):
     """One repeat of a sweep: whether it is degraded, and its lower bound,
-    plug-in, explained and induced terms."""
+    plug-in, explained and induced terms; no report is built."""
     ds, _ = sample_realistic(sim, n, cfg.seed)
-    report = run_pipeline(ds, cfg)
+    *_, glx, induced = _estimate(ds, cfg)
     # a repeat is degraded once regions too small to estimate hold a
     # visible share of the test mass (the ratio-below-2 regime)
-    degraded = bool(report.unestimable_bins) or report.dropped_test_fraction > 0.03
-    return degraded, (report.gl_lower_bound, report.gl_plugin,
-                      report.gl_explained, report.gl_induced)
+    degraded = not glx.estimable.all() or glx.dropped_fraction > 0.03
+    return degraded, (gl_lower_bound(glx.explained, induced), glx.plugin,
+                      glx.explained, induced)
 
 
 def cmd_sweep(args) -> int:
@@ -299,7 +310,6 @@ def cmd_sweep(args) -> int:
     # the oracle has its own seed, so it can come last, where a failing
     # repeat's error does not wait for it
     tasks.append((true_gl_monte_carlo, (sim, base.scoring_rule(), args.oracle_n, base.seed)))
-    load_betaincinv()  # once here, not in every child run_tasks forks
     results = run_tasks(tasks, pool=True)  # in forked children, where no pipeline forks
     oracle = results.pop()
     rows = []

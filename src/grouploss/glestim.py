@@ -250,8 +250,8 @@ def binning_bounds(bview: BinnedView, rule: ScoringRule) -> BinningBounds:
 def load_betaincinv():
     """scipy's ``betaincinv``, imported here rather than with the package:
     scipy.special takes about half the import of ``grouploss.cli``, and
-    only ``clopper_pearson`` needs it.  A command that will call it may
-    load it early, beside other work or before it forks."""
+    only ``clopper_pearson`` needs it.  ``grouploss estimate``, the one
+    command that builds a report, loads it early, beside its CSV read."""
     from scipy.special import betaincinv
 
     return betaincinv

@@ -112,6 +112,17 @@ class TestEstimate:
         assert main(["estimate", str(csv), "--bins", "0"]) == EXIT_INPUT
         assert main(["estimate", str(csv), "--reduction", "sideways"]) == EXIT_INPUT
 
+    def test_a_negative_class_index_exits_2_before_the_read(self, tmp_path, capsys, monkeypatch):
+        def no_read(*args):
+            raise AssertionError("the input was read before the reduction was checked")
+
+        monkeypatch.setattr(cli, "read_dataset_csv", no_read)
+        # a missing file, whose read error would otherwise be the one reported
+        code = main(["estimate", str(tmp_path / "nope.csv"), "--reduction", "classwise:-1"])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "classwise:K needs an integer K >= 0" in err
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.csv")]) == EXIT_INPUT
 
@@ -443,7 +454,7 @@ class TestSweep:
         def no_pipeline(*args):
             raise AssertionError("a pipeline ran before the output path was checked")
 
-        monkeypatch.setattr("grouploss.cli.run_pipeline", no_pipeline)
+        monkeypatch.setattr("grouploss.cli._estimate", no_pipeline)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "realistic"}))
         missing = tmp_path / "missing" / "dir" / "s.csv"
@@ -451,6 +462,27 @@ class TestSweep:
                      "--n", "1000", "--repeats", "1", "--out", str(missing)])
         assert code == EXIT_INPUT
         assert f"--out {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rule", ["brier", "logloss"])
+    @pytest.mark.parametrize("partition", ["tree", "stump", "kmeans:4"])
+    @pytest.mark.parametrize("ratio", [1, 2000])
+    def test_a_repeat_reads_the_terms_of_the_report(self, rule, partition, ratio):
+        # the repeat's estimable/dropped_fraction rule against the report's
+        # unestimable_bins/dropped_test_fraction, bit for bit
+        sim = default_realistic()
+        for n, seed, bins in ((1500, 3, 15), (4000, 17, 15), (600, 5, 40)):
+            cfg = RunConfig(rule=rule, n_bins=bins, partition=partition, region_ratio=ratio,
+                            seed=seed)
+            ds, _ = sample_realistic(sim, n, seed)
+            report = run_pipeline(ds, cfg)
+            degraded = bool(report.unestimable_bins) or report.dropped_test_fraction > 0.03
+            terms = (report.gl_lower_bound, report.gl_plugin, report.gl_explained,
+                     report.gl_induced)
+            got_degraded, got_terms = cli._sweep_repeat(sim, n, cfg)
+            assert got_degraded is degraded
+            assert np.array(got_terms).tobytes() == np.array(terms).tobytes()
+        # at 40 bins some bins hold one test row: unestimable at any ratio
+        assert report.unestimable_bins
 
     def test_bad_axis_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -512,14 +544,14 @@ class TestSweepWorkers:
     def test_failing_repeat_gives_the_serial_message(self, tmp_path, monkeypatch, capsys):
         # ratios 30 and 100 fail with different messages; 30 is first in task
         # order, so its message is the one every worker count reports
-        pipeline = cli.run_pipeline
+        estimate = cli._estimate
 
         def failing(ds, cfg):
             if cfg.region_ratio > 10:
                 raise ValueError(f"ratio {cfg.region_ratio} fails")
-            return pipeline(ds, cfg)
+            return estimate(ds, cfg)
 
-        monkeypatch.setattr(cli, "run_pipeline", failing)
+        monkeypatch.setattr(cli, "_estimate", failing)
         errors = []
         for workers in (1, 2, 3):
             capsys.readouterr()
@@ -543,10 +575,10 @@ class TestSweepWorkers:
                 return fn(*args)
             return wrapper
 
-        for name in ("run_pipeline", "true_gl_monte_carlo"):
+        for name in ("_estimate", "true_gl_monte_carlo"):
             monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
         assert self._sweep(tmp_path, monkeypatch, 2, "wrapped.csv") == (EXIT_OK, plain)
-        assert sorted(calls.read_text().split()) == ["run_pipeline"] * 4 + ["true_gl_monte_carlo"]
+        assert sorted(calls.read_text().split()) == ["_estimate"] * 4 + ["true_gl_monte_carlo"]
 
 
     def test_a_sweep_in_a_daemonic_worker_runs_its_tasks_there(self, tmp_path, monkeypatch):
@@ -916,25 +948,32 @@ _SWEEP_WORKERS_SEE_SCIPY = """
 import os, sys
 from grouploss import cli, forking
 forking.usable_cpus = lambda: 2
-repeat = cli._sweep_repeat
 
 def report():
     # one write per line: under PYTHONUNBUFFERED, print writes each piece
     # apart, and two children's lines interleave
     os.write(1, f"{os.getpid()} {'scipy.special' in sys.modules}\\n".encode())
 
-def checked(*args):
-    report()
-    return repeat(*args)
+def checked(fn):
+    def task(*args):
+        try:
+            return fn(*args)
+        finally:
+            report()
+    return task
 
-cli._sweep_repeat = checked
+cli._sweep_repeat = checked(cli._sweep_repeat)
+cli.true_gl_monte_carlo = checked(cli.true_gl_monte_carlo)
 report()
-sys.exit(cli.main(sys.argv[1:]))
+code = cli.main(sys.argv[1:])
+report()
+sys.exit(code)
 """
 
 
-def test_a_sweep_task_starts_with_scipy_loaded(tmp_path):
-    # loaded once before the children fork, so no child imports it again
+def test_a_sweep_loads_no_scipy(tmp_path):
+    # a repeat builds no report, so nothing needs the intervals' scipy:
+    # not a task's child once it has run, nor this process after main
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("this platform cannot fork")
     spec = tmp_path / "spec.json"
@@ -945,10 +984,12 @@ def test_a_sweep_task_starts_with_scipy_loaded(tmp_path):
          "--oracle-n", "1000", "--out", str(tmp_path / "sweep.csv")],
         env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
-    (parent, loaded), *tasks = [line.split() for line in proc.stdout.split("\n") if line]
-    assert loaded == "False"
-    assert len(tasks) == 4
-    assert all(pid != parent and seen == "True" for pid, seen in tasks)
+    (parent, before), *tasks, (last, after) = [line.split() for line in proc.stdout.split("\n")
+                                               if line]
+    assert last == parent and before == after == "False"
+    # four repeats and the oracle
+    assert len(tasks) == 5
+    assert all(pid != parent and seen == "False" for pid, seen in tasks)
 
 
 # the per-bin tables hold the bins the rows occupy, so any bin count runs
