@@ -275,25 +275,52 @@ def _sweep_values(text):
     values = []
     for v in filter(None, text.split(",")):
         try:
-            values.append(int(v))
+            value = int(v)
         except ValueError:
             raise ValueError(f"--values {text!r}: {v!r} is not an integer") from None
+        # on one sample per repeat, a value given twice repeats a row's work
+        if value in values:
+            raise ValueError(f"--values {text!r}: {value} is given twice")
+        values.append(value)
     return values
 
 
-def _sweep_repeat(sim, n, cfg):
-    """One repeat of a sweep: whether it is degraded, and its lower bound,
-    plug-in, explained and induced terms; no report is built."""
-    ds, _ = sample_realistic(sim, n, cfg.seed)
-    *_, glx, induced = _estimate(ds, cfg)
-    # a repeat is degraded once regions too small to estimate hold a
-    # visible share of the test mass (the ratio-below-2 regime)
-    degraded = not glx.estimable.all() or glx.dropped_fraction > 0.03
-    return degraded, (gl_lower_bound(glx.explained, induced), glx.plugin,
-                      glx.explained, induced)
+def _sweep_repeat(sim, n, cfgs, seed):
+    """One repeat of a sweep: one sample and one calibration curve, shared
+    by every config of ``cfgs`` (which differ only in the swept field).
+
+    Each config then runs the calls ``_estimate`` makes on that sample in
+    this process, with ``seed`` as its seed, and gives whether it is
+    degraded and its lower bound, plug-in, explained and induced terms;
+    no report is built.  The curve is over all rows and the sweep has no
+    recalibration, so it does not depend on the swept value.
+    """
+    ds, _ = sample_realistic(sim, n, seed)
+    bv = reduce_dataset(ds, cfgs[0].reduction)
+    curve = fit_calibration_curve(bv.score, bv.label, cfgs[0].bandwidth_fraction)
+    results = []
+    for cfg in cfgs:
+        cfg = replace(cfg, seed=seed)
+        rule = cfg.scoring_rule()
+        split = stratified_split(bv, cfg.n_bins, cfg.seed)
+        bview = make_bins(bv, cfg.n_bins, rows=split.test_rows)
+        induced = gl_induced_estimate(curve, bview, bv.score, rule)
+        glx = gl_explained_debiased(
+            _partition_stage(bview, bv.features, bv.label, split, cfg), rule)
+        # a repeat is degraded once regions too small to estimate hold a
+        # visible share of the test mass (the ratio-below-2 regime)
+        degraded = not glx.estimable.all() or glx.dropped_fraction > 0.03
+        results.append((degraded, (gl_lower_bound(glx.explained, induced), glx.plugin,
+                                    glx.explained, induced)))
+    return results
 
 
 def cmd_sweep(args) -> int:
+    """Each repeat is one task on its own sample, seeded from ``(seed,
+    repeat)``, and evaluates every swept value on it, so the rows are
+    paired: a difference between two rows comes from their values, not
+    from their samples.  Each ``*_sd`` column is the spread across
+    repeats."""
     _require_out_dirs(args, "out")
     _require_positive(args, "n", "repeats", "oracle_n")
     sim = _load_simulator(args.spec)
@@ -303,10 +330,8 @@ def cmd_sweep(args) -> int:
     base = _run_config(args)
     key = _FLAG_FIELDS.get(args.axis, args.axis)
     cfgs = [replace(base, **{key: value}) for value in values]
-    tasks = [
-        (_sweep_repeat, (sim, args.n, replace(cfg, seed=_derived_seed(base.seed, vi, r))))
-        for vi, cfg in enumerate(cfgs) for r in range(args.repeats)
-    ]
+    tasks = [(_sweep_repeat, (sim, args.n, cfgs, _derived_seed(base.seed, r)))
+             for r in range(args.repeats)]
     # the oracle has its own seed, so it can come last, where a failing
     # repeat's error does not wait for it
     tasks.append((true_gl_monte_carlo, (sim, base.scoring_rule(), args.oracle_n, base.seed)))
@@ -314,7 +339,7 @@ def cmd_sweep(args) -> int:
     oracle = results.pop()
     rows = []
     for vi, value in enumerate(values):
-        repeats = results[vi * args.repeats:(vi + 1) * args.repeats]
+        repeats = [result[vi] for result in results]
         used = [terms for _, terms in repeats if math.isfinite(terms[0])]
         moments = ",".join(
             f"{m!r},{sd!r}" for m, sd in (_mean_sd([t[i] for t in used]) for i in range(4))

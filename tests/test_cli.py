@@ -10,7 +10,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -454,7 +454,7 @@ class TestSweep:
         def no_pipeline(*args):
             raise AssertionError("a pipeline ran before the output path was checked")
 
-        monkeypatch.setattr("grouploss.cli._estimate", no_pipeline)
+        monkeypatch.setattr("grouploss.cli._sweep_repeat", no_pipeline)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "realistic"}))
         missing = tmp_path / "missing" / "dir" / "s.csv"
@@ -467,22 +467,63 @@ class TestSweep:
     @pytest.mark.parametrize("partition", ["tree", "stump", "kmeans:4"])
     @pytest.mark.parametrize("ratio", [1, 2000])
     def test_a_repeat_reads_the_terms_of_the_report(self, rule, partition, ratio):
-        # the repeat's estimable/dropped_fraction rule against the report's
-        # unestimable_bins/dropped_test_fraction, bit for bit
+        # each value of a paired repeat against _estimate on the same sample
+        # and seed, on both axes: the degraded flag and the four terms, bit
+        # for bit
         sim = default_realistic()
         for n, seed, bins in ((1500, 3, 15), (4000, 17, 15), (600, 5, 40)):
-            cfg = RunConfig(rule=rule, n_bins=bins, partition=partition, region_ratio=ratio,
-                            seed=seed)
+            base = RunConfig(rule=rule, n_bins=bins, partition=partition, region_ratio=ratio)
             ds, _ = sample_realistic(sim, n, seed)
-            report = run_pipeline(ds, cfg)
-            degraded = bool(report.unestimable_bins) or report.dropped_test_fraction > 0.03
-            terms = (report.gl_lower_bound, report.gl_plugin, report.gl_explained,
-                     report.gl_induced)
-            got_degraded, got_terms = cli._sweep_repeat(sim, n, cfg)
-            assert got_degraded is degraded
-            assert np.array(got_terms).tobytes() == np.array(terms).tobytes()
+            for key, values in (("region_ratio", (ratio, 30)), ("n_bins", (5, bins))):
+                cfgs = [replace(base, **{key: value}) for value in values]
+                got = cli._sweep_repeat(sim, n, cfgs, seed)
+                assert len(got) == len(cfgs)
+                for cfg, (got_degraded, got_terms) in zip(cfgs, got):
+                    *_, glx, induced = cli._estimate(ds, replace(cfg, seed=seed))
+                    degraded = not glx.estimable.all() or glx.dropped_fraction > 0.03
+                    terms = (glx.explained - induced, glx.plugin, glx.explained, induced)
+                    assert got_degraded == degraded
+                    assert np.array(got_terms).tobytes() == np.array(terms).tobytes()
         # at 40 bins some bins hold one test row: unestimable at any ratio
-        assert report.unestimable_bins
+        assert not glx.estimable.all()
+
+    def test_one_sample_and_one_curve_per_repeat(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
+        calls = []
+        for name in ("sample_realistic", "fit_calibration_curve"):
+            def counted(*args, fn=getattr(cli, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(cli, name, counted)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "realistic"}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(spec), "--axis", "region_ratio", "--values", "10,30,100",
+                     "--n", "2000", "--repeats", "3", "--seed", "4", "--oracle-n", "1000",
+                     "--out", str(out)]) == EXIT_OK
+        assert sorted(calls) == ["fit_calibration_curve"] * 3 + ["sample_realistic"] * 3
+        # the split, the bins and the curve do not depend on the ratio
+        lines = out.read_text().strip().split("\n")
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 3
+        assert len({(r["gl_induced"], r["gl_induced_sd"]) for r in rows}) == 1
+        assert len({r["gl_explained"] for r in rows}) == 3
+
+    def test_a_value_given_twice_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sample(*args):
+            raise AssertionError("a sample was drawn before the values were checked")
+
+        monkeypatch.setattr("grouploss.cli.sample_realistic", no_sample)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "realistic"}))
+        for values, given in (("30,30", "30"), ("5,10,05", "5")):
+            code = main(["sweep", str(spec), "--axis", "region_ratio", "--values", values,
+                         "--n", "1000", "--repeats", "1", "--out", str(tmp_path / "s.csv")])
+            assert code == EXIT_INPUT
+            assert capsys.readouterr().err == (
+                f"error: --values {values!r}: {given} is given twice\n")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_bad_axis_exits_2(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -542,16 +583,18 @@ class TestSweepWorkers:
         assert counts == [(2, 2), (4, forking.MAX_WORKERS)]
 
     def test_failing_repeat_gives_the_serial_message(self, tmp_path, monkeypatch, capsys):
-        # ratios 30 and 100 fail with different messages; 30 is first in task
-        # order, so its message is the one every worker count reports
-        estimate = cli._estimate
+        # repeat 0 fails at ratio 100 and repeat 1 at ratio 30, sooner within
+        # its task; repeat 0 is first in task order, so its message is the
+        # one every worker count reports
+        partition_stage = cli._partition_stage
+        fails = {(cli._derived_seed(3, 0), 100), (cli._derived_seed(3, 1), 30)}
 
-        def failing(ds, cfg):
-            if cfg.region_ratio > 10:
+        def failing(bview, features, labels, split, cfg):
+            if (cfg.seed, cfg.region_ratio) in fails:
                 raise ValueError(f"ratio {cfg.region_ratio} fails")
-            return estimate(ds, cfg)
+            return partition_stage(bview, features, labels, split, cfg)
 
-        monkeypatch.setattr(cli, "_estimate", failing)
+        monkeypatch.setattr(cli, "_partition_stage", failing)
         errors = []
         for workers in (1, 2, 3):
             capsys.readouterr()
@@ -559,7 +602,7 @@ class TestSweepWorkers:
             assert result == (EXIT_INPUT, None)
             errors.append(capsys.readouterr().err)
             assert multiprocessing.active_children() == []
-        assert errors == ["error: ratio 30 fails\n"] * 3
+        assert errors == ["error: ratio 100 fails\n"] * 3
 
     def test_wrapped_names_still_run(self, tmp_path, monkeypatch):
         # a wrapper with the wrapped function's name, as a tracer installs,
@@ -575,10 +618,14 @@ class TestSweepWorkers:
                 return fn(*args)
             return wrapper
 
-        for name in ("_estimate", "true_gl_monte_carlo"):
+        for name in ("_sweep_repeat", "fit_calibration_curve", "_partition_stage",
+                     "true_gl_monte_carlo"):
             monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
         assert self._sweep(tmp_path, monkeypatch, 2, "wrapped.csv") == (EXIT_OK, plain)
-        assert sorted(calls.read_text().split()) == ["_estimate"] * 4 + ["true_gl_monte_carlo"]
+        # two repeats of two values each, and the oracle
+        assert sorted(calls.read_text().split()) == (
+            ["_partition_stage"] * 4 + ["_sweep_repeat"] * 2 + ["fit_calibration_curve"] * 2
+            + ["true_gl_monte_carlo"])
 
 
     def test_a_sweep_in_a_daemonic_worker_runs_its_tasks_there(self, tmp_path, monkeypatch):
@@ -636,7 +683,8 @@ class TestSweepWorkers:
         assert main(["sweep", str(spec), "--axis", "region_ratio", "--values", values,
                      "--n", "2000", "--repeats", "1", "--oracle-n", "20000",
                      "--out", str(tmp_path / "s.csv")]) == EXIT_OK
-        assert forks() == [os.getpid()] * (values.count(",") + 2)
+        # one repeat, whatever its values, and the oracle
+        assert forks() == [os.getpid()] * 2
         assert multiprocessing.active_children() == []
 
 
@@ -987,8 +1035,8 @@ def test_a_sweep_loads_no_scipy(tmp_path):
     (parent, before), *tasks, (last, after) = [line.split() for line in proc.stdout.split("\n")
                                                if line]
     assert last == parent and before == after == "False"
-    # four repeats and the oracle
-    assert len(tasks) == 5
+    # two repeats and the oracle
+    assert len(tasks) == 3
     assert all(pid != parent and seen == "False" for pid, seen in tasks)
 
 

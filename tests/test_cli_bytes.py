@@ -1,9 +1,11 @@
 """Byte gate: ``simulate`` and ``sweep`` outputs stay byte-identical.
 
 Each case runs the command in process through ``cli.main`` and compares
-the SHA-256 of every file it writes with a digest recorded from the
-code before the oracle and sampler were consolidated.  A change that
-moves any of these bytes must say why and re-record the digests.
+the SHA-256 of every file it writes with a recorded digest: the
+``simulate`` digests from the code before the oracle and sampler were
+consolidated, the ``sweep`` digests from the paired sweep, whose repeats
+each draw one sample for every swept value.  A change that moves any of
+these bytes must say why and re-record the digests.
 """
 
 import hashlib
@@ -30,33 +32,33 @@ DIGESTS = {
     "link1d-poly/brier/summary.json":
         "5438f6376413763ecc4d33b6b7fff0cded63c0d004a5532679b10d0e1517ddb0",
     "link1d-poly/brier/sweep-bins-stump.csv":
-        "cff16e6d299936fd245f3903dbc010628dc8a99e0ab00ca22b52c9313f07f796",
+        "bb03f5c52b9d8a4dfbe97b3e9ad69c4c5ac5eff3e7f4adab7a7047d0285a383f",
     "link1d-poly/brier/sweep-ratio-tree.csv":
-        "4df27ee3684178bdf800f47ca32955fd822eb6b677f591d0119993badb8b9045",
+        "2a6319d761d023b81281713cd82dc37b0dc65c5e95f20ffd161cb24fb0fbd215",
     "link1d-poly/logloss/data.csv":
         "35230083bcde001343798dada19091ae030552089fbd0e2ff9b40c7ea8e5c86a",
     "link1d-poly/logloss/summary.json":
         "1e5195601b4d0d003a1bb669dd8f840c6a16e9e9b9f557ba3a6b1b9eb1a336e5",
     "link1d-poly/logloss/sweep-bins-stump.csv":
-        "2087576ba629820e81f357df8d0038d979cbc30a7892a49ce834d5ee1bf72821",
+        "0f962fae64cff9a2c3934be88ba96573162417c84cfcfaa4c62ecb91e5e9686c",
     "link1d-poly/logloss/sweep-ratio-tree.csv":
-        "44a057638a2857cefd6429a804995d3f496c6c0adf556faa7765f88776e0892d",
+        "a404c9ca93cb2c6d84d8845b03192480484a67e94fd00fab4cb0920d606a6803",
     "realistic/brier/data.csv":
         "c4aa2e88952d1d600be00d1466ca7e1e435fec72accaed236e94e8f9c0ade206",
     "realistic/brier/summary.json":
         "601b917181d35f7248c21ad8dbbfd7ec7df5ccf68d4dae63bc2b02e3afba4889",
     "realistic/brier/sweep-bins-stump.csv":
-        "4fb5613c2449c51ed67731b0b273b4adfcbb53195160cfa4496d144fcdee1b6a",
+        "9eedd556005e4f8c6586dc90e9c62240c25a72f91d58182ab461d23134ee078d",
     "realistic/brier/sweep-ratio-tree.csv":
-        "cc08bde078bb2b36037326e93e8a0bab2392a33b3a4fa4bbc553782599acdf3a",
+        "133673a5d4c31b19ce7cf6eec7e2129cda2439028d932b45eb99391f1b6ad729",
     "realistic/logloss/data.csv":
         "c4aa2e88952d1d600be00d1466ca7e1e435fec72accaed236e94e8f9c0ade206",
     "realistic/logloss/summary.json":
         "0e4337e6ea386a41449707ad80ca0b957ab9786fffff002191cb20d418c82f4b",
     "realistic/logloss/sweep-bins-stump.csv":
-        "b4075189f14b517b79acf24d5feed5571f1a0d352d3af5e2da3d68e3f135624b",
+        "30cd27640cc5cdd4e3eb18b8b5e6ef492e6d7bf011768994a13fc1c9022716a9",
     "realistic/logloss/sweep-ratio-tree.csv":
-        "2111d0284ece80878177823bcdc00d80ceb7a00d1bdc532a1398363de8a8ed4e",
+        "8a549bfe996757cec51602515db4b79a60e95d8d49a6e357f6687b655be6088a",
 }
 
 
