@@ -293,18 +293,23 @@ def _sweep_repeat(sim, n, cfgs, seed):
     this process, with ``seed`` as its seed, and gives whether it is
     degraded and its lower bound, plug-in, explained and induced terms;
     no report is built.  The curve is over all rows and the sweep has no
-    recalibration, so it does not depend on the swept value.
+    recalibration, so it does not depend on the swept value; the split,
+    the bins and the induced term depend on it only through ``n_bins``,
+    so they are made once per distinct bin count.
     """
     ds, _ = sample_realistic(sim, n, seed)
     bv = reduce_dataset(ds, cfgs[0].reduction)
     curve = fit_calibration_curve(bv.score, bv.label, cfgs[0].bandwidth_fraction)
+    rule = cfgs[0].scoring_rule()
+    binned = {}  # n_bins -> (split, bview, induced)
     results = []
     for cfg in cfgs:
         cfg = replace(cfg, seed=seed)
-        rule = cfg.scoring_rule()
-        split = stratified_split(bv, cfg.n_bins, cfg.seed)
-        bview = make_bins(bv, cfg.n_bins, rows=split.test_rows)
-        induced = gl_induced_estimate(curve, bview, bv.score, rule)
+        if cfg.n_bins not in binned:
+            split = stratified_split(bv, cfg.n_bins, cfg.seed)
+            bview = make_bins(bv, cfg.n_bins, rows=split.test_rows)
+            binned[cfg.n_bins] = split, bview, gl_induced_estimate(curve, bview, bv.score, rule)
+        split, bview, induced = binned[cfg.n_bins]
         glx = gl_explained_debiased(
             _partition_stage(bview, bv.features, bv.label, split, cfg), rule)
         # a repeat is degraded once regions too small to estimate hold a

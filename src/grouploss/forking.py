@@ -2,7 +2,9 @@
 
 ``workers`` says how many processes a piece of work may spread over, and
 ``run_tasks`` runs a list of tasks on them, or in this process where it
-says one.
+says one.  Before it forks, ``run_tasks`` caps numpy's bundled OpenBLAS
+at one thread, so its thread pool does not run beside the forked
+children.
 """
 
 import os
@@ -40,11 +42,11 @@ def run_tasks(tasks, pool=False):
     """``fn(*args)`` for each ``(fn, args)`` of ``tasks``, in task order.
 
     Where ``count = workers(len(tasks))`` is 1, they run one after another
-    here.  Otherwise forked children run them: at one per task, this
-    process runs the first and ``count - 1`` children the others; below
-    that, or with ``pool``, ``count`` children run them all, so a task's
-    own forked work (a sweep's pipeline) stays in its child, where
-    ``workers`` says one.  A child reads task indices from one pipe and
+    here.  Otherwise, after ``cap_blas_threads``, forked children run
+    them: at one per task, this process runs the first and ``count - 1``
+    children the others; below that, or with ``pool``, ``count`` children
+    run them all, so a task's own forked work (a sweep's pipeline) stays
+    in its child, where ``workers`` says one.  A child reads task indices from one pipe and
     sends ``(ok, value)`` back on another; the tasks come from the fork,
     so nothing is pickled on the way in.  Each index goes to the child
     that reports first, and the task pipes close after the last one, so
@@ -58,6 +60,7 @@ def run_tasks(tasks, pool=False):
     count = workers(len(tasks))
     if count < 2:
         return [fn(*args) for fn, args in tasks]
+    cap_blas_threads()
     import multiprocessing
     from multiprocessing.connection import wait
 
@@ -121,6 +124,52 @@ def run_tasks(tasks, pool=False):
             child.close()
         for end in task_ends + result_ends:
             end.close()
+
+
+def blas_thread_calls():
+    """The ``(get, set)`` thread-count calls of the OpenBLAS that numpy
+    bundles (in ``numpy.libs`` beside the package, or ``numpy/.dylibs`` on
+    macOS), or None where none is found: another BLAS, or a build that
+    names them otherwise."""
+    import ctypes
+    import glob
+
+    import numpy
+
+    package = os.path.dirname(numpy.__file__)
+    paths = (glob.glob(os.path.join(os.path.dirname(package), "numpy.libs", "*openblas*"))
+             + glob.glob(os.path.join(package, ".dylibs", "*openblas*")))
+    for path in sorted(paths):
+        try:
+            # numpy has loaded it already, so this is a handle on that copy
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for stem, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", "_"),
+                             ("openblas_", "")):
+            try:
+                get = getattr(lib, f"{stem}get_num_threads{suffix}")
+                set_ = getattr(lib, f"{stem}set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def cap_blas_threads():
+    """Cap numpy's OpenBLAS at one thread for the rest of this process.
+
+    Its pool would otherwise run beside the forked children, a second,
+    unmanaged way to use more CPUs.  The cap is set here, before the first
+    fork, and the children inherit it.  It is neither set in each child
+    nor restored afterwards: a fork shuts the pool down, and the setter
+    called after that starts it again, with a new thread that spins beside
+    the next product.  Where no setter is found, nothing changes."""
+    calls = blas_thread_calls()
+    if calls is not None and calls[0]() != 1:
+        calls[1](1)
 
 
 def _child_main(tasks, inbox, outbox, ends):

@@ -488,20 +488,27 @@ class TestSweep:
         assert not glx.estimable.all()
 
     def test_one_sample_and_one_curve_per_repeat(self, tmp_path, monkeypatch):
+        # and one split, one binning and one induced term per distinct bin
+        # count: three a repeat on the bins axis, one on the region ratio's
         monkeypatch.setattr(forking, "usable_cpus", lambda: 1)
         calls = []
-        for name in ("sample_realistic", "fit_calibration_curve"):
-            def counted(*args, fn=getattr(cli, name), name=name):
+        for name in ("sample_realistic", "fit_calibration_curve", "stratified_split",
+                     "make_bins", "gl_induced_estimate"):
+            def counted(*args, fn=getattr(cli, name), name=name, **kwargs):
                 calls.append(name)
-                return fn(*args)
+                return fn(*args, **kwargs)
             monkeypatch.setattr(cli, name, counted)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "realistic"}))
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", str(spec), "--axis", "region_ratio", "--values", "10,30,100",
-                     "--n", "2000", "--repeats", "3", "--seed", "4", "--oracle-n", "1000",
-                     "--out", str(out)]) == EXIT_OK
-        assert sorted(calls) == ["fit_calibration_curve"] * 3 + ["sample_realistic"] * 3
+        for axis, values, binnings in (("bins", "5,10,15", 3), ("region_ratio", "10,30,100", 1)):
+            calls.clear()
+            assert main(["sweep", str(spec), "--axis", axis, "--values", values,
+                         "--n", "2000", "--repeats", "3", "--seed", "4", "--oracle-n", "1000",
+                         "--out", str(out)]) == EXIT_OK
+            assert {name: calls.count(name) for name in set(calls)} == {
+                "sample_realistic": 3, "fit_calibration_curve": 3, "stratified_split": 3 * binnings,
+                "make_bins": 3 * binnings, "gl_induced_estimate": 3 * binnings}
         # the split, the bins and the curve do not depend on the ratio
         lines = out.read_text().strip().split("\n")
         header = lines[0].split(",")

@@ -3,6 +3,7 @@ this process and in both forked shapes (this process and one child per
 other task, or children only), each task to the child that frees up
 first, and no child or pipe left behind."""
 
+import json
 import multiprocessing
 import multiprocessing.context
 import os
@@ -198,13 +199,64 @@ for r in range(50):
 """
 
 
-def test_a_child_flushes_its_output_before_it_ends():
-    # once every result is in, the children are joined, not terminated
-    # while they may still be flushing their standard streams
+def _run_script(source, *argv):
+    """Standard output of ``source`` run by a fresh interpreter on this
+    source tree."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = os.path.dirname(os.path.dirname(forking.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _CHILDREN_PRINT], env=env,
+    proc = subprocess.run([sys.executable, "-c", source, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert sorted(proc.stdout.splitlines()) == sorted(f"task {i}" for i in range(100))
+    return proc.stdout
+
+
+def test_a_child_flushes_its_output_before_it_ends():
+    # once every result is in, the children are joined, not terminated
+    # while they may still be flushing their standard streams
+    stdout = _run_script(_CHILDREN_PRINT)
+    assert sorted(stdout.splitlines()) == sorted(f"task {i}" for i in range(100))
+
+
+_BLAS_THREADS = """
+import json, sys
+from grouploss import forking
+
+cpus, lookup = int(sys.argv[1]), sys.argv[2]
+forking.usable_cpus = lambda: cpus
+calls = forking.blas_thread_calls()
+threads = calls[0] if calls else (lambda: None)
+if calls:
+    calls[1](2)  # the pool this process starts with, on any CPU count
+if lookup == "none":
+    forking.blas_thread_calls = lambda: None
+before = threads()
+results = forking.run_tasks([(threads, ()), (abs, (-3,)), (threads, ())], pool=True)
+print(json.dumps([before, results, threads()]))
+"""
+
+
+def _blas_threads(cpus, lookup="found"):
+    """The caller's BLAS thread count before and after a ``run_tasks`` of
+    three tasks on ``cpus`` CPUs, and the tasks' results: the count where
+    the first and the last ran, and ``abs(-3)``."""
+    return json.loads(_run_script(_BLAS_THREADS, str(cpus), lookup))
+
+
+needs_blas_setter = pytest.mark.skipif(forking.blas_thread_calls() is None,
+                                       reason="numpy's BLAS has no thread-count setter here")
+
+
+@needs_blas_setter
+def test_a_forking_call_caps_blas_at_one_thread_here_and_in_its_children():
+    assert _blas_threads(2) == [2, [1, 3, 1], 1]
+
+
+@needs_blas_setter
+def test_a_serial_call_leaves_the_blas_thread_count():
+    assert _blas_threads(1) == [2, [2, 3, 2], 2]
+
+
+def test_a_forking_call_without_a_blas_setter_gives_the_same_results():
+    before, results, after = _blas_threads(2, lookup="none")
+    assert results == [before, 3, before] and after == before
