@@ -189,7 +189,10 @@ def _flag(name):
 
 def _require_out_dirs(args, *names):
     """Reject an empty output path, one in a missing directory, or one
-    that is a directory, before any input is read."""
+    that is a directory, before any input is read; and an output at the
+    path of another output or of the input (``input`` or ``spec``),
+    unless that path is an existing file other than a regular one, such
+    as ``/dev/null`` or a FIFO, which takes both writes."""
     for name in names:
         path = getattr(args, name)
         if path == "":
@@ -199,6 +202,15 @@ def _require_out_dirs(args, *names):
             raise ValueError(f"{_flag(name)} {path}: No such file or directory: {parent!r}")
         if path and os.path.isdir(path):
             raise ValueError(f"{_flag(name)} {path}: Is a directory")
+    claimed = {}  # a resolved path -> the argument that gave it first
+    for name in ("input", "spec", *names):
+        path = getattr(args, name, None)
+        if path is None or (os.path.exists(path) and not os.path.isfile(path)):
+            continue
+        real = os.path.realpath(path)
+        if real in claimed:
+            raise ValueError(f"{_flag(name)} {path}: the same file as {claimed[real]}")
+        claimed[real] = _flag(name) if name in names else name
 
 
 def _run_config(args) -> RunConfig:

@@ -694,6 +694,43 @@ class TestSweepWorkers:
         assert forks() == [os.getpid()] * 2
         assert multiprocessing.active_children() == []
 
+    def test_the_oracle_and_each_repeat_run_in_children(self, tmp_path, monkeypatch, forks):
+        # three repeats and the oracle on four CPUs, as many tasks as
+        # processes: each task runs in a child of its own, so neither a
+        # repeat's curve nor the oracle's 2e5 draws land in this process
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("this platform cannot fork")
+        pids = tmp_path / "pids.txt"
+
+        def logged(fn):
+            def task(*args):
+                with open(pids, "a", encoding="utf-8") as fh:
+                    fh.write(f"{fn.__name__} {os.getpid()}\n")
+                return fn(*args)
+            return task
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "realistic"}))
+        outputs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"{cpus}.csv"
+            assert main(["sweep", str(spec), "--axis", "region_ratio", "--values", "10,30",
+                         "--n", "2000", "--repeats", "3", "--seed", "3", "--oracle-n", "20000",
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+            if cpus == 1:
+                assert forks() == []
+                for name in ("_sweep_repeat", "true_gl_monte_carlo"):
+                    monkeypatch.setattr(cli, name, logged(getattr(cli, name)))
+        ran = sorted(line.split() for line in pids.read_text().splitlines())
+        assert [name for name, _ in ran] == ["_sweep_repeat"] * 3 + ["true_gl_monte_carlo"]
+        children = {pid for _, pid in ran}
+        assert len(children) == 4 and str(os.getpid()) not in children
+        assert forks() == [os.getpid()] * 4
+        assert outputs[0] == outputs[1]
+        assert multiprocessing.active_children() == []
+
 
 def _stage_pids():
     """Run in a sweep worker: the pids two ``run_tasks`` tasks ran in, and
@@ -913,6 +950,38 @@ def test_bad_numbers_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, existing, message", [
+    (["estimate", "data.csv", "--out", "r.json", "--diagram-out", "r.json"], "r.json",
+     "--diagram-out r.json: the same file as --out"),
+    (["simulate", "spec.json", "--n", "100", "--oracle-n", "1000", "--out", "same.csv",
+      "--summary-out", "same.csv"], "same.csv", "--summary-out same.csv: the same file as --out"),
+    (["estimate", "data.csv", "--out", "./data.csv"], "data.csv",
+     "--out ./data.csv: the same file as input"),
+    (["sweep", "spec.json", "--axis", "bins", "--values", "5", "--out", "spec.json"],
+     "spec.json", "--out spec.json: the same file as spec"),
+], ids=["estimate-out-diagram-out", "simulate-out-summary-out", "estimate-out-input",
+        "sweep-out-spec"])
+def test_colliding_paths_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys, argv, existing,
+                                                  message):
+    # two outputs at one file, or an output at the input: one write
+    # would replace the other, or the input itself
+    monkeypatch.chdir(tmp_path)
+    _two_region_csv(tmp_path / "data.csv", n=300)
+    (tmp_path / "spec.json").write_text(json.dumps({"kind": "realistic"}))
+    if not (tmp_path / existing).exists():
+        (tmp_path / existing).write_text("already here\n")
+    before = (tmp_path / existing).read_bytes()
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert (tmp_path / existing).read_bytes() == before
+
+
+def test_a_special_file_takes_two_outputs(tmp_path):
+    csv = tmp_path / "data.csv"
+    _two_region_csv(csv, n=2000)
+    assert main(["estimate", str(csv), "--out", os.devnull, "--diagram-out", os.devnull]) == EXIT_OK
 
 
 def _src_env():
